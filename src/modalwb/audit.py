@@ -85,23 +85,6 @@ class AuditReport:
         return not self.failures
 
 
-def _trans_rows(pairs, n):
-    rows = [0] * n
-    for a, b in pairs:
-        rows[a] |= 1 << b
-    for k in range(n):
-        rk = rows[k]
-        bit = 1 << k
-        for a in range(n):
-            if rows[a] & bit:
-                rows[a] |= rk
-    return rows
-
-
-def _rows_pairs(rows):
-    return {(a, b) for a in range(len(rows)) for b in frames.iter_bits(rows[a])}
-
-
 def satisfies_structure(frame: Frame, structure: str, param: int | None) -> bool:
     if structure == "any":
         return True
@@ -109,10 +92,8 @@ def satisfies_structure(frame: Frame, structure: str, param: int | None) -> bool
         return frames.transitivity_index(frame) <= param
     if structure == "bounded-height":
         return frames.height(frame) <= param
-    for rel in frame.relations:
-        rows = [0] * frame.n
-        for a, b in rel:
-            rows[a] |= 1 << b
+    for mod in range(len(frame.alphabet)):
+        rows = frame.rows(mod)
         if structure == "preorder":
             if any(not (rows[a] >> a) & 1 for a in range(frame.n)):
                 return False
@@ -139,24 +120,24 @@ def random_frame(spec: GenSpec, rng: random.Random | None = None) -> Frame:
         n = rng.randint(spec.n_min, spec.n_max)
         rels = []
         for _ in range(spec.alphabet_size):
-            pairs = {
-                (a, b)
-                for a in range(n)
-                for b in range(n)
-                if rng.random() < spec.density
-            }
-            if spec.structure == "transitive":
-                pairs = _rows_pairs(_trans_rows(pairs, n))
+            rows = [0] * n
+            for a in range(n):
+                for b in range(n):
+                    if rng.random() < spec.density:
+                        rows[a] |= 1 << b
+            if spec.structure in ("transitive", "wk4"):
+                rows = frames._closure_rows(rows, reflexive=False)
             elif spec.structure == "preorder":
-                t = _trans_rows(pairs, n)
-                for a in range(n):
-                    t[a] |= 1 << a
-                pairs = _rows_pairs(_trans_rows(_rows_pairs(t), n))
-            elif spec.structure == "wk4":
-                t = _rows_pairs(_trans_rows(pairs, n))
-                pairs = {(a, b) for a, b in t if a != b or rng.random() < 0.5}
-            rels.append(pairs)
-        frame = Frame(alphabet, n, rels)
+                rows = frames._closure_rows(rows, reflexive=True)
+            if spec.structure == "wk4":
+                # draws follow the pair set's iteration order; seeded frames depend on it
+                pairs = frames._rows_to_rel(rows)
+                rows = [0] * n
+                for a, b in pairs:
+                    if a != b or rng.random() < 0.5:
+                        rows[a] |= 1 << b
+            rels.append(rows)
+        frame = Frame.from_rows(alphabet, n, rels)
         if satisfies_structure(frame, spec.structure, spec.param):
             return frame
     raise GenerationError(
@@ -165,17 +146,8 @@ def random_frame(spec: GenSpec, rng: random.Random | None = None) -> Frame:
 
 
 def random_partition(rng: random.Random, n: int) -> Partition:
-    if n == 0:
-        return Partition(0, ())
-    labels = [0] * n
-    used = 1
-    for i in range(1, n):
-        labels[i] = rng.randint(0, used)
-        used = max(used, labels[i] + 1)
-    blocks = [set() for _ in range(used)]
-    for p, l in enumerate(labels):
-        blocks[l].add(p)
-    return Partition.of(n, [b for b in blocks if b])
+    masks = partitions._random_partition_masks(rng, n)
+    return Partition.of(n, [frames.points_of(m) for m in masks])
 
 
 def random_model(rng: random.Random, frame: Frame, k: int) -> Model:
@@ -500,6 +472,35 @@ SUITES: dict[str, Callable[[GenSpec, random.Random, int], _Trial]] = {
     "diff-axioms": _suite_diff_axioms,
     "definability": _suite_definability,
     "byrd-frame": _suite_byrd_frame,
+}
+
+# CLI defaults per suite: frame shape and trial count.
+DEFAULT_AUDIT_SPECS = {
+    "tuned-equivalences": GenSpec(n_max=5, alphabet_size=2, density=0.4),
+    "height-correspondence": GenSpec(n_max=4, density=0.3),
+    "atr-correspondence": GenSpec(n_max=4, density=0.3),
+    "rpp-correspondence": GenSpec(n_max=4, density=0.3),
+    "md-sum": GenSpec(n_max=4, density=0.35),
+    "top-down": GenSpec(n_max=8, density=0.3),
+    "cluster-bound": GenSpec(n_max=8, density=0.3),
+    "lex-phi": GenSpec(n_max=3, density=0.4),
+    "diff-axioms": GenSpec(n_max=4, density=0.35),
+    "definability": GenSpec(n_max=8, density=0.3),
+    "byrd-frame": GenSpec(n_max=8),
+}
+
+DEFAULT_AUDIT_TRIALS = {
+    "tuned-equivalences": 500,
+    "height-correspondence": 200,
+    "atr-correspondence": 200,
+    "rpp-correspondence": 200,
+    "md-sum": 100,
+    "top-down": 100,
+    "cluster-bound": 100,
+    "lex-phi": 100,
+    "diff-axioms": 100,
+    "definability": 100,
+    "byrd-frame": 5,
 }
 
 _EXACT_DEPTH_SUITES = ("md-sum", "top-down", "cluster-bound", "definability")

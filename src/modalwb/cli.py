@@ -17,35 +17,6 @@ import sys
 
 from . import audit, frames, partitions, semantics, syntax
 
-DEFAULT_AUDIT_SPECS = {
-    "tuned-equivalences": audit.GenSpec(n_max=5, alphabet_size=2, density=0.4),
-    "height-correspondence": audit.GenSpec(n_max=4, density=0.3),
-    "atr-correspondence": audit.GenSpec(n_max=4, density=0.3),
-    "rpp-correspondence": audit.GenSpec(n_max=4, density=0.3),
-    "md-sum": audit.GenSpec(n_max=4, density=0.35),
-    "top-down": audit.GenSpec(n_max=8, density=0.3),
-    "cluster-bound": audit.GenSpec(n_max=8, density=0.3),
-    "lex-phi": audit.GenSpec(n_max=3, density=0.4),
-    "diff-axioms": audit.GenSpec(n_max=4, density=0.35),
-    "definability": audit.GenSpec(n_max=8, density=0.3),
-    "byrd-frame": audit.GenSpec(n_max=8),
-}
-
-DEFAULT_AUDIT_TRIALS = {
-    "tuned-equivalences": 500,
-    "height-correspondence": 200,
-    "atr-correspondence": 200,
-    "rpp-correspondence": 200,
-    "md-sum": 100,
-    "top-down": 100,
-    "cluster-bound": 100,
-    "lex-phi": 100,
-    "diff-axioms": 100,
-    "definability": 100,
-    "byrd-frame": 5,
-}
-
-
 class _UsageError(Exception):
     pass
 
@@ -187,10 +158,12 @@ def _cmd_audit(args) -> int:
         raise _UsageError(
             f"unknown suite {args.suite!r}; known: {', '.join(sorted(audit.SUITES))}"
         )
-    spec = DEFAULT_AUDIT_SPECS[args.suite]
+    spec = audit.DEFAULT_AUDIT_SPECS[args.suite]
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    trials = args.trials if args.trials is not None else DEFAULT_AUDIT_TRIALS[args.suite]
+    trials = args.trials
+    if trials is None:
+        trials = audit.DEFAULT_AUDIT_TRIALS[args.suite]
     report = audit.run_suite(args.suite, spec, trials)
     if args.out:
         audit.emit_report(report, args.out)
@@ -234,9 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     info_p.set_defaults(fn=_cmd_frame_info)
     md_p = frame_sub.add_parser("md", help="modal depth of a frame")
     md_p.add_argument("path")
-    group = md_p.add_mutually_exclusive_group()
-    group.add_argument("--exact", action="store_true", default=False)
-    group.add_argument("--sample", type=int, metavar="N")
+    md_p.add_argument("--sample", type=int, metavar="N")
     md_p.add_argument("--seed", type=int, default=0)
     md_p.add_argument("--json", action="store_true")
     md_p.set_defaults(fn=_cmd_frame_md)

@@ -1,9 +1,12 @@
 """Finite polymodal Kripke frames and their relational algorithms.
 
 A frame is a point set {0..n-1} with one binary relation per modality of an
-alphabet. Frames are immutable after construction and safe to share; point
-sets are plain frozensets at the API surface while the algorithms work on
-integer bitmasks internally.
+alphabet. Each relation is stored as successor rows: one integer bitmask per
+point, bit b of row a set iff a sees b. The rows are the frame's only stored
+relational data; the pair-set view ``Frame.relations`` is derived from them
+on first use. Frames are immutable after construction and safe to share;
+point sets are plain frozensets at the API surface while the algorithms work
+on integer bitmasks internally.
 """
 
 from __future__ import annotations
@@ -50,6 +53,14 @@ def _rows_to_rel(rows) -> frozenset[Pair]:
     return frozenset((a, b) for a in range(len(rows)) for b in iter_bits(rows[a]))
 
 
+def _image(mask: int, mapping) -> int:
+    """Mask of the images of the points of ``mask``; ``mapping[p]`` is p's image."""
+    out = 0
+    for b in iter_bits(mask):
+        out |= 1 << mapping[b]
+    return out
+
+
 def _compose_rows(r1, r2) -> list[int]:
     out = []
     for m in r1:
@@ -76,39 +87,63 @@ def _closure_rows(rows, reflexive: bool) -> list[int]:
 
 
 class Frame:
-    """Immutable frame; one relation (a frozenset of ordered pairs) per modality."""
+    """Immutable frame; one tuple of successor rows per modality.
+
+    ``Frame(alphabet, n, relations)`` takes one iterable of ordered pairs per
+    modality; ``Frame.from_rows`` takes the rows themselves. ``relations``,
+    the pair-set view (one frozenset of pairs per modality), is built from
+    the rows on first use and cached.
+    """
 
     def __init__(self, alphabet: Alphabet, n: int, relations: Sequence[Iterable[Pair]]):
-        if n < 0:
-            raise ValueError("point count must be non-negative")
-        rels = tuple(frozenset((int(a), int(b)) for a, b in rel) for rel in relations)
-        if len(rels) != len(alphabet):
-            raise ValueError(
-                f"{len(alphabet)} modalities but {len(rels)} relations given"
-            )
-        for rel in rels:
+        rows = []
+        for rel in relations:
+            row = [0] * n
             for a, b in rel:
+                a, b = int(a), int(b)
                 if not (0 <= a < n and 0 <= b < n):
                     raise ValueError(f"pair ({a},{b}) outside points 0..{n - 1}")
+                row[a] |= 1 << b
+            rows.append(tuple(row))
+        self._set(alphabet, n, tuple(rows))
+
+    @classmethod
+    def from_rows(cls, alphabet: Alphabet, n: int, rows: Sequence[Sequence[int]]) -> "Frame":
+        """Frame from per-modality successor rows (n bitmasks per modality)."""
+        frame = cls.__new__(cls)
+        frame._set(alphabet, n, tuple(tuple(r) for r in rows))
+        if any(len(r) != n or any(m < 0 or m >> n for m in r) for r in frame._rows):
+            raise ValueError(f"rows must be {n} bitmasks over points 0..{n - 1}")
+        return frame
+
+    def _set(self, alphabet: Alphabet, n: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        if n < 0:
+            raise ValueError("point count must be non-negative")
+        if len(rows) != len(alphabet):
+            raise ValueError(f"{len(alphabet)} modalities but {len(rows)} relations given")
         self.alphabet = alphabet
         self.n = n
-        self.relations = rels
-        self._rows = None
+        self._rows = rows
+        self._relations = None
 
-    def rows(self, mod: int) -> list[int]:
-        """Per-point successor bitmasks of one modality (cached)."""
-        if self._rows is None:
-            self._rows = [_rel_rows(rel, self.n) for rel in self.relations]
+    @property
+    def relations(self) -> tuple[frozenset[Pair], ...]:
+        """One frozenset of ordered pairs per modality, derived from the rows."""
+        if self._relations is None:
+            self._relations = tuple(_rows_to_rel(r) for r in self._rows)
+        return self._relations
+
+    def rows(self, mod: int) -> tuple[int, ...]:
+        """Per-point successor bitmasks of one modality."""
         return self._rows[mod]
 
     def succ(self, mod: int, a: int) -> frozenset[int]:
-        return points_of(self.rows(mod)[a])
+        return points_of(self._rows[mod][a])
 
     def preimage_mask(self, mod: int, vmask: int) -> int:
-        rows = self.rows(mod)
         acc = 0
-        for a in range(self.n):
-            if rows[a] & vmask:
+        for a, row in enumerate(self._rows[mod]):
+            if row & vmask:
                 acc |= 1 << a
         return acc
 
@@ -120,14 +155,14 @@ class Frame:
             isinstance(other, Frame)
             and self.alphabet == other.alphabet
             and self.n == other.n
-            and self.relations == other.relations
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.alphabet, self.n, self.relations))
+        return hash((self.alphabet, self.n, self._rows))
 
     def __repr__(self):
-        edges = sum(len(r) for r in self.relations)
+        edges = sum(m.bit_count() for r in self._rows for m in r)
         return f"Frame(n={self.n}, alphabet={self.alphabet.names}, edges={edges})"
 
 
@@ -139,8 +174,17 @@ class SkeletonPoset:
     order: frozenset[tuple[int, int]]
 
 
+def union_rows(frame: Frame) -> list[int]:
+    """Per-point successor bitmasks of the union of all relations."""
+    out = [0] * frame.n
+    for rows in frame._rows:
+        for a, m in enumerate(rows):
+            out[a] |= m
+    return out
+
+
 def union_relation(frame: Frame) -> frozenset[Pair]:
-    return frozenset().union(*frame.relations) if frame.relations else frozenset()
+    return _rows_to_rel(union_rows(frame))
 
 
 def rt_closure(rel: Iterable[Pair], n: int) -> frozenset[Pair]:
@@ -152,7 +196,7 @@ def transitivity_index(frame: Frame) -> int:
     """Least m such that m+1 steps of the union relation collapse into at
     most m; always at most n on a frame with n points."""
     n = frame.n
-    base = _rel_rows(union_relation(frame), n)
+    base = union_rows(frame)
     upto = [1 << a for a in range(n)]
     power = list(base)
     for m in range(n + 1):
@@ -168,7 +212,7 @@ def skeleton(frame: Frame) -> SkeletonPoset:
     """Clusters (mutual-reachability classes of the union relation, with the
     diagonal counted) and the strict order between them."""
     n = frame.n
-    star = _closure_rows(_rel_rows(union_relation(frame), n), reflexive=True)
+    star = _closure_rows(union_rows(frame), reflexive=True)
     assigned = [-1] * n
     clusters: list[frozenset[int]] = []
     for a in range(n):
@@ -191,16 +235,15 @@ def skeleton(frame: Frame) -> SkeletonPoset:
 def height(frame: Frame) -> int:
     """Size of the longest chain in the skeleton; 0 on the empty frame."""
     skel = skeleton(frame)
-    k = len(skel.clusters)
-    below = [[i for i in range(k) if (i, j) in skel.order] for j in range(k)]
-    memo: dict[int, int] = {}
-
-    def chain_to(j):
-        if j not in memo:
-            memo[j] = 1 + max((chain_to(i) for i in below[j]), default=0)
-        return memo[j]
-
-    return max((chain_to(j) for j in range(k)), default=0)
+    above: list[list[int]] = [[] for _ in skel.clusters]
+    for i, j in skel.order:
+        above[i].append(j)
+    # The order is transitive, so a cluster has strictly more clusters above
+    # it than any cluster above it: ascending counts visit those first.
+    chain = [0] * len(above)
+    for i in sorted(range(len(above)), key=lambda i: len(above[i])):
+        chain[i] = 1 + max((chain[j] for j in above[i]), default=0)
+    return max(chain, default=0)
 
 
 def is_path_reducible(frame: Frame, m: int, budget: int = 10**6) -> bool:
@@ -214,7 +257,7 @@ def is_path_reducible(frame: Frame, m: int, budget: int = 10**6) -> bool:
     if m < 0:
         raise ValueError("m must be non-negative")
     n = frame.n
-    rows = _rel_rows(union_relation(frame), n)
+    rows = union_rows(frame)
     steps = 0
 
     def extend(path: list[int]) -> bool:
@@ -254,11 +297,9 @@ def restriction(frame: Frame, points: Iterable[int]) -> Frame:
         if not 0 <= p < frame.n:
             raise ValueError(f"point {p} out of range")
     pos = {p: i for i, p in enumerate(pts)}
-    rels = [
-        frozenset((pos[a], pos[b]) for a, b in rel if a in pos and b in pos)
-        for rel in frame.relations
-    ]
-    return Frame(frame.alphabet, len(pts), rels)
+    keep = mask_of(pts)
+    rows = [[_image(r[p] & keep, pos) for p in pts] for r in frame._rows]
+    return Frame.from_rows(frame.alphabet, len(pts), rows)
 
 
 def is_upset(frame: Frame, points: Iterable[int]) -> bool:
@@ -279,7 +320,7 @@ def generated_upset(frame: Frame, points: Iterable[int]) -> frozenset[int]:
     mask = mask_of(points)
     if mask >> frame.n:
         raise ValueError("point out of range")
-    star = _closure_rows(_rel_rows(union_relation(frame), frame.n), reflexive=True)
+    star = _closure_rows(union_rows(frame), reflexive=True)
     acc = 0
     for p in iter_bits(mask):
         acc |= star[p]
@@ -310,13 +351,13 @@ def disjoint_sum(frames_: Sequence[Frame], alphabet: Alphabet | None = None) -> 
     for f in frames_:
         if f.alphabet != alphabet:
             raise ValueError("alphabet mismatch in disjoint sum")
-    rels: list[set[Pair]] = [set() for _ in alphabet.names]
+    rows: list[list[int]] = [[] for _ in alphabet.names]
     off = 0
     for f in frames_:
-        for mi, rel in enumerate(f.relations):
-            rels[mi].update((a + off, b + off) for a, b in rel)
+        for mi, r in enumerate(f._rows):
+            rows[mi].extend(m << off for m in r)
         off += f.n
-    return Frame(alphabet, off, rels)
+    return Frame.from_rows(alphabet, off, rows)
 
 
 def lex_sum(
@@ -344,60 +385,42 @@ def lex_sum(
     for f in fibers:
         offs.append(total)
         total += f.n
+    # fiber i as a point set of the sum
+    spans = [((1 << f.n) - 1) << off for f, off in zip(fibers, offs)]
     vertical = []
-    for rel in index_frame.relations:
-        pairs = set()
-        for i, j in rel:
-            for a in range(fibers[i].n):
-                for b in range(fibers[j].n):
-                    pairs.add((offs[i] + a, offs[j] + b))
-        vertical.append(pairs)
-    horizontal = []
-    for mi in range(len(fiber_alphabet)):
-        pairs = set()
+    for irows in index_frame._rows:
+        rows = []
         for i, f in enumerate(fibers):
-            pairs.update((offs[i] + a, offs[i] + b) for a, b in f.relations[mi])
-        horizontal.append(pairs)
+            target = 0
+            for j in iter_bits(irows[i]):
+                target |= spans[j]
+            rows.extend([target] * f.n)
+        vertical.append(rows)
+    horizontal = [
+        [m << off for f, off in zip(fibers, offs) for m in f._rows[mi]]
+        for mi in range(len(fiber_alphabet))
+    ]
     alphabet = Alphabet(index_frame.alphabet.names + fiber_alphabet.names)
-    return Frame(alphabet, total, vertical + horizontal)
+    return Frame.from_rows(alphabet, total, vertical + horizontal)
 
 
 def expand(frame: Frame, kind: str, name: str | None = None) -> Frame:
     """Add a universal (everything sees everything) or difference
     (everything sees everything else) modality."""
+    full = (1 << frame.n) - 1
     if kind == "universal":
         name = name or "u"
-        rel = {(a, b) for a in range(frame.n) for b in range(frame.n)}
+        rows = [full] * frame.n
     elif kind == "difference":
         name = name or "neq"
-        rel = {(a, b) for a in range(frame.n) for b in range(frame.n) if a != b}
+        rows = [full ^ (1 << a) for a in range(frame.n)]
     else:
         raise ValueError(f"unknown expansion kind {kind!r}")
     if name in frame.alphabet.names:
         raise ValueError(f"modality name {name!r} already in the alphabet")
-    return Frame(
-        Alphabet(frame.alphabet.names + (name,)),
-        frame.n,
-        frame.relations + (frozenset(rel),),
+    return Frame.from_rows(
+        Alphabet(frame.alphabet.names + (name,)), frame.n, frame._rows + (rows,)
     )
-
-
-def _partition_blocks(frame: Frame, blocks_like) -> list[frozenset[int]]:
-    blocks = [frozenset(b) for b in getattr(blocks_like, "blocks", blocks_like)]
-    seen: set[int] = set()
-    for b in blocks:
-        if not b:
-            raise ValueError("empty block in partition")
-        for p in b:
-            if not 0 <= p < frame.n:
-                raise ValueError(f"point {p} out of range")
-            if p in seen:
-                raise ValueError(f"point {p} occurs in two blocks")
-            seen.add(p)
-    if len(seen) != frame.n:
-        raise ValueError("blocks do not cover all points")
-    blocks.sort(key=min)
-    return blocks
 
 
 def quotient_filtration(frame: Frame, partition) -> tuple[Frame, tuple[int, ...]]:
@@ -405,15 +428,20 @@ def quotient_filtration(frame: Frame, partition) -> tuple[Frame, tuple[int, ...]
     points, related iff some representatives are. Returns the quotient frame
     and the canonical projection (point -> block index, blocks in
     min-element order)."""
-    blocks = _partition_blocks(frame, partition)
+    from .partitions import Partition  # partitions imports this module
+
+    blocks = Partition.of(frame.n, getattr(partition, "blocks", partition)).blocks
     proj = [0] * frame.n
     for i, b in enumerate(blocks):
         for p in b:
             proj[p] = i
-    rels = [
-        frozenset((proj[a], proj[b]) for a, b in rel) for rel in frame.relations
-    ]
-    return Frame(frame.alphabet, len(blocks), rels), tuple(proj)
+    rows = []
+    for r in frame._rows:
+        q = [0] * len(blocks)
+        for a, m in enumerate(r):
+            q[proj[a]] |= _image(m, proj)
+        rows.append(q)
+    return Frame.from_rows(frame.alphabet, len(blocks), rows), tuple(proj)
 
 
 def is_pmorphism(frame: Frame, image: Frame, mapping: Sequence[int]) -> bool:
@@ -425,16 +453,11 @@ def is_pmorphism(frame: Frame, image: Frame, mapping: Sequence[int]) -> bool:
         raise ValueError("alphabet mismatch")
     if any(not 0 <= v < image.n for v in mapping):
         raise ValueError("mapping target out of range")
-    for mod in range(len(frame.alphabet)):
-        for a, b in frame.relations[mod]:
-            if (mapping[a], mapping[b]) not in image.relations[mod]:
-                return False
-        for a in range(frame.n):
-            targets = image.rows(mod)[mapping[a]]
-            covered = 0
-            for b in iter_bits(frame.rows(mod)[a]):
-                covered |= 1 << mapping[b]
-            if targets & ~covered:
+    # forth: the image of a's successors lies inside the successors of a's
+    # image; back: it covers them. Together: the two masks are equal.
+    for rows, image_rows in zip(frame._rows, image._rows):
+        for a, m in enumerate(rows):
+            if _image(m, mapping) != image_rows[mapping[a]]:
                 return False
     return True
 
@@ -450,19 +473,29 @@ def to_dict(frame: Frame) -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def from_dict(data: dict) -> Frame:
+    """Frame from its JSON object; raises ValueError on any malformed field."""
     try:
-        names = tuple(data["alphabet"])
-        n = int(data["points"])
-        rel = data["rel"]
+        names, n, rel = data["alphabet"], data["points"], data["rel"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed frame object: {exc}") from None
-    alphabet = Alphabet(names)
-    missing = [nm for nm in names if nm not in rel]
-    if missing:
-        raise ValueError(f"relations missing for modalities {missing}")
-    relations = [[(int(a), int(b)) for a, b in rel[nm]] for nm in names]
-    return Frame(alphabet, n, relations)
+    if not isinstance(names, list) or not all(isinstance(nm, str) for nm in names):
+        raise ValueError("alphabet must be a list of modality names")
+    if not _is_int(n):
+        raise ValueError(f"points must be an integer, got {n!r}")
+    if not isinstance(rel, dict) or set(rel) != set(names):
+        raise ValueError(f"rel must map exactly the modalities {names} to pair lists")
+    for nm in names:
+        pairs = rel[nm]
+        if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in pairs
+        ):
+            raise ValueError(f"relation {nm!r} must be a list of [int, int] pairs")
+    return Frame(Alphabet(tuple(names)), n, [rel[nm] for nm in names])
 
 
 def load_frame(path) -> Frame:

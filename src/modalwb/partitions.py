@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .frames import Frame, iter_bits, mask_of, points_of
+from .frames import Frame, disjoint_sum, mask_of, points_of
 
 
 class CapExceeded(RuntimeError):
@@ -297,16 +297,11 @@ def count_k_formulas(frame: Frame, k: int, cap: int = 4096) -> int:
     profiles = (1 << n) ** k
     if profiles > cap:
         raise CapExceeded(f"{profiles} valuation profiles exceed cap {cap}")
-    total = n * profiles
-    rels: list[set[tuple[int, int]]] = [set() for _ in frame.alphabet.names]
+    big = disjoint_sum([frame] * profiles, frame.alphabet)
     gen_masks = [0] * k
     off = 0
     for combo in itertools.product(range(1 << n), repeat=k):
-        for mi, rel in enumerate(frame.relations):
-            rels[mi].update((a + off, b + off) for a, b in rel)
         for l, m in enumerate(combo):
-            for p in iter_bits(m):
-                gen_masks[l] |= 1 << (off + p)
+            gen_masks[l] |= m << off
         off += n
-    big = Frame(frame.alphabet, total, rels)
     return subalgebra_size(big, [points_of(g) for g in gen_masks])

@@ -66,7 +66,7 @@ def _compile(f: Formula) -> list[tuple[int, int, int]]:
 
 
 def _evaluate(prog, frame: Frame, var_masks, full: int) -> int:
-    n = frame.n
+    preimage = frame.preimage_mask
     vals = [0] * len(prog)
     i = 0
     for op, x, y in prog:
@@ -83,19 +83,9 @@ def _evaluate(prog, frame: Frame, var_masks, full: int) -> int:
         elif op == _IMP:
             v = (vals[x] ^ full) | vals[y]
         elif op == _DIA:
-            target = vals[y]
-            rows = frame.rows(x)
-            v = 0
-            for a in range(n):
-                if rows[a] & target:
-                    v |= 1 << a
-        else:  # _BOX: points all of whose successors lie in the target
-            target = vals[y] ^ full
-            rows = frame.rows(x)
-            v = 0
-            for a in range(n):
-                if not rows[a] & target:
-                    v |= 1 << a
+            v = preimage(x, vals[y])
+        else:  # _BOX: no successor outside the target
+            v = preimage(x, vals[y] ^ full) ^ full
         vals[i] = v
         i += 1
     return vals[-1] if prog else 0

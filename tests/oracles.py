@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 
-from modalwb.syntax import And, Dia, Falsum, Imp, Neg, Or, Var
+from modalwb.frames import Frame
+from modalwb.syntax import Alphabet, And, Dia, Falsum, Imp, Neg, Or, Var
 
 
 def naive_preimage(rel, pts):
@@ -171,3 +172,70 @@ def reach_upto(frame, m):
         frontier = {(a, c) for (a, b) in frontier for (b2, c) in union if b2 == b}
         pairs |= frontier
     return pairs
+
+
+# Pair-set formulations of the frame constructions, built with the pair
+# constructor ``Frame(alphabet, n, relations)`` from ``frame.relations``.
+
+
+def restriction_pairs(frame, points):
+    pts = sorted(set(points))
+    pos = {p: i for i, p in enumerate(pts)}
+    rels = [
+        {(pos[a], pos[b]) for a, b in rel if a in pos and b in pos}
+        for rel in frame.relations
+    ]
+    return Frame(frame.alphabet, len(pts), rels)
+
+
+def disjoint_sum_pairs(frames, alphabet):
+    rels = [set() for _ in alphabet.names]
+    off = 0
+    for f in frames:
+        for mi, rel in enumerate(f.relations):
+            rels[mi].update((a + off, b + off) for a, b in rel)
+        off += f.n
+    return Frame(alphabet, off, rels)
+
+
+def lex_sum_pairs(index_frame, fibers, fiber_alphabet):
+    offs = []
+    total = 0
+    for f in fibers:
+        offs.append(total)
+        total += f.n
+    vertical = []
+    for rel in index_frame.relations:
+        pairs = set()
+        for i, j in rel:
+            for a in range(fibers[i].n):
+                for b in range(fibers[j].n):
+                    pairs.add((offs[i] + a, offs[j] + b))
+        vertical.append(pairs)
+    horizontal = []
+    for mi in range(len(fiber_alphabet)):
+        pairs = set()
+        for i, f in enumerate(fibers):
+            pairs.update((offs[i] + a, offs[i] + b) for a, b in f.relations[mi])
+        horizontal.append(pairs)
+    alphabet = Alphabet(index_frame.alphabet.names + fiber_alphabet.names)
+    return Frame(alphabet, total, vertical + horizontal)
+
+
+def expand_pairs(frame, kind, name):
+    n = frame.n
+    if kind == "universal":
+        rel = {(a, b) for a in range(n) for b in range(n)}
+    else:
+        rel = {(a, b) for a in range(n) for b in range(n) if a != b}
+    return Frame(Alphabet(frame.alphabet.names + (name,)), n, frame.relations + (rel,))
+
+
+def quotient_filtration_pairs(frame, blocks):
+    blocks = sorted((frozenset(b) for b in blocks), key=min)
+    proj = [0] * frame.n
+    for i, b in enumerate(blocks):
+        for p in b:
+            proj[p] = i
+    rels = [{(proj[a], proj[b]) for a, b in rel} for rel in frame.relations]
+    return Frame(frame.alphabet, len(blocks), rels), tuple(proj)

@@ -155,3 +155,23 @@ def test_usage_error_exit_code(capsys):
     assert cli.main(["frame"]) == 2
     assert cli.main([]) == 2
     assert cli.main(["check"]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        "[]",
+        '{"alphabet": "d0", "points": 2, "rel": {"d0": []}}',
+        '{"alphabet": [7], "points": 2, "rel": {"7": []}}',
+        '{"alphabet": ["d0"], "points": true, "rel": {"d0": []}}',
+        '{"alphabet": ["d0"], "points": 2, "rel": {"d0": [], "d9": [[5, 5]]}}',
+        '{"alphabet": ["d0"], "points": 2, "rel": {"d0": [[0, 1, 1]]}}',
+        '{"alphabet": ["d0"], "points": 2, "rel": {"d0": [[0, 2]]}}',
+    ],
+)
+def test_malformed_frame_file_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli.main(["frame", "info", str(path)]) == 2
+    assert "bad frame file" in capsys.readouterr().err

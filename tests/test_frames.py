@@ -2,7 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from modalwb.frames import (
     Frame,
     PathBudgetExceeded,
@@ -314,3 +317,86 @@ def test_dot_export():
     assert 'n0 -> n1 [color=black, label="d0"];' in dot
     assert 'n1 -> n2 [color=red3, label="d1"];' in dot
     assert to_dot(EMPTY).startswith("digraph")
+
+
+def test_from_rows_validation():
+    f = Frame.from_rows(AL1, 3, [[0b010, 0b100, 0]])
+    assert f == CHAIN3 and hash(f) == hash(CHAIN3)
+    assert f.relations == CHAIN3.relations
+    for rows in ([[0b100, 0]], [[-1, 0]], [[0]]):
+        with pytest.raises(ValueError, match="bitmasks"):
+            Frame.from_rows(AL1, 2, rows)
+    with pytest.raises(ValueError, match="modalities"):
+        Frame.from_rows(AL2, 1, [[0]])
+    with pytest.raises(ValueError, match="non-negative"):
+        Frame.from_rows(AL1, -1, [[]])
+
+
+def test_height_descending_chain_beyond_recursion_limit():
+    # each point sees its predecessor; longer than the default recursion limit
+    n = 1100
+    assert height(uni(n, [(a + 1, a) for a in range(n - 1)])) == n
+
+
+@pytest.mark.parametrize(
+    "data,match",
+    [
+        ([], "malformed"),
+        ({"alphabet": "d0", "points": 1, "rel": {"d0": []}}, "alphabet"),
+        ({"alphabet": [0], "points": 1, "rel": {"0": []}}, "alphabet"),
+        ({"alphabet": ["d0"], "points": True, "rel": {"d0": []}}, "points"),
+        ({"alphabet": ["d0"], "points": "2", "rel": {"d0": []}}, "points"),
+        ({"alphabet": ["d0"], "points": 2.0, "rel": {"d0": []}}, "points"),
+        ({"alphabet": ["d0"], "points": 2, "rel": [[0, 1]]}, "exactly"),
+        ({"alphabet": ["d0"], "points": 2, "rel": {}}, "exactly"),
+        ({"alphabet": ["d0"], "points": 2, "rel": {"d0": [], "d9": [[5, 5]]}}, "exactly"),
+        ({"alphabet": ["d0"], "points": 2, "rel": {"d0": [[0, 1, 1]]}}, "pairs"),
+        ({"alphabet": ["d0"], "points": 2, "rel": {"d0": [[0]]}}, "pairs"),
+        ({"alphabet": ["d0"], "points": 2, "rel": {"d0": [[0, "1"]]}}, "pairs"),
+        ({"alphabet": ["d0"], "points": 2, "rel": {"d0": [[0, True]]}}, "pairs"),
+        ({"alphabet": ["d0"], "points": 2, "rel": {"d0": [0, 1]}}, "pairs"),
+        ({"alphabet": ["d0"], "points": 2, "rel": {"d0": {"0": 1}}}, "pairs"),
+        ({"alphabet": ["d0"], "points": 2, "rel": {"d0": [[0, 2]]}}, "outside"),
+    ],
+)
+def test_from_dict_rejects_malformed(data, match):
+    with pytest.raises(ValueError, match=match):
+        from_dict(data)
+
+
+@st.composite
+def small_frames(draw, alphabet=AL1, max_n=4):
+    n = draw(st.integers(0, max_n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)) if n else st.nothing()
+    rels = [draw(st.sets(pairs, max_size=n * n)) for _ in alphabet.names]
+    return Frame(alphabet, n, rels)
+
+
+def assert_same_frame(built, reference):
+    assert built == reference and hash(built) == hash(reference)
+    assert built.relations == reference.relations
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rows_constructions_match_pair_references(data):
+    f = data.draw(small_frames(AL2))
+    assert_same_frame(Frame(f.alphabet, f.n, f.relations), f)
+    pts = data.draw(st.sets(st.integers(0, f.n - 1))) if f.n else set()
+    assert_same_frame(restriction(f, pts), oracles.restriction_pairs(f, pts))
+    g = data.draw(small_frames(AL2))
+    assert_same_frame(disjoint_sum([f, g]), oracles.disjoint_sum_pairs([f, g], AL2))
+    for kind, name in (("universal", "u"), ("difference", "neq")):
+        assert_same_frame(expand(f, kind), oracles.expand_pairs(f, kind, name))
+    labels = [data.draw(st.integers(0, p)) for p in range(f.n)]
+    blocks = [{p for p in range(f.n) if labels[p] == l} for l in set(labels)]
+    quot, proj = quotient_filtration(f, blocks)
+    ref_quot, ref_proj = oracles.quotient_filtration_pairs(f, blocks)
+    assert_same_frame(quot, ref_quot)
+    assert proj == ref_proj
+    v, h = Alphabet(("v",)), Alphabet(("h",))
+    index = data.draw(small_frames(v, max_n=3))
+    fibers = [data.draw(small_frames(h, max_n=2)) for _ in range(index.n)]
+    assert_same_frame(
+        lex_sum(index, fibers, fiber_alphabet=h), oracles.lex_sum_pairs(index, fibers, h)
+    )

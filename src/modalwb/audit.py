@@ -182,17 +182,6 @@ class _Trial:
     violates: Callable | None = None  # point-subset -> bool, for minimization
 
 
-def _tuned_by_quantifiers(frame: Frame, part: Partition) -> bool:
-    # the literal some-implies-every reading, point by point
-    for mod in range(len(frame.alphabet)):
-        for u in part.blocks:
-            for v in part.blocks:
-                sees = [a for a in u if frame.succ(mod, a) & v]
-                if sees and len(sees) != len(u):
-                    return False
-    return True
-
-
 def _tuned_by_inclusion(frame: Frame, part: Partition) -> bool:
     for mod in range(len(frame.alphabet)):
         for v in part.blocks:

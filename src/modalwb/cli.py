@@ -82,6 +82,8 @@ def _cmd_frame_info(args) -> int:
 def _cmd_frame_md(args) -> int:
     frame = _load(args.path)
     if args.sample is not None:
+        if args.sample < 1:
+            raise _UsageError(f"--sample needs at least 1 trial, got {args.sample}")
         md = partitions.frame_modal_depth(
             frame, mode="sampled", trials=args.sample, seed=args.seed
         )
@@ -133,7 +135,7 @@ def _cmd_tune(args) -> int:
     try:
         sets = json.loads(args.sets)
         family = [frozenset(int(p) for p in s) for s in sets]
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise _UsageError(f"bad --sets value: {exc}") from None
     try:
         base = partitions.induced_partition(frame.n, family)

@@ -2,14 +2,17 @@
 sequences, coarsest tuned refinements, frame modal depth, and subalgebra
 counting.
 
-The central algorithm is ``refine_sequence``: starting from the partition
-induced by a family of point sets, each stage refines the previous
-partition by the modal preimages of its blocks. Blocks only ever split, so
-on an n-point frame the sequence stabilizes within n stages. The
-stabilized partition is tuned, and it is the coarsest tuned refinement of
-the seed: every tuned refinement of the seed also refines it. The
-stabilization index is the modal depth of the seeding data, and the
-maximum over all seed partitions is the modal depth of the frame.
+Every refinement runs through one staged loop, ``_stages``: stage 0 is
+the partition induced by a family of point sets, and each later stage
+splits the previous one by the modal preimages of its blocks. Blocks only
+ever split, so a stage is the fixpoint exactly when its successor has as
+many blocks, and on an n-point frame the loop stops within n stages. The
+fixpoint is tuned, and it is the coarsest tuned refinement of the seed:
+every tuned refinement of the seed also refines it. The stabilization
+index (the number of the fixpoint stage) is the modal depth of the seeding
+data, and the maximum over all seed partitions is the modal depth of the
+frame. ``is_tuned`` takes one step of that loop and checks that it
+splits nothing.
 """
 
 from __future__ import annotations
@@ -101,15 +104,21 @@ def _induced_masks(n: int, set_masks: Iterable[int]) -> list[int]:
     return _split_masks([full], set_masks)
 
 
-def induced_partition(n: int, family: Iterable[Iterable[int]]) -> Partition:
-    """Partition into classes of equal membership profile across the family."""
+def _family_masks(n: int, family: Iterable[Iterable[int]]) -> list[int]:
     masks = []
     for s in family:
-        m = mask_of(s)
-        if m >> n:
-            raise ValueError("family set out of range")
+        m = 0
+        for p in s:
+            if not 0 <= p < n:
+                raise ValueError(f"point {p} out of range for {n} points")
+            m |= 1 << p
         masks.append(m)
-    blocks = tuple(points_of(m) for m in _induced_masks(n, masks))
+    return masks
+
+
+def induced_partition(n: int, family: Iterable[Iterable[int]]) -> Partition:
+    """Partition into classes of equal membership profile across the family."""
+    blocks = tuple(points_of(m) for m in _induced_masks(n, _family_masks(n, family)))
     return Partition(n, blocks)
 
 
@@ -119,29 +128,32 @@ def _check_partition(frame: Frame, partition: Partition) -> None:
     Partition.of(frame.n, partition.blocks)
 
 
+def _next_stage_masks(frame: Frame, blocks: list[int], mods: Iterable[int]) -> list[int]:
+    preimage = frame.preimage_mask
+    return _split_masks(blocks, [preimage(mod, b) for mod in mods for b in blocks])
+
+
+def _stages(frame: Frame, initial_masks: Iterable[int]):
+    """Block masks of every refinement stage from the partition induced by
+    the masks, up to and including the first fixpoint."""
+    mods = range(len(frame.alphabet))
+    cur = _induced_masks(frame.n, initial_masks)
+    while True:
+        yield cur
+        nxt = _next_stage_masks(frame, cur, mods)
+        if len(nxt) == len(cur):
+            return
+        cur = nxt
+
+
 def is_tuned(frame: Frame, partition: Partition, modalities: Sequence[int] | None = None) -> bool:
     """True iff block-to-block visibility is all-or-nothing: for every
     modality and blocks U, V, either U lies inside the preimage of V or it
     misses it entirely."""
     _check_partition(frame, partition)
     mods = range(len(frame.alphabet)) if modalities is None else modalities
-    bmasks = [mask_of(b) for b in partition.blocks]
-    for mod in mods:
-        for v in bmasks:
-            pre = frame.preimage_mask(mod, v)
-            for u in bmasks:
-                inter = u & pre
-                if inter and inter != u:
-                    return False
-    return True
-
-
-def _next_stage_masks(frame: Frame, blocks: list[int]) -> list[int]:
-    splitters = list(blocks)
-    for mod in range(len(frame.alphabet)):
-        for b in blocks:
-            splitters.append(frame.preimage_mask(mod, b))
-    return _split_masks(blocks, splitters)
+    blocks = [mask_of(b) for b in partition.blocks]
+    return len(_next_stage_masks(frame, blocks, mods)) == len(blocks)
 
 
 def refine_sequence(
@@ -157,30 +169,18 @@ def refine_sequence(
     carries per-block birth stages.
     """
     n = frame.n
-    masks = []
-    for s in initial:
-        m = mask_of(s)
-        if m >> n:
-            raise ValueError("initial set out of range")
-        masks.append(m)
-    cur = _induced_masks(n, masks)
-    births = {b: 0 for b in cur}
-    trace = [Partition(n, tuple(points_of(b) for b in cur), (0,) * len(cur))]
-    stage = 0
-    while True:
-        nxt = _next_stage_masks(frame, cur)
-        if nxt == cur:
-            return trace, stage
-        stage += 1
-        births = {b: births.get(b, stage) for b in nxt}
+    births: dict[int, int] = {}
+    trace = []
+    for stage, blocks in enumerate(_stages(frame, _family_masks(n, initial))):
+        births = {b: births.get(b, stage) for b in blocks}
         trace.append(
             Partition(
                 n,
-                tuple(points_of(b) for b in nxt),
-                tuple(births[b] for b in nxt),
+                tuple(points_of(b) for b in blocks),
+                tuple(births[b] for b in blocks),
             )
         )
-        cur = nxt
+    return trace, len(trace) - 1
 
 
 def coarsest_tuned_refinement(frame: Frame, partition: Partition) -> Partition:
@@ -192,14 +192,7 @@ def coarsest_tuned_refinement(frame: Frame, partition: Partition) -> Partition:
 
 
 def _stabilization_masks(frame: Frame, initial_masks: list[int]) -> int:
-    cur = _induced_masks(frame.n, initial_masks)
-    stage = 0
-    while True:
-        nxt = _next_stage_masks(frame, cur)
-        if nxt == cur:
-            return stage
-        cur = nxt
-        stage += 1
+    return sum(1 for _ in _stages(frame, initial_masks)) - 1
 
 
 def _set_partition_masks(n: int):
@@ -262,26 +255,21 @@ def frame_modal_depth(
             raise ValueError(
                 f"exact mode enumerates set partitions and needs n <= {EXACT_DEPTH_LIMIT}, got {n}"
             )
-        best = 0
-        for masks in _set_partition_masks(n):
-            best = max(best, _stabilization_masks(frame, masks))
-        return best
-    if mode == "sampled":
+        seeds = _set_partition_masks(n)
+    elif mode == "sampled":
         rng = random.Random(seed)
-        best = 0
-        for _ in range(trials):
-            best = max(best, _stabilization_masks(frame, _random_partition_masks(rng, n)))
-        return best
-    raise ValueError(f"unknown mode {mode!r}")
+        seeds = (_random_partition_masks(rng, n) for _ in range(trials))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return max((_stabilization_masks(frame, masks) for masks in seeds), default=0)
 
 
 def subalgebra_size(frame: Frame, generators: Iterable[Iterable[int]]) -> int:
     """Size of the subalgebra of the frame's powerset modal algebra generated
     by the given point sets: 2 to the number of blocks of the coarsest tuned
     refinement of the induced partition."""
-    base = induced_partition(frame.n, generators)
-    fixed = coarsest_tuned_refinement(frame, base)
-    return 2 ** len(fixed.blocks)
+    *_, fixed = _stages(frame, _family_masks(frame.n, generators))
+    return 2 ** len(fixed)
 
 
 def count_k_formulas(frame: Frame, k: int, cap: int = 4096) -> int:
@@ -304,4 +292,5 @@ def count_k_formulas(frame: Frame, k: int, cap: int = 4096) -> int:
         for l, m in enumerate(combo):
             gen_masks[l] |= m << off
         off += n
-    return subalgebra_size(big, [points_of(g) for g in gen_masks])
+    *_, fixed = _stages(big, gen_masks)
+    return 2 ** len(fixed)

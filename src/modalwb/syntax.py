@@ -19,6 +19,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 VAR_LIMIT = 10**6
+# Each parenthesis level costs the recursive-descent parser a few stack
+# frames; this keeps the deepest accepted text well inside Python's default
+# recursion limit.
+PAREN_LIMIT = 100
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -254,6 +258,7 @@ class _Parser:
         self.toks = tokens
         self.i = 0
         self.alphabet = alphabet
+        self.nesting = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -264,11 +269,14 @@ class _Parser:
         return t
 
     def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.peek()[0] == "imp":
+        parts = [self.disjunction()]
+        while self.peek()[0] == "imp":
             self.take()
-            return Imp(left, self.formula())
-        return left
+            parts.append(self.disjunction())
+        f = parts.pop()
+        while parts:
+            f = Imp(parts.pop(), f)
+        return f
 
     def disjunction(self) -> Formula:
         f = self.conjunction()
@@ -285,18 +293,24 @@ class _Parser:
         return f
 
     def unary(self) -> Formula:
-        kind, val, pos = self.peek()
-        if kind == "not":
+        # prefix chains are read in a loop, so their length costs no stack
+        prefixes = []
+        while True:
+            kind, val, pos = self.peek()
+            if kind == "not":
+                prefixes.append(None)
+            elif kind in ("dia", "box"):
+                try:
+                    prefixes.append((self.alphabet.index(val), kind == "box"))
+                except ValueError:
+                    raise ParseError(f"unknown modality name {val!r}", pos) from None
+            else:
+                break
             self.take()
-            return Neg(self.unary())
-        if kind in ("dia", "box"):
-            self.take()
-            try:
-                mod = self.alphabet.index(val)
-            except ValueError:
-                raise ParseError(f"unknown modality name {val!r}", pos) from None
-            return Dia(mod, self.unary(), boxed=(kind == "box"))
-        return self.atom()
+        f = self.atom()
+        for prefix in reversed(prefixes):
+            f = Neg(f) if prefix is None else Dia(prefix[0], f, boxed=prefix[1])
+        return f
 
     def atom(self) -> Formula:
         kind, val, pos = self.take()
@@ -310,7 +324,11 @@ class _Parser:
         if kind == "true":
             return top()
         if kind == "lparen":
+            if self.nesting == PAREN_LIMIT:
+                raise ParseError(f"parentheses nested deeper than {PAREN_LIMIT}", pos)
+            self.nesting += 1
             f = self.formula()
+            self.nesting -= 1
             k2, _, pos2 = self.take()
             if k2 != "rparen":
                 raise ParseError("expected ')'", pos2)
@@ -323,7 +341,8 @@ def parse(text: str, alphabet: Alphabet) -> Formula:
 
     Grammar: atoms ``p<digits>``, ``true``, ``false``; prefix ``~``,
     ``<name>``, ``[name]``; infix ``&``, ``|``, ``->`` with precedence
-    unary > & > | > -> and right-associative ``->``.
+    unary > & > | > -> and right-associative ``->``. Parentheses nest at
+    most ``PAREN_LIMIT`` deep.
     """
     p = _Parser(_tokenize(text), alphabet)
     f = p.formula()

@@ -46,6 +46,44 @@ def naive_extent(model, formula):
     return frozenset(ev(formula))
 
 
+def _split_by(blocks, splitter):
+    out = []
+    for b in blocks:
+        out.extend(part for part in (b & splitter, b - splitter) if part)
+    return out
+
+
+def refinement_step(blocks, relations):
+    """One stage of refinement by modal preimages, in its first
+    formulation: split every block by every block and by every relation's
+    preimage of every block."""
+    blocks = list(blocks)
+    splitters = blocks + [
+        frozenset(naive_preimage(rel, b)) for rel in relations for b in blocks
+    ]
+    out = blocks
+    for s in splitters:
+        out = _split_by(out, s)
+    return out
+
+
+def staged_refinement(frame, family):
+    """Stages of refinement by modal preimages from the partition induced by
+    the family, up to and including the first stage that one more step
+    leaves unchanged. Each stage maps its blocks to their birth stages.
+    Returns the stages and the stabilization index."""
+    blocks = [frozenset(range(frame.n))] if frame.n else []
+    for s in family:
+        blocks = _split_by(blocks, frozenset(s))
+    stages = [{b: 0 for b in blocks}]
+    while True:
+        nxt = refinement_step(stages[-1], frame.relations)
+        if set(nxt) == set(stages[-1]):
+            return stages, len(stages) - 1
+        stage = len(stages)
+        stages.append({b: stages[-1].get(b, stage) for b in nxt})
+
+
 def boolean_closure(n, sets):
     """Closure of a family under complement and binary union."""
     universe = frozenset(range(n))

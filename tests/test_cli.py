@@ -175,3 +175,39 @@ def test_malformed_frame_file_exit_code(tmp_path, capsys, text):
     path.write_text(text)
     assert cli.main(["frame", "info", str(path)]) == 2
     assert "bad frame file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("~" * 3000 + "p0", 1),
+        ("<d0>" * 3000 + "p0", 1),
+        ("p0 -> " * 3000 + "p0", 0),
+        ("(" * 3000 + "p0" + ")" * 3000, 2),
+    ],
+    ids=["negations", "diamonds", "implications", "parentheses"],
+)
+def test_check_deeply_nested_formula(chain3, capsys, text, code):
+    assert cli.main(["check", chain3, text]) == code
+    if code == 2:
+        assert "bad formula: parentheses nested deeper" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        ("[[-1]]", "point -1 out of range for 3 points"),
+        ("[[0], [3]]", "point 3 out of range for 3 points"),
+        ("[[99999999999999999999]]", "out of range"),
+        ("[[1e400]]", "bad --sets value"),
+    ],
+)
+def test_tune_point_out_of_range(chain3, capsys, sets, message):
+    assert cli.main(["tune", chain3, "--sets", sets]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_frame_md_sample_needs_a_trial(chain3, capsys, trials):
+    assert cli.main(["frame", "md", chain3, "--sample", trials]) == 2
+    assert "--sample needs at least 1 trial" in capsys.readouterr().err

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modalwb.frames import Frame, disjoint_sum, generated_upset, restriction, transitivity_index
+from modalwb.frames import Frame, disjoint_sum, generated_upset, points_of, restriction, transitivity_index
 from modalwb.partitions import (
     CapExceeded,
     Partition,
+    _random_partition_masks,
     coarsest_tuned_refinement,
     count_k_formulas,
     frame_modal_depth,
@@ -354,3 +355,42 @@ def test_count_k_formulas_matches_vector_oracle():
             checked += 1
             assert count == oracles.formula_count_oracle(f, k)
     assert checked >= 10
+
+
+@pytest.mark.parametrize("family", [[{-1}], [{0}, {3}]])
+def test_family_range_errors(family):
+    for call in (
+        lambda: induced_partition(3, family),
+        lambda: refine_sequence(CHAIN3, family),
+        lambda: subalgebra_size(CHAIN3, family),
+    ):
+        with pytest.raises(ValueError, match=r"point (-1|3) out of range for 3 points"):
+            call()
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame_and_family(), st.data())
+def test_staged_refinement_matches_pair_reference(case, data):
+    frame, family = case
+    stages, index = oracles.staged_refinement(frame, family)
+    trace, stab = refine_sequence(frame, family)
+    assert stab == index
+    assert [dict(zip(p.blocks, p.birth)) for p in trace] == stages
+    assert subalgebra_size(frame, family) == 2 ** len(stages[-1])
+
+    mods = data.draw(st.lists(st.integers(0, len(frame.alphabet) - 1), unique=True))
+    rels = [frame.relations[m] for m in mods]
+    for stage in (stages[0], stages[-1]):
+        part = data.draw(st.permutations(sorted(stage, key=min)))
+        expected = set(oracles.refinement_step(part, rels)) == set(part)
+        assert is_tuned(frame, Partition(frame.n, tuple(part)), mods) == expected
+
+    trials = data.draw(st.integers(1, 8))
+    seed = data.draw(st.integers(0, 2**16))
+    rng = random.Random(seed)
+    seeds = [_random_partition_masks(rng, frame.n) for _ in range(trials)]
+    expected = max(
+        oracles.staged_refinement(frame, [points_of(m) for m in masks])[1]
+        for masks in seeds
+    )
+    assert frame_modal_depth(frame, mode="sampled", trials=trials, seed=seed) == expected

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from modalwb import semantics
 from modalwb.frames import Frame
 from modalwb.syntax import (
+    PAREN_LIMIT,
     Alphabet,
     And,
     Dia,
@@ -78,6 +79,21 @@ def test_parse_precedence_and_associativity():
     assert parse("p0 -> p1 -> p2", AL1) == Imp(Var(0), Imp(Var(1), Var(2)))
     assert parse("~<d0>p0 & p1", AL1) == And(Neg(Dia(0, Var(0))), Var(1))
     assert parse("true", AL1) == top()
+
+
+def test_parse_nesting_limits():
+    # prefix and implication chains cost no stack; parentheses are capped
+    assert depth(parse("<d0>" * 5000 + "~p0", AL1)) == 5000
+    f = parse("p0 -> " * 5000 + "p1", AL1)
+    for _ in range(5000):
+        assert f.left == Var(0)
+        f = f.right
+    assert f == Var(1)
+    deepest = "(" * PAREN_LIMIT + "p0" + ")" * PAREN_LIMIT
+    assert parse(deepest, AL1) == Var(0)
+    with pytest.raises(ParseError, match="nested deeper") as err:
+        parse("(" + deepest + ")", AL1)
+    assert err.value.pos == PAREN_LIMIT + 1
 
 
 def test_parse_whitespace_flexible():

@@ -4,8 +4,14 @@ Each suite re-checks one frame-level law with two independently computed
 sides (a brute-force semantic side against a relational side, or a library
 routine against an inline reimplementation). Suites are deterministic: the
 per-trial RNG stream is derived from (seed, trial index), so reports are
-byte-identical across reruns. Failing trials serialize a counterexample
-frame, greedily minimized by point deletion while the violation persists.
+byte-identical across reruns.
+
+A suite draws its frame and states its law once, as a function of a point
+subset that checks the law on the restriction to those points. The trial
+checks it on every point; a failing trial serializes a counterexample frame,
+greedily minimized by point deletion while the law still fails. Every suite
+but ``byrd-frame`` is minimized: its law is about one member of a fixed
+family, so its restrictions pass and its failures show the whole frame.
 
 Suite ids:
 
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from . import definability, frames, partitions, semantics, syntax
@@ -68,7 +74,7 @@ class GenSpec:
 @dataclass
 class Failure:
     trial: int
-    frame: dict | None
+    frame: dict
     detail: str
 
 
@@ -174,12 +180,9 @@ def cluster_depth_bound(d: int, m: int, h: int) -> int:
     return (d + m + 1) * h - m - 1
 
 
-@dataclass
-class _Trial:
-    ok: bool
-    frame: Frame | None = None
-    detail: str = ""
-    violates: Callable | None = None  # point-subset -> bool, for minimization
+# A suite's law: the check on the restriction to a point subset, with a
+# detail string. The trial calls it on every point, the minimiser on subsets.
+Law = Callable[[list[int]], tuple[bool, str]]
 
 
 def _tuned_by_inclusion(frame: Frame, part: Partition) -> bool:
@@ -202,36 +205,28 @@ def _tuned_by_composition(frame: Frame, part: Partition) -> bool:
     return True
 
 
-def _project_partition(part: Partition, pts: list[int]) -> Partition:
+def _project(sets, pts: list[int]) -> list[frozenset[int]]:
+    """Each set cut down to the sorted points ``pts`` and reindexed along them."""
     pos = {p: i for i, p in enumerate(pts)}
-    blocks = [frozenset(pos[p] for p in b if p in pos) for b in part.blocks]
-    return Partition.of(len(pts), [b for b in blocks if b])
+    return [frozenset(pos[p] for p in s if p in pos) for s in sets]
 
 
-def _suite_tuned_equivalences(spec: GenSpec, rng: random.Random, trial: int) -> _Trial:
+def _suite_tuned_equivalences(spec: GenSpec, rng: random.Random, trial: int):
     frame = random_frame(spec, rng)
     part = random_partition(rng, frame.n)
 
-    def agree(fr, pr):
-        a = partitions.is_tuned(fr, pr)
-        quot, proj = frames.quotient_filtration(fr, pr)
-        c = frames.is_pmorphism(fr, quot, proj)
-        d = _tuned_by_inclusion(fr, pr)
-        f = _tuned_by_composition(fr, pr)
-        return (a, c, d, f)
-
-    a, c, d, f = agree(frame, part)
-    ok = a == c == d == f
-
-    def violates(pts):
-        if not pts:
-            return False
+    def law(pts):
         sub = frames.restriction(frame, pts)
-        vals = agree(sub, _project_partition(part, sorted(pts)))
-        return len(set(vals)) > 1
+        pr = Partition.of(len(pts), [b for b in _project(part.blocks, pts) if b])
+        a = partitions.is_tuned(sub, pr)
+        quot, proj = frames.quotient_filtration(sub, pr)
+        c = frames.is_pmorphism(sub, quot, proj)
+        d = _tuned_by_inclusion(sub, pr)
+        f = _tuned_by_composition(sub, pr)
+        blocks = [sorted(b) for b in pr.blocks]
+        return a == c == d == f, f"(a)={a} (c)={c} (d)={d} (f)={f} blocks={blocks}"
 
-    detail = f"(a)={a} (c)={c} (d)={d} (f)={f} blocks={[sorted(b) for b in part.blocks]}"
-    return _Trial(ok, frame, detail, violates)
+    return frame, law
 
 
 def _pick_correspondence_frame(spec, rng, max_index=3, max_height=None):
@@ -245,88 +240,73 @@ def _pick_correspondence_frame(spec, rng, max_index=3, max_height=None):
     raise GenerationError("rejection budget exhausted for correspondence frame")
 
 
-def _suite_height_correspondence(spec: GenSpec, rng: random.Random, trial: int) -> _Trial:
+def _suite_height_correspondence(spec: GenSpec, rng: random.Random, trial: int):
     frame = _pick_correspondence_frame(spec, rng, max_index=3, max_height=3)
-    idx = frames.transitivity_index(frame)
     h = rng.randint(0, 3)
-    m = rng.randint(idx, 3)
+    m = rng.randint(frames.transitivity_index(frame), 3)
     mods = tuple(range(len(frame.alphabet)))
-    axiom = syntax.finite_height_axiom_star(h, m, mods)
-    valid = semantics.validity_bruteforce(frame, axiom)
-    bounded = frames.height(frame) <= h
-    ok = valid == bounded
 
-    def violates(pts):
-        if not pts:
-            return False
+    def law(pts):
         sub = frames.restriction(frame, pts)
+        # the axiom needs m at least the index; a restriction can raise it
         m2 = max(m, frames.transitivity_index(sub))
-        ax = syntax.finite_height_axiom_star(h, m2, mods)
-        return semantics.validity_bruteforce(sub, ax) != (frames.height(sub) <= h)
+        valid = semantics.validity_bruteforce(sub, syntax.finite_height_axiom_star(h, m2, mods))
+        height = frames.height(sub)
+        return valid == (height <= h), f"h={h} m={m2} height={height} valid={valid}"
 
-    detail = f"h={h} m={m} height={frames.height(frame)} valid={valid}"
-    return _Trial(ok, frame, detail, violates)
+    return frame, law
 
 
-def _suite_atr_correspondence(spec: GenSpec, rng: random.Random, trial: int) -> _Trial:
+def _suite_atr_correspondence(spec: GenSpec, rng: random.Random, trial: int):
     frame = random_frame(spec, rng)
     m = rng.randint(0, 3)
-    mods = tuple(range(len(frame.alphabet)))
-    axiom = syntax.pretransitivity_axiom(mods, m)
-    valid = semantics.validity_bruteforce(frame, axiom)
-    relational = frames.transitivity_index(frame) <= m
-    ok = valid == relational
+    axiom = syntax.pretransitivity_axiom(range(len(frame.alphabet)), m)
 
-    def violates(pts):
-        if not pts:
-            return False
+    def law(pts):
         sub = frames.restriction(frame, pts)
-        return semantics.validity_bruteforce(sub, axiom) != (
-            frames.transitivity_index(sub) <= m
-        )
+        valid = semantics.validity_bruteforce(sub, axiom)
+        index = frames.transitivity_index(sub)
+        return valid == (index <= m), f"m={m} index={index} valid={valid}"
 
-    detail = f"m={m} index={frames.transitivity_index(frame)} valid={valid}"
-    return _Trial(ok, frame, detail, violates)
+    return frame, law
 
 
-def _suite_rpp_correspondence(spec: GenSpec, rng: random.Random, trial: int) -> _Trial:
+def _suite_rpp_correspondence(spec: GenSpec, rng: random.Random, trial: int):
     frame = random_frame(spec, rng)
     n = max(1, frame.n)
     m_hi = min(3, max(0, 14 // n - 2))
     m = rng.randint(0, m_hi)
-    mods = tuple(range(len(frame.alphabet)))
-    axiom = syntax.reducible_path_axiom(m, mods)
-    valid = semantics.validity_bruteforce(frame, axiom)
-    relational = frames.is_path_reducible(frame, m)
-    ok = valid == relational
+    axiom = syntax.reducible_path_axiom(m, range(len(frame.alphabet)))
 
-    def violates(pts):
-        if not pts:
-            return False
+    def law(pts):
         sub = frames.restriction(frame, pts)
-        return semantics.validity_bruteforce(sub, axiom) != frames.is_path_reducible(sub, m)
+        valid = semantics.validity_bruteforce(sub, axiom)
+        relational = frames.is_path_reducible(sub, m)
+        return valid == relational, f"m={m} path_reducible={relational} valid={valid}"
 
-    detail = f"m={m} path_reducible={relational} valid={valid}"
-    return _Trial(ok, frame, detail, violates)
+    return frame, law
 
 
-def _suite_md_sum(spec: GenSpec, rng: random.Random, trial: int) -> _Trial:
+def _suite_md_sum(spec: GenSpec, rng: random.Random, trial: int):
     f1 = random_frame(spec, rng)
     f2 = random_frame(spec, rng)
-    total = frames.disjoint_sum([f1, f2])
-    md1 = partitions.frame_modal_depth(f1)
-    md2 = partitions.frame_modal_depth(f2)
-    m = frames.transitivity_index(total)
-    md = partitions.frame_modal_depth(total)
-    bound = max(md1, md2) + m + 1
-    ok = md <= bound
-    detail = f"md(sum)={md} md1={md1} md2={md2} m={m} bound={bound}"
-    return _Trial(ok, total, detail, None)
+
+    def law(pts):
+        s1 = frames.restriction(f1, [p for p in pts if p < f1.n])
+        s2 = frames.restriction(f2, [p - f1.n for p in pts if p >= f1.n])
+        total = frames.disjoint_sum([s1, s2])
+        md1 = partitions.frame_modal_depth(s1)
+        md2 = partitions.frame_modal_depth(s2)
+        m = frames.transitivity_index(total)
+        md = partitions.frame_modal_depth(total)
+        bound = max(md1, md2) + m + 1
+        return md <= bound, f"md(sum)={md} md1={md1} md2={md2} m={m} bound={bound}"
+
+    return frames.disjoint_sum([f1, f2]), law
 
 
-def _suite_top_down(spec: GenSpec, rng: random.Random, trial: int) -> _Trial:
+def _suite_top_down(spec: GenSpec, rng: random.Random, trial: int):
     frame = random_frame(spec, rng)
-    m = frames.transitivity_index(frame)
     skel = frames.skeleton(frame)
     has_below = {j for (_, j) in skel.order}
     minimal = [i for i in range(len(skel.clusters)) if i not in has_below]
@@ -334,35 +314,41 @@ def _suite_top_down(spec: GenSpec, rng: random.Random, trial: int) -> _Trial:
     removed = set().union(*(skel.clusters[i] for i in dropped)) if dropped else set()
     upset = [p for p in range(frame.n) if p not in removed]
 
-    def bound_holds(fr, up):
-        mm = frames.transitivity_index(fr)
-        c = partitions.frame_modal_depth(frames.restriction(fr, frames.min_part(fr)))
-        d = partitions.frame_modal_depth(frames.restriction(fr, up))
-        return partitions.frame_modal_depth(fr) <= d + mm + c + 1
+    def law(pts):
+        sub = frames.restriction(frame, pts)
+        low = frames.min_part(sub)
+        # the bound needs an upset that leaves out minimal points only; the
+        # non-minimal points form an upset, and a restriction can make a
+        # dropped point non-minimal, so they are added back
+        (up,) = _project([upset], pts)
+        up |= frozenset(range(sub.n)) - low
+        m = frames.transitivity_index(sub)
+        c = partitions.frame_modal_depth(frames.restriction(sub, low))
+        d = partitions.frame_modal_depth(frames.restriction(sub, up))
+        return partitions.frame_modal_depth(sub) <= d + m + c + 1, f"upset={sorted(up)} m={m}"
 
-    ok = bound_holds(frame, upset)
-    detail = f"upset={sorted(upset)} m={m}"
-    return _Trial(ok, frame, detail, None)
+    return frame, law
 
 
-def _suite_cluster_bound(spec: GenSpec, rng: random.Random, trial: int) -> _Trial:
+def _suite_cluster_bound(spec: GenSpec, rng: random.Random, trial: int):
     frame = random_frame(spec, rng)
-    h = frames.height(frame)
-    if h == 0:
-        return _Trial(True, frame, "empty frame, vacuous", None)
-    m = frames.transitivity_index(frame)
-    cluster_md = max(
-        partitions.frame_modal_depth(c) for c in frames.cluster_frames(frame)
-    )
-    dhat = cluster_md + m + 1
-    md = partitions.frame_modal_depth(frame)
-    bound = cluster_depth_bound(dhat, m, h)
-    ok = md <= bound
-    detail = f"md={md} h={h} m={m} dhat={dhat} bound={bound}"
-    return _Trial(ok, frame, detail, None)
+
+    def law(pts):
+        sub = frames.restriction(frame, pts)
+        h = frames.height(sub)
+        if h == 0:
+            return True, "empty frame, vacuous"
+        m = frames.transitivity_index(sub)
+        cluster_md = max(partitions.frame_modal_depth(c) for c in frames.cluster_frames(sub))
+        dhat = cluster_md + m + 1
+        md = partitions.frame_modal_depth(sub)
+        bound = cluster_depth_bound(dhat, m, h)
+        return md <= bound, f"md={md} h={h} m={m} dhat={dhat} bound={bound}"
+
+    return frame, law
 
 
-def _suite_lex_phi(spec: GenSpec, rng: random.Random, trial: int) -> _Trial:
+def _suite_lex_phi(spec: GenSpec, rng: random.Random, trial: int):
     n_index = rng.randint(spec.n_min, min(3, spec.n_max))
     v_size = 1 + (rng.random() < 0.3)
     h_size = 1 + (rng.random() < 0.3)
@@ -388,68 +374,81 @@ def _suite_lex_phi(spec: GenSpec, rng: random.Random, trial: int) -> _Trial:
     axioms = syntax.lex_sum_axioms(
         range(v_size), range(v_size, v_size + h_size)
     )
-    bad = [
-        syntax.print_formula(ax, total.alphabet)
-        for ax in axioms
-        if not semantics.validity_bruteforce(total, ax)
-    ]
-    detail = f"sum n={total.n}; failing axioms: {bad}" if bad else f"sum n={total.n}"
-    return _Trial(not bad, total, detail, None)
+
+    def law(pts):
+        # a restriction of a lexicographic sum is the sum of the restricted fibers
+        sub = frames.restriction(total, pts)
+        bad = [
+            syntax.print_formula(ax, sub.alphabet)
+            for ax in axioms
+            if not semantics.validity_bruteforce(sub, ax)
+        ]
+        return not bad, (f"sum n={sub.n}; failing axioms: {bad}" if bad else f"sum n={sub.n}")
+
+    return total, law
 
 
-def _suite_diff_axioms(spec: GenSpec, rng: random.Random, trial: int) -> _Trial:
+def _suite_diff_axioms(spec: GenSpec, rng: random.Random, trial: int):
     frame = random_frame(spec, rng)
-    expanded = frames.expand(frame, "difference")
-    diff = len(expanded.alphabet) - 1
-    rel = expanded.relations[diff]
-    structural = rel | {(a, a) for a in range(frame.n)} == {
-        (a, b) for a in range(frame.n) for b in range(frame.n)
-    }
-    axioms = syntax.difference_axioms(diff, range(len(frame.alphabet)))
-    bad = [
-        syntax.print_formula(ax, expanded.alphabet)
-        for ax in axioms
-        if not semantics.validity_bruteforce(expanded, ax)
-    ]
-    ok = structural and not bad
+    diff = len(frame.alphabet)  # the difference modality comes last
+    axioms = syntax.difference_axioms(diff, range(diff))
 
-    def violates(pts):
-        if not pts:
-            return False
-        sub = frames.expand(frames.restriction(frame, pts), "difference")
-        return any(not semantics.validity_bruteforce(sub, ax) for ax in axioms)
+    def law(pts):
+        expanded = frames.expand(frames.restriction(frame, pts), "difference")
+        n = expanded.n
+        structural = expanded.relations[diff] | {(a, a) for a in range(n)} == {
+            (a, b) for a in range(n) for b in range(n)
+        }
+        bad = [
+            syntax.print_formula(ax, expanded.alphabet)
+            for ax in axioms
+            if not semantics.validity_bruteforce(expanded, ax)
+        ]
+        return structural and not bad, f"structural={structural}; failing axioms: {bad}"
 
-    detail = f"structural={structural}; failing axioms: {bad}"
-    return _Trial(ok, frame, detail, violates if not structural or bad else None)
+    return frame, law
 
 
-def _suite_definability(spec: GenSpec, rng: random.Random, trial: int) -> _Trial:
+def _suite_definability(spec: GenSpec, rng: random.Random, trial: int):
     frame = random_frame(spec, rng)
     k = rng.randint(0, 2)
     model = random_model(rng, frame, k)
     upset = random_upset(rng, frame)
-    rep = definability.verify_definability(model, upset)
-    _, _, top_rep = definability.stable_top(model, upset)
-    ok = rep.ok() and top_rep.ok()
-    detail = (
-        f"k={k} upset={sorted(upset)} violations={len(rep.violations)} "
-        f"beta_depth={rep.max_beta_depth}<={rep.depth_limit} stable_top={top_rep}"
-    )
-    return _Trial(ok, frame, detail, None)
+
+    def law(pts):
+        (up,) = _project([upset], pts)
+        if not up:
+            return True, "empty upset, vacuous"
+        sub = semantics.restrict_model(model, pts)
+        rep = definability.verify_definability(sub, up)
+        _, _, top_rep = definability.stable_top(sub, up)
+        return rep.ok() and top_rep.ok(), (
+            f"k={k} upset={sorted(up)} violations={len(rep.violations)} "
+            f"beta_depth={rep.max_beta_depth}<={rep.depth_limit} stable_top={top_rep}"
+        )
+
+    return frame, law
 
 
-def _suite_byrd_frame(spec: GenSpec, rng: random.Random, trial: int) -> _Trial:
+def _suite_byrd_frame(spec: GenSpec, rng: random.Random, trial: int):
     # truncation of the naturals at n, i.e. points {0..n}; the 4-point
     # restriction {0..3} is too small (its index is 3, not 2)
     n = 4 + trial % 5
     frame = non_adjacent_frame(n + 1)
-    idx = frames.transitivity_index(frame)
-    h = frames.height(frame)
-    ok = idx == 2 and h == 1
-    return _Trial(ok, frame, f"n={n} index={idx} height={h}", None)
+
+    def law(pts):
+        # the law is about this member of the family, not about its
+        # restrictions, so they pass and a failure is never minimised
+        if len(pts) < frame.n:
+            return True, "proper restriction, vacuous"
+        idx = frames.transitivity_index(frame)
+        h = frames.height(frame)
+        return idx == 2 and h == 1, f"n={n} index={idx} height={h}"
+
+    return frame, law
 
 
-SUITES: dict[str, Callable[[GenSpec, random.Random, int], _Trial]] = {
+SUITES: dict[str, Callable[[GenSpec, random.Random, int], tuple[Frame, Law]]] = {
     "tuned-equivalences": _suite_tuned_equivalences,
     "height-correspondence": _suite_height_correspondence,
     "atr-correspondence": _suite_atr_correspondence,
@@ -499,18 +498,16 @@ def _trial_seed(seed: int, trial: int) -> int:
     return ((seed + 1) * 0x9E3779B97F4A7C15 + trial * 0xBF58476D1CE4E5B9) & (2**63 - 1)
 
 
-def _minimize(frame: Frame, violates: Callable) -> Frame:
+def _minimize(frame: Frame, law: Law) -> Frame:
+    """Delete points one at a time while the law still fails, which leaves a
+    1-minimal failing restriction (Zeller & Hildebrandt, delta debugging)."""
     pts = list(range(frame.n))
     changed = True
     while changed and len(pts) > 1:
         changed = False
-        for p in list(pts):
+        for p in pts:
             cand = [q for q in pts if q != p]
-            try:
-                still_bad = violates(cand)
-            except Exception:
-                still_bad = False
-            if still_bad:
+            if not law(cand)[0]:
                 pts = cand
                 changed = True
                 break
@@ -533,40 +530,19 @@ def run_suite(suite: str, spec: GenSpec, trials: int) -> AuditReport:
     failures: list[Failure] = []
     passes = 0
     for t in range(trials):
-        rng = random.Random(_trial_seed(spec.seed, t))
-        res = fn(spec, rng, t)
-        if res.ok:
+        frame, law = fn(spec, random.Random(_trial_seed(spec.seed, t)), t)
+        ok, detail = law(list(range(frame.n)))
+        if ok:
             passes += 1
-            continue
-        shown = res.frame
-        if shown is not None and res.violates is not None:
-            shown = _minimize(shown, res.violates)
-        failures.append(
-            Failure(t, frames.to_dict(shown) if shown is not None else None, res.detail)
-        )
-    config = {
-        "n_min": spec.n_min,
-        "n_max": spec.n_max,
-        "alphabet_size": spec.alphabet_size,
-        "density": spec.density,
-        "structure": spec.structure,
-        "param": spec.param,
-    }
+        else:
+            failures.append(Failure(t, frames.to_dict(_minimize(frame, law)), detail))
+    config = asdict(spec)
+    del config["seed"]
     return AuditReport(suite, spec.seed, trials, passes, failures, config)
 
 
 def report_to_dict(report: AuditReport) -> dict:
-    return {
-        "suite": report.suite,
-        "seed": report.seed,
-        "trials": report.trials,
-        "passes": report.passes,
-        "failures": [
-            {"trial": f.trial, "frame": f.frame, "detail": f.detail}
-            for f in report.failures
-        ],
-        "config": report.config,
-    }
+    return asdict(report)
 
 
 def emit_report(report: AuditReport, path) -> None:

@@ -123,7 +123,7 @@ def _cmd_count(args) -> int:
     cap = args.cap if args.cap is not None else _env_cap(4096)
     try:
         count = partitions.count_k_formulas(frame, args.k, cap=cap)
-    except partitions.CapExceeded as exc:
+    except (partitions.CapExceeded, ValueError) as exc:
         raise _UsageError(str(exc)) from None
     data = {"k": args.k, "count": count}
     _emit(data, args.json, [f"nonequivalent {args.k}-formulas: {count}"])

@@ -256,37 +256,27 @@ def is_path_reducible(frame: Frame, m: int, budget: int = 10**6) -> bool:
     """
     if m < 0:
         raise ValueError("m must be non-negative")
-    n = frame.n
     rows = union_rows(frame)
     steps = 0
-
-    def extend(path: list[int]) -> bool:
-        # returns True if some extension reaches a violating full path
-        nonlocal steps
-        if len(path) == m + 2:
-            return True
-        last = path[-1]
-        for b in iter_bits(rows[last]):
-            steps += 1
-            if steps > budget:
-                raise PathBudgetExceeded(
-                    f"path enumeration exceeded budget of {budget}"
-                )
-            if b in path:
-                continue  # repeated point, the path satisfies the property
-            idx = len(path)  # the new point would sit at position idx = j+1
-            j = idx - 1
-            if j <= m and any((rows[path[i]] >> b) & 1 for i in range(j)):
-                continue  # shortcut found, the path satisfies the property
-            path.append(b)
-            if extend(path):
-                return True
-            path.pop()
-        return False
-
-    for start in range(n):
-        if extend([start]):
-            return False
+    for start in range(frame.n):
+        # one level per path point: its unvisited successors, the point, and
+        # the points the path may not enter (its points, and those seen by its
+        # members before this one, which would be shortcuts)
+        stack = [(iter_bits(rows[start]), start, 1 << start)]
+        while stack:
+            succ, last, blocked = stack[-1]
+            for b in succ:
+                steps += 1
+                if steps > budget:
+                    raise PathBudgetExceeded(f"path enumeration exceeded budget of {budget}")
+                if (blocked >> b) & 1:
+                    continue  # repeated point or shortcut: the path satisfies the property
+                if len(stack) == m + 1:
+                    return False  # a simple, shortcut-free path of m+1 steps
+                stack.append((iter_bits(rows[b]), b, blocked | rows[last] | 1 << b))
+                break
+            else:
+                stack.pop()
     return True
 
 

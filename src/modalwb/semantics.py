@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import partitions
 from .frames import Frame, mask_of, points_of
 from .partitions import CapExceeded, Partition
-from .syntax import And, Dia, Falsum, Formula, Imp, Neg, Or, Var, iter_nodes, variables, modalities
+from .syntax import And, Dia, Falsum, Formula, Imp, Neg, Or, Var, iter_nodes
 
 DEFAULT_VALUATION_CAP = 1 << 24
 
@@ -39,8 +39,10 @@ class Model:
 _VAR, _FALSE, _NEG, _AND, _OR, _IMP, _DIA, _BOX = range(8)
 
 
-def _compile(f: Formula) -> list[tuple[int, int, int]]:
-    """Instruction list over the unique nodes of the DAG, children first."""
+def _compile(frame: Frame, f: Formula) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """Instruction list over the unique nodes of the DAG, children first,
+    and the sorted variable indices. Rejects modality ids outside the
+    frame's alphabet."""
     index: dict[int, int] = {}
     prog: list[tuple[int, int, int]] = []
     for g in iter_nodes(f):
@@ -62,7 +64,11 @@ def _compile(f: Formula) -> list[tuple[int, int, int]]:
             raise TypeError(f"not a formula: {g!r}")
         index[id(g)] = len(prog)
         prog.append(ins)
-    return prog
+    size = len(frame.alphabet)
+    bad = sorted({x for op, x, _ in prog if op >= _DIA and x >= size})
+    if bad:
+        raise ValueError(f"modality ids {bad} outside alphabet of size {size}")
+    return prog, sorted({x for op, x, _ in prog if op == _VAR})
 
 
 def _evaluate(prog, frame: Frame, var_masks, full: int) -> int:
@@ -91,37 +97,29 @@ def _evaluate(prog, frame: Frame, var_masks, full: int) -> int:
     return vals[-1] if prog else 0
 
 
-def _check_modalities(frame: Frame, f: Formula) -> None:
-    bad = [m for m in modalities(f) if m >= len(frame.alphabet)]
-    if bad:
-        raise ValueError(f"modality ids {sorted(bad)} outside alphabet of size {len(frame.alphabet)}")
-
-
 def extent(model: Model, f: Formula) -> frozenset[int]:
     """Points of the model where the formula is true (standard Kripke
     semantics; a diamond is the relational preimage of its child's extent)."""
-    _check_modalities(model.frame, f)
-    bad = [v for v in variables(f) if v >= model.k]
+    prog, vars_ = _compile(model.frame, f)
+    bad = [v for v in vars_ if v >= model.k]
     if bad:
-        raise ValueError(f"variables {sorted(bad)} outside the {model.k}-valuation")
+        raise ValueError(f"variables {bad} outside the {model.k}-valuation")
     full = (1 << model.frame.n) - 1
     var_masks = [mask_of(ext) for ext in model.valuation]
-    return points_of(_evaluate(_compile(f), model.frame, var_masks, full))
+    return points_of(_evaluate(prog, model.frame, var_masks, full))
 
 
 def validity_bruteforce(frame: Frame, f: Formula, cap: int = DEFAULT_VALUATION_CAP) -> bool:
     """True iff the formula is true at every point under every valuation of
     its occurring variables. Raises CapExceeded when the assignment space
     2^(k*n) is larger than ``cap``."""
-    _check_modalities(frame, f)
-    vars_ = sorted(variables(f))
+    prog, vars_ = _compile(frame, f)
     n = frame.n
     total = (1 << n) ** len(vars_)
     if total > cap:
         raise CapExceeded(
             f"{len(vars_)} variables on {n} points need {total} assignments (cap {cap})"
         )
-    prog = _compile(f)
     full = (1 << n) - 1
     if not vars_:
         return _evaluate(prog, frame, [], full) == full

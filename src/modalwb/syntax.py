@@ -354,6 +354,13 @@ def parse(text: str, alphabet: Alphabet) -> Formula:
 
 _LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY = 0, 1, 2, 3
 
+# infix text, own level, and the levels its left and right operands need
+_INFIX = {
+    And: (" & ", _LEVEL_AND, _LEVEL_AND, _LEVEL_UNARY),
+    Or: (" | ", _LEVEL_OR, _LEVEL_OR, _LEVEL_AND),
+    Imp: (" -> ", _LEVEL_IMP, _LEVEL_OR, _LEVEL_IMP),
+}
+
 
 def print_formula(f: Formula, alphabet: Alphabet | None = None) -> str:
     """Render with minimal parentheses; parse(print_formula(f)) == f."""
@@ -366,31 +373,36 @@ def print_formula(f: Formula, alphabet: Alphabet | None = None) -> str:
             raise ValueError(f"modality id {mod} outside alphabet {names!r}")
         return names[mod]
 
-    def go(g, level):
+    # one work list of nodes still to render (with the level their context
+    # needs) and literal text, so nesting depth costs no stack
+    out: list[str] = []
+    todo: list = [(f, _LEVEL_IMP)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        g, level = item
         if isinstance(g, Var):
-            return f"p{g.index}"
-        if isinstance(g, Falsum):
-            return "false"
-        if isinstance(g, Neg):
-            return "~" + go(g.child, _LEVEL_UNARY)
-        if isinstance(g, Dia):
+            out.append(f"p{g.index}")
+        elif isinstance(g, Falsum):
+            out.append("false")
+        elif isinstance(g, Neg):
+            out.append("~")
+            todo.append((g.child, _LEVEL_UNARY))
+        elif isinstance(g, Dia):
             nm = name_of(g.mod)
-            op = f"[{nm}]" if g.boxed else f"<{nm}>"
-            return op + go(g.child, _LEVEL_UNARY)
-        if isinstance(g, And):
-            s = go(g.left, _LEVEL_AND) + " & " + go(g.right, _LEVEL_UNARY)
-            lv = _LEVEL_AND
-        elif isinstance(g, Or):
-            s = go(g.left, _LEVEL_OR) + " | " + go(g.right, _LEVEL_AND)
-            lv = _LEVEL_OR
-        elif isinstance(g, Imp):
-            s = go(g.left, _LEVEL_OR) + " -> " + go(g.right, _LEVEL_IMP)
-            lv = _LEVEL_IMP
+            out.append(f"[{nm}]" if g.boxed else f"<{nm}>")
+            todo.append((g.child, _LEVEL_UNARY))
+        elif type(g) in _INFIX:
+            op, lv, left_level, right_level = _INFIX[type(g)]
+            if lv < level:
+                out.append("(")
+                todo.append(")")
+            todo += [(g.right, right_level), op, (g.left, left_level)]
         else:
             raise TypeError(f"not a formula: {g!r}")
-        return "(" + s + ")" if lv < level else s
-
-    return go(f, _LEVEL_IMP)
+    return "".join(out)
 
 
 def _norm_subset(subset) -> tuple[int, ...]:

@@ -212,6 +212,23 @@ def reach_upto(frame, m):
     return pairs
 
 
+def path_reducible(frame, m):
+    """Every walk x_0 .. x_(m+1) of m+1 union-relation steps repeats a point
+    or has a shortcut x_i R x_k with k >= i+2, by enumerating all walks."""
+    union = set().union(*frame.relations) if frame.relations else set()
+    walks = [(a,) for a in range(frame.n)]
+    for _ in range(m + 1):
+        walks = [w + (b,) for w in walks for (a, b) in union if a == w[-1]]
+    for w in walks:
+        distinct = len(set(w)) == len(w)
+        shortcut = any(
+            (w[i], w[k]) in union for i in range(len(w)) for k in range(i + 2, len(w))
+        )
+        if distinct and not shortcut:
+            return False
+    return True
+
+
 # Pair-set formulations of the frame constructions, built with the pair
 # constructor ``Frame(alphabet, n, relations)`` from ``frame.relations``.
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from modalwb import frames, partitions
+from modalwb import audit, frames, partitions, semantics
 from modalwb.audit import (
     GenSpec,
     cluster_depth_bound,
@@ -122,6 +122,24 @@ def test_failure_serializes_minimized_frame(monkeypatch):
     assert 1 <= frame.n <= 5
     # the frame JSON embeds the standard format
     assert set(failure.frame) == {"alphabet", "points", "rel"}
+
+
+@pytest.mark.parametrize(
+    "suite,module,name,broken",
+    [
+        ("md-sum", frames, "transitivity_index", lambda frame: -10**6),
+        ("top-down", frames, "transitivity_index", lambda frame: -10**6),
+        ("cluster-bound", audit, "cluster_depth_bound", lambda d, m, h: -1),
+        ("lex-phi", semantics, "validity_bruteforce", lambda frame, f, cap=None: False),
+        ("definability", semantics, "extent", lambda model, f: frozenset()),
+    ],
+)
+def test_broken_law_minimizes_to_one_point(monkeypatch, suite, module, name, broken):
+    # the law fails on every frame, so each failure shrinks to a single point
+    monkeypatch.setattr(module, name, broken)
+    report = run_suite(suite, audit.DEFAULT_AUDIT_SPECS[suite], 20)
+    assert len(report.failures) == report.trials
+    assert all(frames.from_dict(f.frame).n <= 1 for f in report.failures)
 
 
 def test_byrd_family_values():

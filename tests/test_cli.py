@@ -211,3 +211,8 @@ def test_tune_point_out_of_range(chain3, capsys, sets, message):
 def test_frame_md_sample_needs_a_trial(chain3, capsys, trials):
     assert cli.main(["frame", "md", chain3, "--sample", trials]) == 2
     assert "--sample needs at least 1 trial" in capsys.readouterr().err
+
+
+def test_count_negative_k(chain3, capsys):
+    assert cli.main(["count", chain3, "-k", "-1"]) == 2
+    assert "error: k must be non-negative" in capsys.readouterr().err

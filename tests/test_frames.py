@@ -149,6 +149,22 @@ def test_path_reducible_implies_pretransitive():
             assert transitivity_index(f) <= m
 
 
+def test_path_reducible_matches_walk_enumeration():
+    rng = random.Random(5)
+    for _ in range(400):
+        f = random_frame(rng, rng.randint(0, 6), mods=rng.randint(1, 2), density=rng.random())
+        m = rng.randint(0, 3)
+        assert is_path_reducible(f, m) == oracles.path_reducible(f, m), (to_dict(f), m)
+
+
+def test_path_reducible_long_chain_beyond_recursion_limit():
+    # each point sees its successor; the longest path has n-1 steps
+    n = 1100
+    chain = uni(n, [(a, a + 1) for a in range(n - 1)])
+    assert is_path_reducible(chain, n - 1)
+    assert not is_path_reducible(chain, n - 2)
+
+
 def test_restriction_examples():
     sub = restriction(CHAIN3, {1, 2})
     assert sub.n == 2 and sub.relations[0] == {(0, 1)}

@@ -81,6 +81,16 @@ def test_parse_precedence_and_associativity():
     assert parse("true", AL1) == top()
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["~" * 3000 + "p0", "<d0>" * 3000 + "p0", " -> ".join(f"p{i}" for i in range(3000))],
+    ids=["negations", "diamonds", "implications"],
+)
+def test_print_formula_long_chains(text):
+    # compared as strings: the formulas' own == and hash still recurse
+    assert print_formula(parse(text, AL1)) == text
+
+
 def test_parse_nesting_limits():
     # prefix and implication chains cost no stack; parentheses are capped
     assert depth(parse("<d0>" * 5000 + "~p0", AL1)) == 5000

@@ -260,10 +260,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except frames.PathBudgetExceeded as exc:
+    except (_UsageError, frames.PathBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,9 @@
 """Synthesis of distinguishing formulas and the bounded-box definability
 construction for upsets of pretransitive models.
 
-``distinguishing_formulas`` replays the refinement trace of a model and
-builds, for every block of the stabilized partition, a formula whose extent
+``distinguishing_formulas`` reads the refinement stages of a model (the
+block masks of ``partitions._stages`` seeded by its valuation) and builds,
+for every block of the stabilized partition, a formula whose extent
 is exactly that block; a block born at stage s gets a formula of modal
 depth at most s. On top of these, ``build_jankov`` assembles a Jankov-Fine
 style formula: it encodes the minimal filtration table of an upset under a
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import frames, partitions, semantics
-from .frames import Frame, mask_of
+from .frames import iter_bits, mask_of, points_of
 from .semantics import Model
 from .syntax import (
     And,
@@ -59,15 +60,23 @@ def _box_star(m: int, mods, f: Formula) -> Formula:
     return Neg(diamond_upto(m, mods, Neg(f)))
 
 
-def _literal_profile(model: Model, rep: int) -> list[Formula]:
-    return [
-        Var(l) if rep in model.valuation[l] else Neg(Var(l))
-        for l in range(model.k)
-    ]
+def _literal_profile(model: Model, block: int) -> list[Formula]:
+    """The literals of the block's least point."""
+    rep = (block & -block).bit_length() - 1
+    return [Var(l) if rep in model.valuation[l] else Neg(Var(l)) for l in range(model.k)]
 
 
-def _stage_formulas(model: Model) -> tuple[list[partitions.Partition], dict[frozenset[int], Formula]]:
-    """Refinement trace plus a defining formula per block of the final stage.
+def _stage_masks(model: Model) -> list[list[int]]:
+    """Block masks of every refinement stage seeded by the valuation."""
+    return list(partitions._stages(model.frame, [mask_of(v) for v in model.valuation]))
+
+
+def _class_of(blocks: list[int], point: int) -> int:
+    return next(b for b in blocks if b >> point & 1)
+
+
+def _stage_formulas(model: Model) -> tuple[list[list[int]], dict[int, Formula]]:
+    """Refinement stages plus a defining formula per block of the final stage.
 
     Stage-0 blocks are defined by their literal profiles. A block that
     splits off at stage d is defined by its parent's formula together with
@@ -75,31 +84,30 @@ def _stage_formulas(model: Model) -> tuple[list[partitions.Partition], dict[froz
     greedily until every sibling inside the parent is excluded.
     """
     frame = model.frame
-    trace, _ = partitions.refine_sequence(frame, model.valuation)
-    forms: dict[frozenset[int], Formula] = {}
-    for block in trace[0].blocks:
-        forms[block] = conj(_literal_profile(model, min(block)))
-    for d in range(1, len(trace)):
-        prev, cur = trace[d - 1], trace[d]
-        pool = []
-        for mod in range(len(frame.alphabet)):
-            for pb in prev.blocks:
-                pool.append((mod, pb, frame.preimage(mod, pb)))
-        nxt: dict[frozenset[int], Formula] = {}
-        prev_set = set(prev.blocks)
-        for block in cur.blocks:
-            if block in prev_set:
+    stages = _stage_masks(model)
+    forms = {b: conj(_literal_profile(model, b)) for b in stages[0]}
+    for prev, cur in zip(stages, stages[1:]):
+        pool = [
+            (mod, pb, frame.preimage_mask(mod, pb))
+            for mod in range(len(frame.alphabet))
+            for pb in prev
+        ]
+        nxt: dict[int, Formula] = {}
+        kept = set(prev)
+        for block in cur:
+            if block in kept:
                 nxt[block] = forms[block]
                 continue
-            parent = next(b for b in prev.blocks if block <= b)
-            siblings = [b for b in cur.blocks if b <= parent and b != block]
+            # a stage refines the one before, and every block of it lies
+            # inside or outside each splitter
+            parent = next(b for b in prev if block & b)
+            remaining = [b for b in cur if b & parent and b != block]
             conjuncts = [forms[parent]]
-            remaining = siblings
             for mod, pb, pre in pool:
                 if not remaining:
                     break
-                inside = min(block) in pre
-                still = [s for s in remaining if (min(s) in pre) == inside]
+                inside = bool(block & pre)
+                still = [s for s in remaining if bool(s & pre) == inside]
                 if len(still) < len(remaining):
                     dia = Dia(mod, forms[pb])
                     conjuncts.append(dia if inside else Neg(dia))
@@ -108,7 +116,7 @@ def _stage_formulas(model: Model) -> tuple[list[partitions.Partition], dict[froz
                 raise AssertionError("refinement stage left siblings unseparated")
             nxt[block] = conj(conjuncts)
         forms = nxt
-    return trace, forms
+    return stages, forms
 
 
 def distinguishing_formulas(model: Model) -> dict[frozenset[int], Formula]:
@@ -116,18 +124,7 @@ def distinguishing_formulas(model: Model) -> dict[frozenset[int], Formula]:
     extent is exactly that block; depth is bounded by the block's birth
     stage."""
     _, forms = _stage_formulas(model)
-    return forms
-
-
-def _related_table(frame: Frame, blocks: list[frozenset[int]]):
-    masks = [mask_of(b) for b in blocks]
-    table = {}
-    for mod in range(len(frame.alphabet)):
-        for j, bm in enumerate(masks):
-            pre = frame.preimage_mask(mod, bm)
-            for i, am in enumerate(masks):
-                table[(mod, i, j)] = bool(am & pre)
-    return table
+    return {points_of(b): f for b, f in forms.items()}
 
 
 def build_jankov(
@@ -162,48 +159,42 @@ def build_jankov(
 
     old = sorted(y)
     sub = semantics.restrict_model(model, y)
-    subtrace, subforms = _stage_formulas(sub)
-    d = len(subtrace) - 1
+    substages, subforms = _stage_formulas(sub)
 
-    alphas: dict[frozenset[int], Formula] = {}
+    # lifting along sorted(y) keeps the blocks in min-element order
+    alphas: dict[int, Formula] = {}
     for b, form in subforms.items():
-        lifted = frozenset(old[p] for p in b)
-        lits = _literal_profile(sub, min(b))
-        alphas[lifted] = conj(lits + [form])
+        lifted = mask_of(old[p] for p in iter_bits(b))
+        alphas[lifted] = conj(_literal_profile(sub, b) + [form])
+    blocks = list(alphas)
 
-    blocks = sorted(alphas, key=min)
     all_mods = tuple(range(len(frame.alphabet)))
-    related = _related_table(frame, blocks)
-
+    forces, forbids = [], []
+    for mod in all_mods:
+        pres = [frame.preimage_mask(mod, b) for b in blocks]
+        for a in blocks:
+            for b, pre in zip(blocks, pres):
+                dia = Dia(mod, alphas[b])
+                if a & pre:
+                    forces.append(Imp(alphas[a], dia))
+                else:
+                    forbids.append(Imp(alphas[a], Neg(dia)))
     parts = []
     if GAMMA_FORCES in families:
-        items = [
-            Imp(alphas[blocks[i]], Dia(mod, alphas[blocks[j]]))
-            for mod in all_mods
-            for i in range(len(blocks))
-            for j in range(len(blocks))
-            if related[(mod, i, j)]
-        ]
-        parts.append(_box_star(m, all_mods, conj(items)))
+        parts.append(_box_star(m, all_mods, conj(forces)))
     if GAMMA_FORBIDS in families:
-        items = [
-            Imp(alphas[blocks[i]], Neg(Dia(mod, alphas[blocks[j]])))
-            for mod in all_mods
-            for i in range(len(blocks))
-            for j in range(len(blocks))
-            if not related[(mod, i, j)]
-        ]
-        parts.append(_box_star(m, all_mods, conj(items)))
+        parts.append(_box_star(m, all_mods, conj(forbids)))
     if GAMMA_COVERS in families:
         parts.append(_box_star(m, all_mods, disj([alphas[b] for b in blocks])))
     gamma = conj(parts)
 
-    block_of = {}
-    for b in blocks:
-        for p in b:
-            block_of[p] = b
-    beta = {p: And(alphas[block_of[p]], gamma) for p in old}
-    family = DefinableFamily(target=y, formulas=alphas, m=m, depth_bound=d)
+    beta = {p: And(alphas[_class_of(blocks, p)], gamma) for p in old}
+    family = DefinableFamily(
+        target=y,
+        formulas={points_of(b): f for b, f in alphas.items()},
+        m=m,
+        depth_bound=len(substages) - 1,
+    )
     return family, gamma, beta
 
 
@@ -231,19 +222,18 @@ def verify_definability(
     the model's stabilized partition. Violating pairs are report content,
     not errors."""
     family, _, beta = build_jankov(model, upset, m=m, families=families)
-    trace, _ = partitions.refine_sequence(model.frame, model.valuation)
-    final = trace[-1]
+    final = _stage_masks(model)[-1]
     violations = []
     checked = 0
     max_depth = 0
     for a in sorted(family.target):
         ext = semantics.extent(model, beta[a])
-        expected = final.blocks[final.index_of(a)]
+        expected = _class_of(final, a)
         max_depth = max(max_depth, depth(beta[a]))
         for b in range(model.frame.n):
             checked += 1
             holds = b in ext
-            same = b in expected
+            same = bool(expected >> b & 1)
             if holds != same:
                 violations.append((a, b, holds, same))
     return DefinabilityReport(
@@ -281,10 +271,11 @@ def stable_top(model: Model, upset, m: int | None = None):
     """
     family, _, beta = build_jankov(model, upset, m=m)
     cap = family.m + family.depth_bound + 1
-    trace, stab = partitions.refine_sequence(model.frame, model.valuation)
-    final = trace[-1]
-    z_blocks = [b for b in final.blocks if b & family.target]
-    z = frozenset().union(*z_blocks) if z_blocks else frozenset()
+    stages = _stage_masks(model)
+    final = stages[-1]
+    target = mask_of(family.target)
+    z_mask = sum(b for b in final if b & target)  # disjoint blocks
+    z = points_of(z_mask)
 
     upset_ok = frames.is_upset(model.frame, z)
 
@@ -295,21 +286,14 @@ def stable_top(model: Model, upset, m: int | None = None):
         semantics.extent(model, defining) == z and defining_depth <= cap
     )
 
-    depth_ok = semantics.model_depth(semantics.restrict_model(model, z))[0] <= cap
+    depth_ok = len(_stage_masks(semantics.restrict_model(model, z))) - 1 <= cap
 
-    stage = trace[min(cap, stab)]
-    stability_ok = True
-    for block in stage.blocks:
-        if not block & z:
-            continue
-        if not block <= z:
-            stability_ok = False
-            break
-        rep = min(block)
-        target = final.blocks[final.index_of(rep)]
-        if not block <= target:
-            stability_ok = False
-            break
+    # the final stage refines stage D, so a stage-D block meeting Z pins
+    # membership in Z and its final class exactly when it is a final block
+    finals = set(final)
+    stability_ok = all(
+        b in finals for b in stages[min(cap, len(stages) - 1)] if b & z_mask
+    )
     report = StableTopReport(
         upset_ok=upset_ok,
         definable_ok=definable_ok,

@@ -137,9 +137,6 @@ class Frame:
         """Per-point successor bitmasks of one modality."""
         return self._rows[mod]
 
-    def succ(self, mod: int, a: int) -> frozenset[int]:
-        return points_of(self._rows[mod][a])
-
     def preimage_mask(self, mod: int, vmask: int) -> int:
         acc = 0
         for a, row in enumerate(self._rows[mod]):
@@ -234,15 +231,15 @@ def skeleton(frame: Frame) -> SkeletonPoset:
 
 def height(frame: Frame) -> int:
     """Size of the longest chain in the skeleton; 0 on the empty frame."""
-    skel = skeleton(frame)
-    above: list[list[int]] = [[] for _ in skel.clusters]
-    for i, j in skel.order:
-        above[i].append(j)
-    # The order is transitive, so a cluster has strictly more clusters above
-    # it than any cluster above it: ascending counts visit those first.
-    chain = [0] * len(above)
-    for i in sorted(range(len(above)), key=lambda i: len(above[i])):
-        chain[i] = 1 + max((chain[j] for j in above[i]), default=0)
+    star = _closure_rows(union_rows(frame), reflexive=True)
+    # A point b of star[a] lies in a's cluster iff star[b] == star[a], and
+    # strictly above it iff star[b] is a proper subset of star[a]: ascending
+    # star sizes visit the points above a before a.
+    chain = [0] * frame.n
+    for a in sorted(range(frame.n), key=lambda a: star[a].bit_count()):
+        chain[a] = 1 + max(
+            (chain[b] for b in iter_bits(star[a]) if star[b] != star[a]), default=0
+        )
     return max(chain, default=0)
 
 

@@ -8,10 +8,11 @@ checks on desk-scale frames fast.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import partitions
-from .frames import Frame, mask_of, points_of
+from .frames import Frame, mask_of, points_of, restriction
 from .partitions import CapExceeded, Partition
 from .syntax import And, Dia, Falsum, Formula, Imp, Neg, Or, Var, iter_nodes
 
@@ -121,26 +122,15 @@ def validity_bruteforce(frame: Frame, f: Formula, cap: int = DEFAULT_VALUATION_C
             f"{len(vars_)} variables on {n} points need {total} assignments (cap {cap})"
         )
     full = (1 << n) - 1
-    if not vars_:
-        return _evaluate(prog, frame, [], full) == full
-    width = max(vars_) + 1
-    var_masks = [0] * width
-    radix = 1 << n
-    stack = [0] * len(vars_)
-    while True:
-        for pos, v in enumerate(vars_):
-            var_masks[v] = stack[pos]
+    var_masks = [0] * (max(vars_, default=-1) + 1)
+    # the first variable changes fastest; product varies its last slot fastest
+    order = vars_[::-1]
+    for combo in itertools.product(range(1 << n), repeat=len(vars_)):
+        for v, m in zip(order, combo):
+            var_masks[v] = m
         if _evaluate(prog, frame, var_masks, full) != full:
             return False
-        pos = 0
-        while pos < len(stack):
-            stack[pos] += 1
-            if stack[pos] < radix:
-                break
-            stack[pos] = 0
-            pos += 1
-        if pos == len(stack):
-            return True
+    return True
 
 
 def model_depth(model: Model) -> tuple[int, list[Partition]]:
@@ -153,10 +143,8 @@ def model_depth(model: Model) -> tuple[int, list[Partition]]:
 def restrict_model(model: Model, points) -> Model:
     """Restriction of frame and valuation to a point subset, reindexed along
     sorted(points)."""
-    from . import frames as _frames
-
     pts = sorted(set(points))
-    sub = _frames.restriction(model.frame, pts)
+    sub = restriction(model.frame, pts)
     pos = {p: i for i, p in enumerate(pts)}
     val = tuple(
         frozenset(pos[p] for p in ext if p in pos) for ext in model.valuation

@@ -165,10 +165,6 @@ def modalities(f: Formula) -> frozenset[int]:
     return frozenset(g.mod for g in iter_nodes(f) if isinstance(g, Dia))
 
 
-def is_k_formula(f: Formula, k: int) -> bool:
-    return all(v < k for v in variables(f))
-
-
 def depth(f: Formula) -> int:
     """Modal depth: the maximal number of nested modalities (boxes count)."""
     d: dict[int, int] = {}

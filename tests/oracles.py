@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from modalwb.frames import Frame
-from modalwb.syntax import Alphabet, And, Dia, Falsum, Imp, Neg, Or, Var
+from modalwb.syntax import Alphabet, And, Dia, Falsum, Imp, Neg, Or, Var, conj
 
 
 def naive_preimage(rel, pts):
@@ -82,6 +82,73 @@ def staged_refinement(frame, family):
             return stages, len(stages) - 1
         stage = len(stages)
         stages.append({b: stages[-1].get(b, stage) for b in nxt})
+
+
+def stage_formulas(model):
+    """A defining formula per block of the stabilized partition, in its
+    first formulation on point sets: a stage-0 block conjoins the literals
+    of its least point; a block that splits off at stage d conjoins its
+    parent's formula with signed diamonds of previous-stage block formulas
+    (modalities in order, blocks by least point), each kept when it excludes
+    one more sibling inside the parent, until none is left."""
+    frame = model.frame
+    stages, _ = staged_refinement(frame, model.valuation)
+    trace = [sorted(stage, key=min) for stage in stages]
+    forms = {
+        b: conj([Var(l) if min(b) in v else Neg(Var(l)) for l, v in enumerate(model.valuation)])
+        for b in trace[0]
+    }
+    for prev, cur in zip(trace, trace[1:]):
+        pool = [
+            (mod, pb, naive_preimage(rel, pb))
+            for mod, rel in enumerate(frame.relations)
+            for pb in prev
+        ]
+        nxt = {}
+        for block in cur:
+            if block in prev:
+                nxt[block] = forms[block]
+                continue
+            parent = next(b for b in prev if block <= b)
+            remaining = [b for b in cur if b <= parent and b != block]
+            conjuncts = [forms[parent]]
+            for mod, pb, pre in pool:
+                inside = min(block) in pre
+                still = [s for s in remaining if (min(s) in pre) == inside]
+                if len(still) < len(remaining):
+                    dia = Dia(mod, forms[pb])
+                    conjuncts.append(dia if inside else Neg(dia))
+                    remaining = still
+            assert not remaining
+            nxt[block] = conj(conjuncts)
+        forms = nxt
+    return forms
+
+
+def longest_cluster_chain(frame):
+    """Height: the most clusters on a chain, by closing the union relation
+    under composition as a pair set and memoised longest-path search over
+    the strict cluster order."""
+    n = frame.n
+    reach = {(a, a) for a in range(n)}.union(*frame.relations)
+    while True:
+        extra = {(a, c) for (a, b) in reach for (b2, c) in reach if b == b2} - reach
+        if not extra:
+            break
+        reach |= extra
+    clusters = {
+        frozenset(b for b in range(n) if (a, b) in reach and (b, a) in reach)
+        for a in range(n)
+    }
+    longest = {}
+
+    def chain(c):
+        if c not in longest:
+            above = [d for d in clusters if d != c and (min(c), min(d)) in reach]
+            longest[c] = 1 + max((chain(d) for d in above), default=0)
+        return longest[c]
+
+    return max((chain(c) for c in clusters), default=0)
 
 
 def boolean_closure(n, sets):

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from modalwb import semantics
 from modalwb.definability import (
     ALL_GAMMA_FAMILIES,
@@ -14,7 +17,7 @@ from modalwb.definability import (
 from modalwb.frames import Frame, generated_upset, min_part, restriction, transitivity_index
 from modalwb.partitions import frame_modal_depth, refine_sequence
 from modalwb.semantics import Model, extent, model_depth
-from modalwb.syntax import And, Falsum, Neg, Var, box, default_alphabet, depth
+from modalwb.syntax import And, Falsum, Neg, Var, box, default_alphabet, depth, print_formula
 
 AL1 = default_alphabet(1)
 
@@ -232,3 +235,24 @@ def test_top_down_depth_bound():
         c = frame_modal_depth(restriction(frame, bottom))
         d = frame_modal_depth(restriction(frame, upset))
         assert frame_modal_depth(frame) <= d + m + c + 1
+
+
+@st.composite
+def small_models(draw):
+    n = draw(st.integers(1, 6))
+    mods = draw(st.integers(1, 2))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    rels = [draw(st.sets(pairs, max_size=n * n)) for _ in range(mods)]
+    k = draw(st.integers(0, 2))
+    val = tuple(draw(st.frozensets(st.integers(0, n - 1))) for _ in range(k))
+    return Model(Frame(default_alphabet(mods), n, rels), k, val)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_models())
+def test_distinguishing_formulas_match_point_set_reference(model):
+    forms = distinguishing_formulas(model)
+    reference = oracles.stage_formulas(model)
+    assert set(forms) == set(reference)
+    for block, formula in forms.items():
+        assert print_formula(formula) == print_formula(reference[block])

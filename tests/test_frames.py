@@ -416,3 +416,9 @@ def test_rows_constructions_match_pair_references(data):
     assert_same_frame(
         lex_sum(index, fibers, fiber_alphabet=h), oracles.lex_sum_pairs(index, fibers, h)
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_frames(AL2, max_n=6))
+def test_height_matches_pair_chain_reference(f):
+    assert height(f) == oracles.longest_cluster_chain(f)

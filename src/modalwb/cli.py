@@ -50,7 +50,8 @@ def _emit(data: dict, as_json: bool, lines) -> None:
 
 def _cmd_frame_info(args) -> int:
     frame = _load(args.path)
-    skel = frames.skeleton(frame)
+    # points share a cluster exactly when their reflexive closure rows agree
+    star = frames._closure_rows(frames.union_rows(frame), reflexive=True)
     index = frames.transitivity_index(frame)
     try:
         reducible = frames.is_path_reducible(frame, index)
@@ -61,7 +62,7 @@ def _cmd_frame_info(args) -> int:
         "alphabet": list(frame.alphabet.names),
         "transitivity_index": index,
         "height": frames.height(frame),
-        "clusters": len(skel.clusters),
+        "clusters": len(set(star)),
         "path_reducible_at_index": reducible,
     }
     _emit(

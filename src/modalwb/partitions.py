@@ -13,6 +13,14 @@ index (the number of the fixpoint stage) is the modal depth of the seeding
 data, and the maximum over all seed partitions is the modal depth of the
 frame. ``is_tuned`` takes one step of that loop and checks that it
 splits nothing.
+
+Exact frame modal depth does not rerun the loop per seed. A stage is itself
+a set partition, so one memo per call maps each partition met to its index
+(0 at a fixpoint, else 1 + the index of its successor), and a seed's stages
+are computed only until they reach a known partition. Since every stage
+before the fixpoint adds a block, a partition with k blocks has index at
+most n - k, and the enumeration of seeds skips every partition with too
+many blocks to beat the deepest seed found so far.
 """
 
 from __future__ import annotations
@@ -195,28 +203,6 @@ def _stabilization_masks(frame: Frame, initial_masks: list[int]) -> int:
     return sum(1 for _ in _stages(frame, initial_masks)) - 1
 
 
-def _set_partition_masks(n: int):
-    """All set partitions of {0..n-1} as lists of bitmasks (restricted
-    growth strings)."""
-    if n == 0:
-        yield []
-        return
-    labels = [0] * n
-
-    def rec(i, used):
-        if i == n:
-            out = [0] * used
-            for p, l in enumerate(labels):
-                out[l] |= 1 << p
-            yield out
-            return
-        for l in range(used + 1):
-            labels[i] = l
-            yield from rec(i + 1, max(used, l + 1))
-
-    yield from rec(1, 1)
-
-
 def _random_partition_masks(rng: random.Random, n: int) -> list[int]:
     if n == 0:
         return []
@@ -231,6 +217,52 @@ def _random_partition_masks(rng: random.Random, n: int) -> list[int]:
     return out
 
 
+def _exact_depth(frame: Frame) -> int:
+    """Largest stabilization index over every set partition of the points,
+    each partition's index computed at most once (see the module docstring).
+    """
+    n = frame.n
+    mods = range(len(frame.alphabet))
+    index: dict[int, int] = {}  # packed block masks -> stabilization index
+    best = 0
+    labels = [0] * n
+    # Seeds as restricted growth strings, depth first, from a stack of
+    # (point, its label, labels used before it): a recursive closure would
+    # keep the memo alive in a reference cycle until the next collection.
+    stack = [(0, 0, 0)] if n else []
+    while stack:
+        i, label, used = stack.pop()
+        labels[i] = label
+        used = max(used, label + 1)
+        if n - used <= best:  # every seed below has index <= n - used
+            continue
+        if i + 1 < n:
+            stack.extend((i + 1, lab, used) for lab in range(used, -1, -1))
+            continue
+        blocks = [0] * used
+        for p, lab in enumerate(labels):
+            blocks[lab] |= 1 << p
+        chain = []
+        while True:
+            key = 0
+            for b in blocks:
+                key = (key << n) | b
+            if key in index:
+                break
+            nxt = _next_stage_masks(frame, blocks, mods)
+            if len(nxt) == len(blocks):
+                index[key] = 0
+                break
+            chain.append(key)
+            blocks = nxt
+        d = index[key]
+        for key in reversed(chain):
+            d += 1
+            index[key] = d
+        best = max(best, d)
+    return best
+
+
 EXACT_DEPTH_LIMIT = 8
 
 
@@ -243,11 +275,13 @@ def frame_modal_depth(
     """Modal depth of the frame: the largest stabilization index of the
     refinement sequence over seed partitions of the points.
 
-    Exact mode enumerates every set partition (Bell-number many, so the
-    point count is capped at 8); the sequence depends only on the partition
-    induced by a seeding family, which is why set partitions suffice.
-    Sampled mode maximizes over random seed partitions and is only a lower
-    bound.
+    Exact mode covers every set partition (Bell-number many, so the point
+    count is capped at 8); the sequence depends only on the partition
+    induced by a seeding family, which is why set partitions suffice. It
+    computes each partition's index at most once, memoised along the
+    refinement chains, and skips the seeds with k blocks once the best index
+    found is at least n - k, their bound. Sampled mode maximizes over random
+    seed partitions and is only a lower bound.
     """
     n = frame.n
     if mode == "exact":
@@ -255,12 +289,11 @@ def frame_modal_depth(
             raise ValueError(
                 f"exact mode enumerates set partitions and needs n <= {EXACT_DEPTH_LIMIT}, got {n}"
             )
-        seeds = _set_partition_masks(n)
-    elif mode == "sampled":
-        rng = random.Random(seed)
-        seeds = (_random_partition_masks(rng, n) for _ in range(trials))
-    else:
+        return _exact_depth(frame)
+    if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
+    rng = random.Random(seed)
+    seeds = (_random_partition_masks(rng, n) for _ in range(trials))
     return max((_stabilization_masks(frame, masks) for masks in seeds), default=0)
 
 

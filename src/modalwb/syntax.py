@@ -60,45 +60,79 @@ def default_alphabet(size: int) -> Alphabet:
 
 
 class Formula:
-    """Base class of formula nodes. Nodes are immutable; equality is structural."""
+    """Base class of formula nodes. Nodes are immutable; equality is
+    structural. ``==`` and ``hash`` walk the DAG with an explicit stack, so
+    neither recurses on deep formulas, and each shared node is visited once."""
 
     __slots__ = ()
 
+    def __eq__(self, other):
+        if not isinstance(other, Formula):
+            return NotImplemented
+        stack = [(self, other)]
+        seen = set()
+        while stack:
+            f, g = stack.pop()
+            if f is g or (id(f), id(g)) in seen:
+                continue
+            if type(f) is not type(g):
+                return False
+            seen.add((id(f), id(g)))
+            for name in f.__match_args__:
+                a, b = getattr(f, name), getattr(g, name)
+                if isinstance(a, Formula):
+                    stack.append((a, b))
+                elif a != b:
+                    return False
+        return True
 
-@dataclass(frozen=True, slots=True)
+    def __hash__(self):
+        # the hash of the field tuple, each child standing in by its own hash
+        h: dict[int, int] = {}
+        for g in iter_nodes(self):
+            h[id(g)] = hash(
+                tuple(
+                    h[id(v)] if isinstance(v, Formula) else v
+                    for v in (getattr(g, name) for name in g.__match_args__)
+                )
+            )
+        return h[id(self)]
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Var(Formula):
     index: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Falsum(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Neg(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Imp(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Dia(Formula):
     """Diamond of one modality; ``boxed=True`` flags the dual (box) reading."""
 

@@ -84,6 +84,29 @@ def staged_refinement(frame, family):
         stages.append({b: stages[-1].get(b, stage) for b in nxt})
 
 
+def set_partitions(points):
+    """Every set partition of the points, as lists of frozensets: the first
+    point joins one block of a partition of the rest, or makes its own."""
+    points = list(points)
+    if not points:
+        yield []
+        return
+    first = frozenset(points[:1])
+    for part in set_partitions(points[1:]):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] | first] + part[i + 1:]
+        yield [first] + part
+
+
+def exact_modal_depth(frame):
+    """Modal depth of the frame: the largest stabilization index of staged
+    refinement over every set partition of its points, each run from
+    scratch."""
+    return max(
+        staged_refinement(frame, blocks)[1] for blocks in set_partitions(range(frame.n))
+    )
+
+
 def stage_formulas(model):
     """A defining formula per block of the stabilized partition, in its
     first formulation on point sets: a stage-0 block conjoins the literals

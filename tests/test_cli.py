@@ -1,9 +1,10 @@
 import json
+import random
 
 import pytest
 
 from modalwb import cli
-from modalwb.frames import Frame, dump_frame
+from modalwb.frames import Frame, dump_frame, skeleton
 from modalwb.syntax import default_alphabet
 
 
@@ -44,6 +45,23 @@ def test_frame_info_json_golden(chain3, capsys):
         '{"alphabet": ["d0"], "clusters": 3, "height": 3,'
         ' "path_reducible_at_index": true, "points": 3, "transitivity_index": 2}\n'
     )
+
+
+def test_frame_info_clusters_match_skeleton(tmp_path, capsys):
+    rng = random.Random(11)
+    path = tmp_path / "frame.json"
+    for _ in range(60):
+        n, mods = rng.randint(0, 8), rng.randint(1, 3)
+        density = rng.random() / 2
+        rels = [
+            {(a, b) for a in range(n) for b in range(n) if rng.random() < density}
+            for _ in range(mods)
+        ]
+        frame = Frame(default_alphabet(mods), n, rels)
+        dump_frame(frame, path)
+        assert cli.main(["frame", "info", str(path), "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["clusters"] == len(skeleton(frame).clusters)
 
 
 def test_frame_md(chain3, capsys):

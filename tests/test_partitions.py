@@ -394,3 +394,21 @@ def test_staged_refinement_matches_pair_reference(case, data):
         for masks in seeds
     )
     assert frame_modal_depth(frame, mode="sampled", trials=trials, seed=seed) == expected
+
+
+@st.composite
+def small_frame(draw):
+    # successor rows as bitmasks, so dense relations are as likely as sparse ones
+    n = draw(st.integers(0, 6))
+    rows = st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+    rels = [
+        {(a, b) for a, row in enumerate(draw(rows)) for b in range(n) if row >> b & 1}
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return Frame(default_alphabet(len(rels)), n, rels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_frame())
+def test_frame_modal_depth_matches_unpruned_enumeration(frame):
+    assert frame_modal_depth(frame) == oracles.exact_modal_depth(frame)

@@ -91,6 +91,26 @@ def test_print_formula_long_chains(text):
     assert print_formula(parse(text, AL1)) == text
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["~" * 3000 + "p0", "<d0>" * 3000 + "p0", " -> ".join(f"p{i}" for i in range(3000))],
+    ids=["negations", "diamonds", "implications"],
+)
+def test_formula_eq_and_hash_long_chains(text):
+    f, g = parse(text, AL1), parse(text, AL1)
+    assert f == g and hash(f) == hash(g)
+    assert f != parse(text.replace("p0", "p1", 1), AL1)
+
+
+def test_formula_eq_and_hash_visit_shared_nodes_once():
+    # 2**200 paths through 201 distinct nodes
+    f, g = Var(0), Var(0)
+    for _ in range(200):
+        f, g = And(f, f), And(g, g)
+    assert f == g and hash(f) == hash(g)
+    assert f != Or(f.left, f.right)
+
+
 def test_parse_nesting_limits():
     # prefix and implication chains cost no stack; parentheses are capped
     assert depth(parse("<d0>" * 5000 + "~p0", AL1)) == 5000

@@ -307,11 +307,10 @@ def _suite_md_sum(spec: GenSpec, rng: random.Random, trial: int):
 
 def _suite_top_down(spec: GenSpec, rng: random.Random, trial: int):
     frame = random_frame(spec, rng)
-    skel = frames.skeleton(frame)
-    has_below = {j for (_, j) in skel.order}
-    minimal = [i for i in range(len(skel.clusters)) if i not in has_below]
-    dropped = [i for i in minimal if rng.random() < 0.5]
-    removed = set().union(*(skel.clusters[i] for i in dropped)) if dropped else set()
+    low = frames.min_part(frame)
+    # one draw per minimal cluster, in cluster order; dropping some leaves an upset
+    minimal = [c for c in frames.skeleton(frame).clusters if c <= low]
+    removed = frozenset().union(*(c for c in minimal if rng.random() < 0.5))
     upset = [p for p in range(frame.n) if p not in removed]
 
     def law(pts):
@@ -527,6 +526,8 @@ def run_suite(suite: str, spec: GenSpec, trials: int) -> AuditReport:
         )
     if suite == "md-sum" and spec.n_max > partitions.EXACT_DEPTH_LIMIT // 2:
         raise ValueError("md-sum sums two frames; needs n_max <= 4")
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     failures: list[Failure] = []
     passes = 0
     for t in range(trials):

@@ -36,7 +36,8 @@ def _load(path) -> frames.Frame:
         return frames.load_frame(path)
     except FileNotFoundError:
         raise _UsageError(f"frame file not found: {path}") from None
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: json gives up on deeply nested arrays or objects
         raise _UsageError(f"bad frame file {path}: {exc}") from None
 
 
@@ -167,7 +168,10 @@ def _cmd_audit(args) -> int:
     trials = args.trials
     if trials is None:
         trials = audit.DEFAULT_AUDIT_TRIALS[args.suite]
-    report = audit.run_suite(args.suite, spec, trials)
+    try:
+        report = audit.run_suite(args.suite, spec, trials)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     if args.out:
         audit.emit_report(report, args.out)
     data = audit.report_to_dict(report)

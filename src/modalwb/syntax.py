@@ -222,64 +222,56 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+_LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY = 0, 1, 2, 3
+
+# The one operator table of the grammar, read by the parser and the printer:
+# infix text, own level, and the levels its left and right operands need.
+# A left operand may sit at the operator's own level exactly when the
+# operator is left-associative, a right operand when it is right-associative.
+_INFIX = {
+    And: (" & ", _LEVEL_AND, _LEVEL_AND, _LEVEL_UNARY),
+    Or: (" | ", _LEVEL_OR, _LEVEL_OR, _LEVEL_AND),
+    Imp: (" -> ", _LEVEL_IMP, _LEVEL_OR, _LEVEL_IMP),
+}
+_INFIX_OF_TEXT = {op.strip(): cls for cls, (op, *_) in _INFIX.items()}
+
+# One alternative per token kind, each named by its kind; whitespace is
+# skipped (unnamed) and any other character is "bad". Names and digits are
+# ASCII only.
+_TOKEN_RE = re.compile(
+    rf"""\s+
+    | p(?P<var>[0-9]+)
+    | (?P<word>{_NAME_RE.pattern})
+    | (?P<infix>{"|".join(re.escape(op) for op in _INFIX_OF_TEXT)})
+    | (?P<not>~) | (?P<lparen>\() | (?P<rparen>\))
+    | <(?P<dia>{_NAME_RE.pattern})> | \[(?P<box>{_NAME_RE.pattern})\]
+    | (?P<bad>.)""",
+    re.VERBOSE | re.DOTALL,
+)
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN_RE.finditer(text):
+        kind, i = m.lastgroup, m.start()
+        if kind is None:
             continue
-        pos = i + 1
-        if ch == "p" and i + 1 < n and text[i + 1].isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("var", text[i + 1 : j], pos))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            m = _NAME_RE.match(text, i)
-            word = m.group()
-            if word == "true":
-                tokens.append(("true", word, pos))
-            elif word == "false":
-                tokens.append(("false", word, pos))
-            else:
-                raise ParseError(f"unexpected word {word!r}", pos)
-            i = m.end()
-            continue
-        if ch == "~":
-            tokens.append(("not", ch, pos))
-        elif ch == "&":
-            tokens.append(("and", ch, pos))
-        elif ch == "|":
-            tokens.append(("or", ch, pos))
-        elif ch == "(":
-            tokens.append(("lparen", ch, pos))
-        elif ch == ")":
-            tokens.append(("rparen", ch, pos))
-        elif ch == "-":
-            if text[i : i + 2] != "->":
-                raise ParseError("expected '->'", pos)
-            tokens.append(("imp", "->", pos))
-            i += 2
-            continue
-        elif ch in "<[":
-            close = ">" if ch == "<" else "]"
-            m = _NAME_RE.match(text, i + 1)
-            if not m:
-                raise ParseError("expected modality name", pos + 1)
-            j = m.end()
-            if j >= n or text[j] != close:
-                raise ParseError(f"expected {close!r}", j + 1)
-            tokens.append(("box" if ch == "[" else "dia", m.group(), pos))
-            i = j + 1
-            continue
-        else:
-            raise ParseError(f"unexpected character {ch!r}", pos)
-        i += 1
-    tokens.append(("eof", "", n + 1))
+        val = m.group(kind)
+        if kind == "word":
+            if val not in ("true", "false"):
+                raise ParseError(f"unexpected word {val!r}", i + 1)
+            kind = val
+        elif kind == "bad":
+            if val == "-":
+                raise ParseError("expected '->'", i + 1)
+            if val in "<[":
+                name = _NAME_RE.match(text, i + 1)
+                if not name:
+                    raise ParseError("expected modality name", i + 2)
+                raise ParseError(f"expected {'>' if val == '<' else ']'!r}", name.end() + 1)
+            raise ParseError(f"unexpected character {val!r}", i + 1)
+        tokens.append((kind, val, i + 1))
+    tokens.append(("eof", "", len(text) + 1))
     return tokens
 
 
@@ -299,28 +291,23 @@ class _Parser:
         return t
 
     def formula(self) -> Formula:
-        parts = [self.disjunction()]
-        while self.peek()[0] == "imp":
+        # operator precedence on explicit stacks, so chain length costs no
+        # stack: a pending operator is applied once the next one may not sit
+        # in its right operand; the end of the formula applies them all
+        args = [self.unary()]
+        ops: list[type] = []
+        while True:
+            kind, val, _ = self.peek()
+            cls = _INFIX_OF_TEXT[val] if kind == "infix" else None
+            level = _INFIX[cls][1] if cls else _LEVEL_IMP - 1
+            while ops and level < _INFIX[ops[-1]][3]:
+                right = args.pop()
+                args.append(ops.pop()(args.pop(), right))
+            if cls is None:
+                return args[0]
             self.take()
-            parts.append(self.disjunction())
-        f = parts.pop()
-        while parts:
-            f = Imp(parts.pop(), f)
-        return f
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek()[0] == "or":
-            self.take()
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self.peek()[0] == "and":
-            self.take()
-            f = And(f, self.unary())
-        return f
+            ops.append(cls)
+            args.append(self.unary())
 
     def unary(self) -> Formula:
         # prefix chains are read in a loop, so their length costs no stack
@@ -345,10 +332,11 @@ class _Parser:
     def atom(self) -> Formula:
         kind, val, pos = self.take()
         if kind == "var":
-            idx = int(val)
-            if idx >= VAR_LIMIT:
+            # the length test comes first: int() refuses very long digit strings
+            digits = val.lstrip("0") or "0"
+            if len(digits) > len(str(VAR_LIMIT)) or int(digits) >= VAR_LIMIT:
                 raise ParseError("variable index overflow", pos)
-            return Var(idx)
+            return Var(int(digits))
         if kind == "false":
             return Falsum()
         if kind == "true":
@@ -371,8 +359,8 @@ def parse(text: str, alphabet: Alphabet) -> Formula:
 
     Grammar: atoms ``p<digits>``, ``true``, ``false``; prefix ``~``,
     ``<name>``, ``[name]``; infix ``&``, ``|``, ``->`` with precedence
-    unary > & > | > -> and right-associative ``->``. Parentheses nest at
-    most ``PAREN_LIMIT`` deep.
+    unary > & > | > -> and right-associative ``->``. Names and digits are
+    ASCII. Parentheses nest at most ``PAREN_LIMIT`` deep.
     """
     p = _Parser(_tokenize(text), alphabet)
     f = p.formula()
@@ -380,16 +368,6 @@ def parse(text: str, alphabet: Alphabet) -> Formula:
     if kind != "eof":
         raise ParseError("unexpected trailing input", pos)
     return f
-
-
-_LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY = 0, 1, 2, 3
-
-# infix text, own level, and the levels its left and right operands need
-_INFIX = {
-    And: (" & ", _LEVEL_AND, _LEVEL_AND, _LEVEL_UNARY),
-    Or: (" | ", _LEVEL_OR, _LEVEL_OR, _LEVEL_AND),
-    Imp: (" -> ", _LEVEL_IMP, _LEVEL_OR, _LEVEL_IMP),
-}
 
 
 def print_formula(f: Formula, alphabet: Alphabet | None = None) -> str:

@@ -234,3 +234,32 @@ def test_frame_md_sample_needs_a_trial(chain3, capsys, trials):
 def test_count_negative_k(chain3, capsys):
     assert cli.main(["count", chain3, "-k", "-1"]) == 2
     assert "error: k must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["\u00e9", "p\u00b2", "p\u0663"])
+def test_check_non_ascii_formula(chain3, capsys, text):
+    assert cli.main(["check", chain3, text]) == 2
+    assert "bad formula:" in capsys.readouterr().err
+
+
+def test_audit_negative_trials(capsys):
+    assert cli.main(["audit", "byrd-frame", "--trials", "-1"]) == 2
+    assert "error: trials must be non-negative, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            json.dumps({"alphabet": ["d0"], "points": 10**9, "rel": {"d0": []}}),
+            "points must be at most",
+        ),
+        ("[" * 100000, "bad frame file"),
+    ],
+    ids=["points", "nesting"],
+)
+def test_frame_file_too_large(tmp_path, capsys, text, message):
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    assert cli.main(["frame", "info", str(path)]) == 2
+    assert message in capsys.readouterr().err

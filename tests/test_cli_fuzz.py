@@ -1,0 +1,63 @@
+"""Fuzz the command line: whatever the formula text or frame file, ``cli.main``
+returns an exit code in {0, 1, 2} and raises nothing."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from modalwb import cli
+
+# grammar fragments, near misses and non-ASCII look-alikes of names and digits
+FRAGMENTS = [
+    "p0", "p1", "p2", "p", "true", "false", "~", "&", "|", "->", "-", "(", ")",
+    "<d0>", "[d0]", "<d9>", "<", "[", ">", "]", "d0", " ", "é", "²", "٣",
+]
+
+formula_text = st.lists(st.sampled_from(FRAGMENTS) | st.text(max_size=3), max_size=12).map(
+    "".join
+)
+
+json_value = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+names = st.lists(st.sampled_from(["d0", "d1", "", "0d", "é"]) | json_value, max_size=3)
+pairs = st.lists(st.lists(st.integers(-2, 8) | json_value, max_size=3) | json_value, max_size=6)
+frame_object = st.fixed_dictionaries(
+    {},
+    optional={
+        "alphabet": names | json_value,
+        "points": st.integers(-2, 8) | json_value,
+        "rel": st.dictionaries(st.sampled_from(["d0", "d1", ""]), pairs | json_value, max_size=3)
+        | json_value,
+    },
+)
+frame_text = frame_object.map(json.dumps) | json_value.map(json.dumps) | st.text(max_size=20)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "frame.json").write_text(
+        json.dumps({"alphabet": ["d0"], "points": 2, "rel": {"d0": [[0, 1], [1, 1]]}})
+    )
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=formula_text)
+def test_check_any_formula_text(workdir, text):
+    # a small cap keeps formulas with many variables cheap: they exit 2
+    assert cli.main(["check", str(workdir / "frame.json"), text, "--cap", "4096"]) in (0, 1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=frame_text)
+def test_frame_info_any_frame_file(workdir, text):
+    path = workdir / "fuzzed.json"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    assert cli.main(["frame", "info", str(path)]) in (0, 1, 2)

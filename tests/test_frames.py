@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from modalwb.frames import (
+    POINT_LIMIT,
     Frame,
     PathBudgetExceeded,
     cluster_frames,
@@ -380,12 +381,28 @@ def test_from_dict_rejects_malformed(data, match):
         from_dict(data)
 
 
+def test_from_dict_caps_points():
+    data = {"alphabet": ["d0"], "points": POINT_LIMIT, "rel": {"d0": []}}
+    assert from_dict(data).n == POINT_LIMIT
+    with pytest.raises(ValueError, match=f"at most {POINT_LIMIT}"):
+        from_dict(dict(data, points=POINT_LIMIT + 1))
+
+
 @st.composite
 def small_frames(draw, alphabet=AL1, max_n=4):
     n = draw(st.integers(0, max_n))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)) if n else st.nothing()
     rels = [draw(st.sets(pairs, max_size=n * n)) for _ in alphabet.names]
     return Frame(alphabet, n, rels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_frames(AL2, max_n=6))
+def test_min_part_matches_skeleton_order(frame):
+    skel = skeleton(frame)
+    below = {j for (_, j) in skel.order}
+    minimal = [c for i, c in enumerate(skel.clusters) if i not in below]
+    assert min_part(frame) == frozenset().union(*minimal)
 
 
 def assert_same_frame(built, reference):

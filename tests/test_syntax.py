@@ -87,7 +87,7 @@ def test_parse_precedence_and_associativity():
     ids=["negations", "diamonds", "implications"],
 )
 def test_print_formula_long_chains(text):
-    # compared as strings: the formulas' own == and hash still recurse
+    # compared as strings; test_formula_eq_and_hash_long_chains checks == and hash
     assert print_formula(parse(text, AL1)) == text
 
 
@@ -124,6 +124,38 @@ def test_parse_nesting_limits():
     with pytest.raises(ParseError, match="nested deeper") as err:
         parse("(" + deepest + ")", AL1)
     assert err.value.pos == PAREN_LIMIT + 1
+
+
+@pytest.mark.parametrize(
+    "text, message, pos",
+    [
+        ("\u00e9", "unexpected character '\u00e9'", 1),
+        ("p\u00b2", "unexpected word 'p'", 1),
+        ("p\u0663", "unexpected word 'p'", 1),
+        ("p1\u00b2", "unexpected character '\u00b2'", 3),
+        ("<d\u00e9>p0", "expected '>'", 3),
+    ],
+)
+def test_parse_names_and_digits_are_ascii(text, message, pos):
+    with pytest.raises(ParseError, match=message) as err:
+        parse(text, AL1)
+    assert err.value.pos == pos
+
+
+def test_parse_long_digit_strings():
+    # longer than int() converts by default
+    assert parse("p" + "0" * 5000 + "7", AL1) == Var(7)
+    with pytest.raises(ParseError, match="overflow"):
+        parse("p" + "9" * 5000, AL1)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text())
+def test_parse_raises_only_parse_error(text):
+    try:
+        parse(text, AL2)
+    except ParseError:
+        pass
 
 
 def test_parse_whitespace_flexible():

@@ -58,7 +58,14 @@ from .frames import (
     transitivity_index,
     union_relation,
 )
-from .semantics import Model, extent, model_depth, restrict_model, validity_bruteforce
+from .semantics import (
+    Model,
+    extent,
+    extents_and_depths,
+    model_depth,
+    restrict_model,
+    validity_bruteforce,
+)
 from .partitions import (
     CapExceeded,
     Partition,

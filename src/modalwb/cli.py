@@ -51,8 +51,6 @@ def _emit(data: dict, as_json: bool, lines) -> None:
 
 def _cmd_frame_info(args) -> int:
     frame = _load(args.path)
-    # points share a cluster exactly when their reflexive closure rows agree
-    star = frames._closure_rows(frames.union_rows(frame), reflexive=True)
     index = frames.transitivity_index(frame)
     try:
         reducible = frames.is_path_reducible(frame, index)
@@ -63,7 +61,7 @@ def _cmd_frame_info(args) -> int:
         "alphabet": list(frame.alphabet.names),
         "transitivity_index": index,
         "height": frames.height(frame),
-        "clusters": len(set(star)),
+        "clusters": len(frames._cluster_masks(frame)),
         "path_reducible_at_index": reducible,
     }
     _emit(
@@ -136,9 +134,15 @@ def _cmd_tune(args) -> int:
     frame = _load(args.path)
     try:
         sets = json.loads(args.sets)
-        family = [frozenset(int(p) for p in s) for s in sets]
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: json gives up on deeply nested arrays or objects
         raise _UsageError(f"bad --sets value: {exc}") from None
+    # the integer rule of frame files: no floats, booleans or strings
+    if not isinstance(sets, list) or not all(
+        isinstance(s, list) and all(map(frames._is_int, s)) for s in sets
+    ):
+        raise _UsageError("bad --sets value: expected a JSON list of lists of integers")
+    family = [frozenset(s) for s in sets]
     try:
         base = partitions.induced_partition(frame.n, family)
         refined = partitions.coarsest_tuned_refinement(frame, base)

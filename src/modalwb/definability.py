@@ -10,7 +10,10 @@ style formula: it encodes the minimal filtration table of an upset under a
 bounded box (a chain of union diamonds up to the frame's transitivity
 index), so that each point's equivalence class becomes definable in the
 whole model, not just inside the upset. ``verify_definability`` and
-``stable_top`` model-check the resulting guarantees exhaustively.
+``stable_top`` model-check the resulting guarantees exhaustively. The betas
+of one upset share their gamma, so ``verify_definability`` hands all of them
+to ``semantics.extents_and_depths`` at once: the shared DAG is compiled,
+depth-measured and evaluated in one pass per model.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .syntax import (
     Neg,
     Var,
     conj,
-    depth,
     diamond_upto,
     disj,
 )
@@ -223,23 +225,19 @@ def verify_definability(
     not errors."""
     family, _, beta = build_jankov(model, upset, m=m, families=families)
     final = _stage_masks(model)[-1]
+    targets = sorted(family.target)
+    # the betas share gamma: one program gives every extent and depth
+    results = semantics.extents_and_depths(model, [beta[a] for a in targets])
     violations = []
-    checked = 0
-    max_depth = 0
-    for a in sorted(family.target):
-        ext = semantics.extent(model, beta[a])
+    for a, (ext, _) in zip(targets, results):
         expected = _class_of(final, a)
-        max_depth = max(max_depth, depth(beta[a]))
-        for b in range(model.frame.n):
-            checked += 1
-            holds = b in ext
-            same = bool(expected >> b & 1)
-            if holds != same:
-                violations.append((a, b, holds, same))
+        for b in iter_bits(ext ^ expected):
+            holds = bool(ext >> b & 1)
+            violations.append((a, b, holds, not holds))
     return DefinabilityReport(
-        pairs_checked=checked,
+        pairs_checked=len(targets) * model.frame.n,
         violations=tuple(violations),
-        max_beta_depth=max_depth,
+        max_beta_depth=max((d for _, d in results), default=0),
         depth_limit=family.m + family.depth_bound + 1,
     )
 
@@ -281,10 +279,8 @@ def stable_top(model: Model, upset, m: int | None = None):
 
     reps = [min(b) for b in sorted(family.formulas, key=min)]
     defining = disj([beta[r] for r in reps])
-    defining_depth = depth(defining)
-    definable_ok = (
-        semantics.extent(model, defining) == z and defining_depth <= cap
-    )
+    [(defined, defining_depth)] = semantics.extents_and_depths(model, [defining])
+    definable_ok = defined == z_mask and defining_depth <= cap
 
     depth_ok = len(_stage_masks(semantics.restrict_model(model, z))) - 1 <= cap
 

@@ -320,23 +320,29 @@ def generated_upset(frame: Frame, points: Iterable[int]) -> frozenset[int]:
     return points_of(acc)
 
 
+def _cluster_masks(frame: Frame) -> dict[int, int]:
+    """The skeleton's clusters without its order: each cluster's member mask,
+    keyed by the reflexive-transitive closure row its points share, in
+    order of least member."""
+    # points share a cluster exactly when their closure rows agree
+    clusters: dict[int, int] = {}
+    for a, row in enumerate(_closure_rows(union_rows(frame), reflexive=True)):
+        clusters[row] = clusters.get(row, 0) | 1 << a
+    return clusters
+
+
 def min_part(frame: Frame) -> frozenset[int]:
     """Union of the minimal clusters of the skeleton: the points that no
     point outside their own cluster reaches."""
-    star = _closure_rows(union_rows(frame), reflexive=True)
-    # points share a cluster exactly when their closure rows agree
-    clusters: dict[int, int] = {}
-    for a, row in enumerate(star):
-        clusters[row] = clusters.get(row, 0) | 1 << a
     reached = 0
-    for row, members in clusters.items():
+    for row, members in _cluster_masks(frame).items():
         reached |= row & ~members
     return points_of(((1 << frame.n) - 1) & ~reached)
 
 
 def cluster_frames(frame: Frame) -> list[Frame]:
     """Restriction of the frame to each cluster, in cluster order."""
-    return [restriction(frame, c) for c in skeleton(frame).clusters]
+    return [restriction(frame, iter_bits(c)) for c in _cluster_masks(frame).values()]
 
 
 def disjoint_sum(frames_: Sequence[Frame], alphabet: Alphabet | None = None) -> Frame:
@@ -513,12 +519,11 @@ _DOT_COLORS = ("black", "red3", "blue3", "green4", "orange3", "purple3")
 def to_dot(frame: Frame, name: str = "frame") -> str:
     """Graphviz rendering: one styled edge set per modality, clusters drawn
     as subgraph boxes."""
-    skel = skeleton(frame)
     lines = [f"digraph {name} {{"]
-    for ci, cluster in enumerate(skel.clusters):
+    for ci, cluster in enumerate(_cluster_masks(frame).values()):
         lines.append(f"  subgraph cluster_{ci} {{")
         lines.append("    style=rounded;")
-        for p in sorted(cluster):
+        for p in iter_bits(cluster):
             lines.append(f'    n{p} [label="{p}"];')
         lines.append("  }")
     for mi, nm in enumerate(frame.alphabet.names):

@@ -1,9 +1,13 @@
 """Truth sets, brute-force frame validity, and model-level modal depth.
 
-Everything here is pure and works over immutable inputs. The evaluator
-compiles a formula DAG once into a flat instruction list, then runs it per
-valuation with point sets as bitmasks, which keeps exhaustive validity
-checks on desk-scale frames fast.
+Everything here is pure and works over immutable inputs. There is one
+compiler and one evaluator. ``_compile`` turns the DAG below one or more
+root formulas into a flat instruction list, children first, and records
+each instruction's modal depth on the way; ``_evaluate`` runs that list
+under one valuation with point sets as bitmasks. ``extents_and_depths``
+compiles many roots into one program, so subformulas the roots share are
+walked, measured and evaluated once; ``extent`` is its one-root case, and
+``validity_bruteforce`` reruns one program per valuation.
 """
 
 from __future__ import annotations
@@ -40,39 +44,45 @@ class Model:
 _VAR, _FALSE, _NEG, _AND, _OR, _IMP, _DIA, _BOX = range(8)
 
 
-def _compile(frame: Frame, f: Formula) -> tuple[list[tuple[int, int, int]], list[int]]:
-    """Instruction list over the unique nodes of the DAG, children first,
-    and the sorted variable indices. Rejects modality ids outside the
-    frame's alphabet."""
+def _compile(frame: Frame, *roots: Formula):
+    """One instruction list over the unique nodes below all roots, children
+    first. Returns ``(prog, depths, outs, vars_)``: the instructions, the
+    modal depth of each instruction's subformula, each root's instruction
+    index, and the sorted variable indices. Rejects modality ids outside
+    the frame's alphabet."""
     index: dict[int, int] = {}
     prog: list[tuple[int, int, int]] = []
-    for g in iter_nodes(f):
+    depths: list[int] = []
+    for g in iter_nodes(*roots):
         if isinstance(g, Var):
-            ins = (_VAR, g.index, 0)
+            ins, d = (_VAR, g.index, 0), 0
         elif isinstance(g, Falsum):
-            ins = (_FALSE, 0, 0)
+            ins, d = (_FALSE, 0, 0), 0
         elif isinstance(g, Neg):
-            ins = (_NEG, index[id(g.child)], 0)
-        elif isinstance(g, And):
-            ins = (_AND, index[id(g.left)], index[id(g.right)])
-        elif isinstance(g, Or):
-            ins = (_OR, index[id(g.left)], index[id(g.right)])
-        elif isinstance(g, Imp):
-            ins = (_IMP, index[id(g.left)], index[id(g.right)])
+            x = index[id(g.child)]
+            ins, d = (_NEG, x, 0), depths[x]
         elif isinstance(g, Dia):
-            ins = (_BOX if g.boxed else _DIA, g.mod, index[id(g.child)])
+            x = index[id(g.child)]
+            ins, d = (_BOX if g.boxed else _DIA, g.mod, x), 1 + depths[x]
+        elif isinstance(g, (And, Or, Imp)):
+            op = _AND if isinstance(g, And) else _OR if isinstance(g, Or) else _IMP
+            x, y = index[id(g.left)], index[id(g.right)]
+            ins, d = (op, x, y), max(depths[x], depths[y])
         else:
             raise TypeError(f"not a formula: {g!r}")
         index[id(g)] = len(prog)
         prog.append(ins)
+        depths.append(d)
     size = len(frame.alphabet)
     bad = sorted({x for op, x, _ in prog if op >= _DIA and x >= size})
     if bad:
         raise ValueError(f"modality ids {bad} outside alphabet of size {size}")
-    return prog, sorted({x for op, x, _ in prog if op == _VAR})
+    outs = [index[id(f)] for f in roots]
+    return prog, depths, outs, sorted({x for op, x, _ in prog if op == _VAR})
 
 
-def _evaluate(prog, frame: Frame, var_masks, full: int) -> int:
+def _evaluate(prog, frame: Frame, var_masks, full: int) -> list[int]:
+    """The point mask of every instruction under one valuation."""
     preimage = frame.preimage_mask
     vals = [0] * len(prog)
     i = 0
@@ -95,26 +105,36 @@ def _evaluate(prog, frame: Frame, var_masks, full: int) -> int:
             v = preimage(x, vals[y] ^ full) ^ full
         vals[i] = v
         i += 1
-    return vals[-1] if prog else 0
+    return vals
 
 
-def extent(model: Model, f: Formula) -> frozenset[int]:
-    """Points of the model where the formula is true (standard Kripke
-    semantics; a diamond is the relational preimage of its child's extent)."""
-    prog, vars_ = _compile(model.frame, f)
+def extents_and_depths(model: Model, roots) -> list[tuple[int, int]]:
+    """Extent (as a point bitmask) and modal depth of each root formula.
+
+    The roots are compiled into one program, so a subformula they share is
+    walked, measured and evaluated once."""
+    prog, depths, outs, vars_ = _compile(model.frame, *roots)
     bad = [v for v in vars_ if v >= model.k]
     if bad:
         raise ValueError(f"variables {bad} outside the {model.k}-valuation")
     full = (1 << model.frame.n) - 1
     var_masks = [mask_of(ext) for ext in model.valuation]
-    return points_of(_evaluate(prog, model.frame, var_masks, full))
+    vals = _evaluate(prog, model.frame, var_masks, full)
+    return [(vals[i], depths[i]) for i in outs]
+
+
+def extent(model: Model, f: Formula) -> frozenset[int]:
+    """Points of the model where the formula is true (standard Kripke
+    semantics; a diamond is the relational preimage of its child's extent)."""
+    [(mask, _)] = extents_and_depths(model, [f])
+    return points_of(mask)
 
 
 def validity_bruteforce(frame: Frame, f: Formula, cap: int = DEFAULT_VALUATION_CAP) -> bool:
     """True iff the formula is true at every point under every valuation of
     its occurring variables. Raises CapExceeded when the assignment space
     2^(k*n) is larger than ``cap``."""
-    prog, vars_ = _compile(frame, f)
+    prog, _, _, vars_ = _compile(frame, f)
     n = frame.n
     total = (1 << n) ** len(vars_)
     if total > cap:
@@ -128,7 +148,7 @@ def validity_bruteforce(frame: Frame, f: Formula, cap: int = DEFAULT_VALUATION_C
     for combo in itertools.product(range(1 << n), repeat=len(vars_)):
         for v, m in zip(order, combo):
             var_masks[v] = m
-        if _evaluate(prog, frame, var_masks, full) != full:
+        if _evaluate(prog, frame, var_masks, full)[-1] != full:  # the root is last
             return False
     return True
 

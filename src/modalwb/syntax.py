@@ -171,10 +171,12 @@ def disj(parts: Iterable[Formula]) -> Formula:
     return out
 
 
-def iter_nodes(f: Formula) -> Iterator[Formula]:
-    """Unique nodes of the formula DAG, children before parents."""
+def iter_nodes(*roots: Formula) -> Iterator[Formula]:
+    """Unique nodes of the formula DAG below the roots, children before
+    parents. The roots are walked in order with one ``seen`` set, so a node
+    shared by several roots is yielded once."""
     seen = set()
-    stack = [(f, False)]
+    stack = [(f, False) for f in reversed(roots)]
     while stack:
         g, done = stack.pop()
         if done:

@@ -131,7 +131,12 @@ def test_failure_serializes_minimized_frame(monkeypatch):
         ("top-down", frames, "transitivity_index", lambda frame: -10**6),
         ("cluster-bound", audit, "cluster_depth_bound", lambda d, m, h: -1),
         ("lex-phi", semantics, "validity_bruteforce", lambda frame, f, cap=None: False),
-        ("definability", semantics, "extent", lambda model, f: frozenset()),
+        (
+            "definability",
+            semantics,
+            "extents_and_depths",
+            lambda model, roots: [(0, 0)] * len(roots),
+        ),
     ],
 )
 def test_broken_law_minimizes_to_one_point(monkeypatch, suite, module, name, broken):

@@ -225,6 +225,22 @@ def test_tune_point_out_of_range(chain3, capsys, sets, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sets",
+    ['[[1.5]]', '[[true]]', '["12"]', '{"0": [1]}', '[1]', '[[0], 1]', '"[[0]]"', "null"],
+    ids=["float", "bool", "string", "dict", "flat-list", "mixed", "json-string", "null"],
+)
+def test_tune_sets_need_integer_lists(chain3, capsys, sets):
+    # these were once read as points (1.5 and true as 1, "12" as {1, 2}, a dict by its keys)
+    assert cli.main(["tune", chain3, "--sets", sets]) == 2
+    assert "bad --sets value" in capsys.readouterr().err
+
+
+def test_tune_sets_deeply_nested(chain3, capsys):
+    assert cli.main(["tune", chain3, "--sets", "[" * 100000]) == 2
+    assert "bad --sets value" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_frame_md_sample_needs_a_trial(chain3, capsys, trials):
     assert cli.main(["frame", "md", chain3, "--sample", trials]) == 2

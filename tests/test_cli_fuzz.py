@@ -1,5 +1,5 @@
-"""Fuzz the command line: whatever the formula text or frame file, ``cli.main``
-returns an exit code in {0, 1, 2} and raises nothing."""
+"""Fuzz the command line: whatever the formula text, frame file or ``tune --sets``
+value, ``cli.main`` returns an exit code in {0, 1, 2} and raises nothing."""
 
 import json
 
@@ -61,3 +61,22 @@ def test_frame_info_any_frame_file(workdir, text):
     path = workdir / "fuzzed.json"
     path.write_text(text, encoding="utf-8", errors="surrogatepass")
     assert cli.main(["frame", "info", str(path)]) in (0, 1, 2)
+
+
+# point lists over the 2-point frame, mostly in range, with JSON look-alikes
+point_lists = st.lists(
+    st.lists(st.integers(-1, 2) | json_value, max_size=3) | json_value, max_size=4
+)
+sets_fragments = st.sampled_from(["[", "]", ",", "0", "1", "1.5", "true", '"1"', "{}"])
+sets_text = (
+    point_lists.map(json.dumps)
+    | json_value.map(json.dumps)
+    | st.lists(sets_fragments, max_size=10).map("".join)
+    | st.text(max_size=10)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=sets_text)
+def test_tune_any_sets_text(workdir, text):
+    assert cli.main(["tune", str(workdir / "frame.json"), "--sets", text]) in (0, 1, 2)

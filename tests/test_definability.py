@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from modalwb import semantics
+from modalwb import definability, semantics
 from modalwb.definability import (
     ALL_GAMMA_FAMILIES,
     GAMMA_FORBIDS,
+    DefinabilityReport,
     build_jankov,
     distinguishing_formulas,
     stable_top,
@@ -17,7 +18,17 @@ from modalwb.definability import (
 from modalwb.frames import Frame, generated_upset, min_part, restriction, transitivity_index
 from modalwb.partitions import frame_modal_depth, refine_sequence
 from modalwb.semantics import Model, extent, model_depth
-from modalwb.syntax import And, Falsum, Neg, Var, box, default_alphabet, depth, print_formula
+from modalwb.syntax import (
+    And,
+    Falsum,
+    Neg,
+    Var,
+    box,
+    default_alphabet,
+    depth,
+    disj,
+    print_formula,
+)
 
 AL1 = default_alphabet(1)
 
@@ -256,3 +267,50 @@ def test_distinguishing_formulas_match_point_set_reference(model):
     assert set(forms) == set(reference)
     for block, formula in forms.items():
         assert print_formula(formula) == print_formula(reference[block])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_models(), st.data())
+def test_verify_definability_matches_per_beta_reference(model, data):
+    frame = model.frame
+    upset = generated_upset(frame, data.draw(st.sets(st.integers(0, frame.n - 1), min_size=1)))
+    m = transitivity_index(frame) + data.draw(st.integers(0, 1))
+    # dropping gamma families makes violations possible
+    families = data.draw(st.sets(st.sampled_from(ALL_GAMMA_FAMILIES)))
+    family, _, beta = build_jankov(model, upset, m=m, families=families)
+    stages, _ = oracles.staged_refinement(frame, model.valuation)
+    violations = []
+    for a in sorted(upset):
+        ext = oracles.naive_extent(model, beta[a])
+        same_class = next(b for b in stages[-1] if a in b)
+        for b in range(frame.n):
+            if (b in ext) != (b in same_class):
+                violations.append((a, b, b in ext, b in same_class))
+    assert verify_definability(model, upset, m=m, families=families) == DefinabilityReport(
+        pairs_checked=len(upset) * frame.n,
+        violations=tuple(violations),
+        max_beta_depth=max(depth(beta[a]) for a in upset),
+        depth_limit=family.m + family.depth_bound + 1,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_models(), st.data())
+def test_stable_top_definability_matches_reference(model, data):
+    frame = model.frame
+    upset = generated_upset(frame, data.draw(st.sets(st.integers(0, frame.n - 1), min_size=1)))
+    # dropping gamma families can leave Z undefined by the beta disjunction
+    families = data.draw(st.sets(st.sampled_from(ALL_GAMMA_FAMILIES)))
+
+    def jankov(model, upset, m=None):
+        return build_jankov(model, upset, m=m, families=families)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(definability, "build_jankov", jankov)
+        z, cap, report = stable_top(model, upset)
+    family, _, beta = jankov(model, upset)
+    defining = disj([beta[min(c)] for c in sorted(family.formulas, key=min)])
+    assert report.defining_depth == depth(defining)
+    assert report.definable_ok == (
+        oracles.naive_extent(model, defining) == z and depth(defining) <= cap
+    )

@@ -405,6 +405,27 @@ def test_min_part_matches_skeleton_order(frame):
     assert min_part(frame) == frozenset().union(*minimal)
 
 
+def skeleton_dot(frame):
+    """``to_dot`` text with the clusters taken from ``skeleton``."""
+    lines = ["digraph frame {"]
+    for ci, cluster in enumerate(skeleton(frame).clusters):
+        lines += [f"  subgraph cluster_{ci} {{", "    style=rounded;"]
+        lines += [f'    n{p} [label="{p}"];' for p in sorted(cluster)]
+        lines.append("  }")
+    colors = ("black", "red3", "blue3", "green4", "orange3", "purple3")
+    for mi, nm in enumerate(frame.alphabet.names):
+        for a, b in sorted(frame.relations[mi]):
+            lines.append(f'  n{a} -> n{b} [color={colors[mi % 6]}, label="{nm}"];')
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_frames(AL2, max_n=6))
+def test_clusters_from_closure_rows_match_skeleton(frame):
+    assert to_dot(frame) == skeleton_dot(frame)
+    assert cluster_frames(frame) == [restriction(frame, c) for c in skeleton(frame).clusters]
+
+
 def assert_same_frame(built, reference):
     assert built == reference and hash(built) == hash(reference)
     assert built.relations == reference.relations

@@ -1,24 +1,30 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modalwb import partitions
-from modalwb.frames import Frame, is_pmorphism, quotient_filtration
+from modalwb.frames import Frame, is_pmorphism, points_of, quotient_filtration
 from modalwb.partitions import CapExceeded, coarsest_tuned_refinement, is_tuned
 from modalwb.semantics import (
     Model,
     extent,
+    extents_and_depths,
     model_depth,
     restrict_model,
     validity_bruteforce,
 )
 from modalwb.syntax import (
+    And,
     Dia,
     Falsum,
+    Imp,
     Neg,
     Or,
     Var,
     default_alphabet,
+    depth,
     finite_height_axiom_star,
     parse,
     pretransitivity_axiom,
@@ -227,3 +233,41 @@ def test_validity_antitone_under_pmorphic_images():
                 checked += 1
                 assert validity_bruteforce(quot, formula)
     assert checked > 20
+
+
+@st.composite
+def models_and_roots(draw):
+    """A model (n <= 6, k <= 2) and a list of roots over one DAG: every new
+    node takes its children from the nodes built so far, so roots share
+    subformulas, and a root may repeat."""
+    n = draw(st.integers(0, 6))
+    mods = draw(st.integers(1, 2))
+    points = st.integers(0, n - 1) if n else st.nothing()
+    pairs = st.tuples(points, points)
+    rels = [draw(st.sets(pairs, max_size=n * n)) for _ in range(mods)]
+    k = draw(st.integers(0, 2))
+    val = tuple(draw(st.frozensets(points)) for _ in range(k))
+    pool = [Falsum()] + [Var(i) for i in range(k)]
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["neg", "and", "or", "imp", "dia", "box"]))
+        child = draw(st.sampled_from(pool))
+        if kind == "neg":
+            pool.append(Neg(child))
+        elif kind in ("dia", "box"):
+            pool.append(Dia(draw(st.integers(0, mods - 1)), child, boxed=kind == "box"))
+        else:
+            other = draw(st.sampled_from(pool))
+            pool.append({"and": And, "or": Or, "imp": Imp}[kind](child, other))
+    roots = draw(st.lists(st.sampled_from(pool), max_size=8))
+    return Model(Frame(default_alphabet(mods), n, rels), k, val), roots
+
+
+@settings(max_examples=200, deadline=None)
+@given(models_and_roots())
+def test_extents_and_depths_match_per_root_references(case):
+    model, roots = case
+    results = extents_and_depths(model, roots)
+    assert len(results) == len(roots)
+    for f, (mask, d) in zip(roots, results):
+        assert points_of(mask) == oracles.naive_extent(model, f)
+        assert d == depth(f)

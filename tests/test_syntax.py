@@ -24,6 +24,7 @@ from modalwb.syntax import (
     difference_axioms,
     finite_height_axiom,
     finite_height_axiom_star,
+    iter_nodes,
     lex_sum_axioms,
     parse,
     pretransitivity_axiom,
@@ -200,6 +201,18 @@ def formulas(draw, max_size=30, mods=2, vars_=4):
 @given(formulas())
 def test_parse_print_round_trip(f):
     assert parse(print_formula(f, AL2), AL2) == f
+
+
+def test_iter_nodes_walks_many_roots_once():
+    shared = Dia(0, And(Var(0), Var(1)))
+    f, g = And(shared, Var(2)), Or(Var(2), shared)
+    first = list(iter_nodes(f))
+    seen = {id(x) for x in first}
+    # the roots in order, each shared node only where it is first met
+    assert list(iter_nodes(f, g)) == first + [x for x in iter_nodes(g) if id(x) not in seen]
+    assert [id(x) for x in iter_nodes(f, g, f)] == [id(x) for x in iter_nodes(f, g)]
+    assert len(list(iter_nodes(f, g))) == 8
+    assert list(iter_nodes()) == []
 
 
 def test_depth_examples():

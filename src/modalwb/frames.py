@@ -3,10 +3,12 @@
 A frame is a point set {0..n-1} with one binary relation per modality of an
 alphabet. Each relation is stored as successor rows: one integer bitmask per
 point, bit b of row a set iff a sees b. The rows are the frame's only stored
-relational data; the pair-set view ``Frame.relations`` is derived from them
-on first use. Frames are immutable after construction and safe to share;
-point sets are plain frozensets at the API surface while the algorithms work
-on integer bitmasks internally.
+relational data. Two views are derived from them on first use and cached:
+the pair sets ``Frame.relations``, and the predecessor rows (the transposed
+rows, bit a of row b set iff a sees b), of which ``Frame.preimage_mask``
+ORs one per point of its argument. Frames are immutable after construction
+and safe to share; point sets are plain frozensets at the API surface while
+the algorithms work on integer bitmasks internally.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ Pair = tuple[int, int]
 
 # Largest ``points`` value a frame file may declare. ``Frame`` allocates its
 # n-entry rows before any check on the pairs; at this size ``modalwb frame
-# info`` takes about 1 s on an empty relation and 7 s on a chain (2-core
+# info`` takes about 1 s on an empty relation and 5 s on a chain (2-core
 # x86-64 host, Python 3.11).
 POINT_LIMIT = 2048
 
@@ -97,8 +99,8 @@ class Frame:
 
     ``Frame(alphabet, n, relations)`` takes one iterable of ordered pairs per
     modality; ``Frame.from_rows`` takes the rows themselves. ``relations``,
-    the pair-set view (one frozenset of pairs per modality), is built from
-    the rows on first use and cached.
+    the pair-set view (one frozenset of pairs per modality), and the
+    predecessor rows are built from the rows on first use and cached.
     """
 
     def __init__(self, alphabet: Alphabet, n: int, relations: Sequence[Iterable[Pair]]):
@@ -131,6 +133,7 @@ class Frame:
         self.n = n
         self._rows = rows
         self._relations = None
+        self._preds = None
 
     @property
     def relations(self) -> tuple[frozenset[Pair], ...]:
@@ -143,15 +146,36 @@ class Frame:
         """Per-point successor bitmasks of one modality."""
         return self._rows[mod]
 
+    def pred_rows(self, mod: int) -> tuple[int, ...]:
+        """Per-point predecessor bitmasks of one modality: bit a of entry b is
+        set iff a sees b."""
+        if self._preds is None:
+            preds = []
+            for rows in self._rows:
+                pred = [0] * self.n
+                for a, row in enumerate(rows):
+                    for b in iter_bits(row):
+                        pred[b] |= 1 << a
+                preds.append(tuple(pred))
+            self._preds = tuple(preds)
+        return self._preds[mod]
+
     def preimage_mask(self, mod: int, vmask: int) -> int:
+        """Mask of the points that see some point of ``vmask``, a mask over
+        this frame's points: the OR of the predecessor rows of its points."""
+        pred = self.pred_rows(mod) if self._preds is None else self._preds[mod]
         acc = 0
-        for a, row in enumerate(self._rows[mod]):
-            if row & vmask:
-                acc |= 1 << a
+        while vmask:
+            low = vmask & -vmask
+            acc |= pred[low.bit_length() - 1]
+            vmask ^= low
         return acc
 
     def preimage(self, mod: int, points: Iterable[int]) -> frozenset[int]:
-        return points_of(self.preimage_mask(mod, mask_of(points)))
+        mask = mask_of(points)
+        if mask >> self.n:
+            raise ValueError("point out of range")
+        return points_of(self.preimage_mask(mod, mask))
 
     def __eq__(self, other):
         return (
@@ -237,15 +261,26 @@ def skeleton(frame: Frame) -> SkeletonPoset:
 
 def height(frame: Frame) -> int:
     """Size of the longest chain in the skeleton; 0 on the empty frame."""
-    star = _closure_rows(union_rows(frame), reflexive=True)
-    # A point b of star[a] lies in a's cluster iff star[b] == star[a], and
-    # strictly above it iff star[b] is a proper subset of star[a]: ascending
-    # star sizes visit the points above a before a.
-    chain = [0] * frame.n
-    for a in sorted(range(frame.n), key=lambda a: star[a].bit_count()):
-        chain[a] = 1 + max(
-            (chain[b] for b in iter_bits(star[a]) if star[b] != star[a]), default=0
-        )
+    # The longest path, counted in clusters, over the union edges between
+    # distinct clusters. A cluster's closure row properly contains the rows
+    # of the clusters above it, so ascending row sizes visit every cluster
+    # after the clusters its points see.
+    rows = union_rows(frame)
+    clusters = sorted(_cluster_masks(frame).items(), key=lambda rm: rm[0].bit_count())
+    home = [0] * frame.n  # point -> position of its cluster in that order
+    chain: list[int] = []
+    for i, (_, members) in enumerate(clusters):
+        seen = 0
+        for a in iter_bits(members):
+            home[a] = i
+            seen |= rows[a]
+        seen &= ~members
+        longest = 0
+        while seen:
+            j = home[(seen & -seen).bit_length() - 1]
+            longest = max(longest, chain[j])
+            seen &= ~clusters[j][1]
+        chain.append(1 + longest)
     return max(chain, default=0)
 
 

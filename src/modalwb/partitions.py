@@ -14,13 +14,23 @@ data, and the maximum over all seed partitions is the modal depth of the
 frame. ``is_tuned`` takes one step of that loop and checks that it
 splits nothing.
 
+One stage is one call of ``_split_masks``, the only split loop: the
+blocks, split by the preimage of every block under every modality. A
+preimage is the OR of the frame's predecessor rows over the block's points
+(``Frame.preimage_mask``), the standard step of partition refinement
+(Paige & Tarjan 1987). Many splitters repeat, or miss or cover every block;
+the split loop skips them, and returns the blocks in min-element order.
+
 Exact frame modal depth does not rerun the loop per seed. A stage is itself
 a set partition, so one memo per call maps each partition met to its index
 (0 at a fixpoint, else 1 + the index of its successor), and a seed's stages
 are computed only until they reach a known partition. Since every stage
 before the fixpoint adds a block, a partition with k blocks has index at
 most n - k, and the enumeration of seeds skips every partition with too
-many blocks to beat the deepest seed found so far.
+many blocks to beat the deepest seed found so far. On at most
+``EXACT_DEPTH_LIMIT`` points a table of the preimage of every point subset
+(2^n entries per modality, built from the predecessor rows in one pass and
+dropped when the call returns) turns each splitter into a list lookup.
 """
 
 from __future__ import annotations
@@ -90,18 +100,22 @@ def refines(fine: Partition, coarse: Partition) -> bool:
 
 
 def _split_masks(blocks: list[int], splitters: Iterable[int]) -> list[int]:
+    """The blocks split by every splitter, in min-element order. A repeated
+    splitter, or one that misses or covers every block, splits nothing and
+    is skipped."""
+    cover = 0
+    for b in blocks:
+        cover |= b
     out = list(blocks)
-    for s in splitters:
-        nxt = []
-        for b in out:
+    for s in {s & cover for s in splitters} - {0, cover}:
+        # the part outside s, appended, is not split by s again
+        for i in range(len(out)):
+            b = out[i]
             inside = b & s
             if inside and inside != b:
-                nxt.append(inside)
-                nxt.append(b & ~s)
-            else:
-                nxt.append(b)
-        out = nxt
-    out.sort(key=lambda m: (m & -m).bit_length())
+                out[i] = inside
+                out.append(b ^ inside)
+    out.sort(key=lambda m: m & -m)
     return out
 
 
@@ -222,34 +236,41 @@ def _exact_depth(frame: Frame) -> int:
     each partition's index computed at most once (see the module docstring).
     """
     n = frame.n
-    mods = range(len(frame.alphabet))
-    index: dict[int, int] = {}  # packed block masks -> stabilization index
+    # every point subset's preimage per modality, so that a stage's
+    # splitters are list lookups; the table lives only for this call
+    tables = []
+    for mod in range(len(frame.alphabet)):
+        pred = frame.pred_rows(mod)
+        table = [0] * (1 << n)
+        for s in range(1, 1 << n):
+            low = s & -s
+            table[s] = table[s ^ low] | pred[low.bit_length() - 1]
+        tables.append(table)
+    index: dict[tuple[int, ...], int] = {}  # block masks -> stabilization index
     best = 0
-    labels = [0] * n
-    # Seeds as restricted growth strings, depth first, from a stack of
-    # (point, its label, labels used before it): a recursive closure would
-    # keep the memo alive in a reference cycle until the next collection.
-    stack = [(0, 0, 0)] if n else []
+    # Seeds depth first, point by point, from a stack of (next point, blocks
+    # so far): the point joins each block in turn, then opens its own. A
+    # recursive closure would keep the memo alive in a reference cycle until
+    # the next collection.
+    stack = [(1, [1])] if n else []
     while stack:
-        i, label, used = stack.pop()
-        labels[i] = label
-        used = max(used, label + 1)
-        if n - used <= best:  # every seed below has index <= n - used
+        i, blocks = stack.pop()
+        if n - len(blocks) <= best:  # every seed below has index <= n - |blocks|
             continue
-        if i + 1 < n:
-            stack.extend((i + 1, lab, used) for lab in range(used, -1, -1))
+        if i < n:
+            bit = 1 << i
+            stack.append((i + 1, blocks + [bit]))
+            for lab in range(len(blocks) - 1, -1, -1):
+                child = blocks.copy()
+                child[lab] |= bit
+                stack.append((i + 1, child))
             continue
-        blocks = [0] * used
-        for p, lab in enumerate(labels):
-            blocks[lab] |= 1 << p
         chain = []
         while True:
-            key = 0
-            for b in blocks:
-                key = (key << n) | b
+            key = tuple(blocks)
             if key in index:
                 break
-            nxt = _next_stage_masks(frame, blocks, mods)
+            nxt = _split_masks(blocks, [t[b] for t in tables for b in blocks])
             if len(nxt) == len(blocks):
                 index[key] = 0
                 break

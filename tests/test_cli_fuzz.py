@@ -1,5 +1,6 @@
-"""Fuzz the command line: whatever the formula text, frame file or ``tune --sets``
-value, ``cli.main`` returns an exit code in {0, 1, 2} and raises nothing."""
+"""Fuzz the command line: whatever the formula text, frame file, ``tune --sets``
+value or ``audit`` suite, trial count and seed, ``cli.main`` returns an exit
+code in {0, 1, 2} and raises nothing."""
 
 import json
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modalwb import cli
+from modalwb import audit, cli
 
 # grammar fragments, near misses and non-ASCII look-alikes of names and digits
 FRAGMENTS = [
@@ -80,3 +81,14 @@ sets_text = (
 @given(text=sets_text)
 def test_tune_any_sets_text(workdir, text):
     assert cli.main(["tune", str(workdir / "frame.json"), "--sets", text]) in (0, 1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    suite=st.sampled_from(sorted(audit.SUITES)) | st.text(max_size=12),
+    trials=st.integers(-3, 3),
+    seed=st.integers(-(2**70), 2**70),
+)
+def test_audit_any_suite_trials_and_seed(suite, trials, seed):
+    argv = ["audit", suite, "--trials", str(trials), "--seed", str(seed), "--json"]
+    assert cli.main(argv) in (0, 1, 2)

@@ -20,7 +20,9 @@ from modalwb.frames import (
     is_pmorphism,
     is_upset,
     lex_sum,
+    mask_of,
     min_part,
+    points_of,
     quotient_filtration,
     restriction,
     rt_closure,
@@ -460,3 +462,36 @@ def test_rows_constructions_match_pair_references(data):
 @given(small_frames(AL2, max_n=6))
 def test_height_matches_pair_chain_reference(f):
     assert height(f) == oracles.longest_cluster_chain(f)
+
+
+@st.composite
+def row_frames(draw, mods=None, max_n=70):
+    # up to 70 points, so row and argument masks cross 64 bits
+    mods = draw(st.integers(1, 3)) if mods is None else mods
+    n = draw(st.integers(0, max_n))
+    rows = st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+    return Frame.from_rows(default_alphabet(mods), n, [draw(rows) for _ in range(mods)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_preimage_mask_matches_pair_reference(data):
+    f = data.draw(row_frames())
+    built = data.draw(st.sampled_from(["from_rows", "restriction", "disjoint_sum"]))
+    if built == "restriction" and f.n:
+        f = restriction(f, data.draw(st.sets(st.integers(0, f.n - 1))))
+    elif built == "disjoint_sum":
+        f = disjoint_sum([f, data.draw(row_frames(len(f.alphabet), max_n=40))])
+    dense = st.integers(0, (1 << f.n) - 1)
+    sparse = st.sets(st.integers(0, f.n - 1), max_size=3).map(mask_of) if f.n else dense
+    for mod in range(len(f.alphabet)):
+        for v in data.draw(st.lists(dense | sparse, max_size=4)) + [0, (1 << f.n) - 1]:
+            expected = oracles.naive_preimage(f.relations[mod], points_of(v))
+            assert points_of(f.preimage_mask(mod, v)) == expected
+            assert f.preimage(mod, points_of(v)) == expected
+
+
+def test_preimage_rejects_points_out_of_range():
+    assert CHAIN3.preimage(0, {2}) == {1}
+    with pytest.raises(ValueError, match="out of range"):
+        CHAIN3.preimage(0, {3})

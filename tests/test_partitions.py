@@ -4,11 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modalwb.frames import Frame, disjoint_sum, generated_upset, points_of, restriction, transitivity_index
+from modalwb.frames import (
+    Frame,
+    disjoint_sum,
+    generated_upset,
+    iter_bits,
+    mask_of,
+    points_of,
+    restriction,
+    transitivity_index,
+)
 from modalwb.partitions import (
     CapExceeded,
     Partition,
     _random_partition_masks,
+    _split_masks,
     coarsest_tuned_refinement,
     count_k_formulas,
     frame_modal_depth,
@@ -412,3 +422,48 @@ def small_frame(draw):
 @given(small_frame())
 def test_frame_modal_depth_matches_unpruned_enumeration(frame):
     assert frame_modal_depth(frame) == oracles.exact_modal_depth(frame)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_split_masks_matches_profile_partition(data):
+    n = data.draw(st.integers(0, 70))
+    # blocks of a partition of the points in ``cover``, in min-element order
+    cover = data.draw(st.integers(0, (1 << n) - 1))
+    labels = {}
+    for p in iter_bits(cover):
+        labels[p] = data.draw(st.integers(0, len(set(labels.values()))))
+    blocks = [mask_of(p for p in labels if labels[p] == l) for l in sorted(set(labels.values()))]
+    blocks.sort(key=lambda m: m & -m)
+    # splitters: arbitrary masks, repeated ones, ones that miss or cover
+    # every block, and unions of blocks, which split nothing
+    masks = st.integers(0, (1 << n) - 1)
+    unions = st.sets(st.sampled_from(blocks)).map(sum) if blocks else masks
+    pool = data.draw(st.lists(masks | unions, max_size=4))
+    extras = [0, cover, (1 << n) - 1, cover ^ ((1 << n) - 1)]
+    splitters = data.draw(st.lists(st.sampled_from(pool + extras), max_size=8))
+    out = _split_masks(list(blocks), splitters)
+
+    family = [points_of(m) for m in blocks + splitters]
+    covered = points_of(cover)
+    expected = {c for c in oracles.profile_partition(n, family) if c <= covered}
+    assert {points_of(m) for m in out} == expected
+    assert len(out) == len(expected)
+    lows = [m & -m for m in out]
+    assert lows == sorted(lows)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        lambda n: [],
+        lambda n: [(a, a) for a in range(n)],
+        lambda n: [(a, b) for a in range(n) for b in range(n)],
+        lambda n: [(a, b) for a in range(n) for b in range(n) if a != b],
+    ],
+    ids=["empty", "identity", "universal", "irreflexive-universal"],
+)
+def test_frame_modal_depth_zero_at_seven_points(pairs):
+    # depth 0 prunes no seed: every partition but the singletons is refined
+    frame = uni(7, pairs(7))
+    assert frame_modal_depth(frame) == oracles.exact_modal_depth(frame) == 0

@@ -3,12 +3,15 @@
 A frame is a point set {0..n-1} with one binary relation per modality of an
 alphabet. Each relation is stored as successor rows: one integer bitmask per
 point, bit b of row a set iff a sees b. The rows are the frame's only stored
-relational data. Two views are derived from them on first use and cached:
-the pair sets ``Frame.relations``, and the predecessor rows (the transposed
-rows, bit a of row b set iff a sees b), of which ``Frame.preimage_mask``
-ORs one per point of its argument. Frames are immutable after construction
-and safe to share; point sets are plain frozensets at the API surface while
-the algorithms work on integer bitmasks internally.
+relational data. Three views are derived from them on first use and
+cached: the pair sets ``Frame.relations``; the predecessor rows (the
+transposed rows, bit a of row b set iff a sees b), of which
+``Frame.preimage_mask`` ORs one per point of its argument; and the cluster
+masks, from one reflexive-transitive closure of the union relation, which
+``height``, ``min_part``, ``cluster_frames`` and ``to_dot`` share. Frames
+are immutable after construction and safe to share; point sets are plain
+frozensets at the API surface while the algorithms work on integer
+bitmasks internally.
 """
 
 from __future__ import annotations
@@ -99,8 +102,9 @@ class Frame:
 
     ``Frame(alphabet, n, relations)`` takes one iterable of ordered pairs per
     modality; ``Frame.from_rows`` takes the rows themselves. ``relations``,
-    the pair-set view (one frozenset of pairs per modality), and the
-    predecessor rows are built from the rows on first use and cached.
+    the pair-set view (one frozenset of pairs per modality), the
+    predecessor rows and the cluster masks are built from the rows on first
+    use and cached.
     """
 
     def __init__(self, alphabet: Alphabet, n: int, relations: Sequence[Iterable[Pair]]):
@@ -134,6 +138,7 @@ class Frame:
         self._rows = rows
         self._relations = None
         self._preds = None
+        self._clusters = None
 
     @property
     def relations(self) -> tuple[frozenset[Pair], ...]:
@@ -358,12 +363,15 @@ def generated_upset(frame: Frame, points: Iterable[int]) -> frozenset[int]:
 def _cluster_masks(frame: Frame) -> dict[int, int]:
     """The skeleton's clusters without its order: each cluster's member mask,
     keyed by the reflexive-transitive closure row its points share, in
-    order of least member."""
-    # points share a cluster exactly when their closure rows agree
-    clusters: dict[int, int] = {}
-    for a, row in enumerate(_closure_rows(union_rows(frame), reflexive=True)):
-        clusters[row] = clusters.get(row, 0) | 1 << a
-    return clusters
+    order of least member. Built on first use and kept on the frame, so
+    callers must not change it."""
+    if frame._clusters is None:
+        # points share a cluster exactly when their closure rows agree
+        clusters: dict[int, int] = {}
+        for a, row in enumerate(_closure_rows(union_rows(frame), reflexive=True)):
+            clusters[row] = clusters.get(row, 0) | 1 << a
+        frame._clusters = clusters
+    return frame._clusters
 
 
 def min_part(frame: Frame) -> frozenset[int]:

@@ -3,16 +3,20 @@
 Everything here is pure and works over immutable inputs. There is one
 compiler and one evaluator. ``_compile`` turns the DAG below one or more
 root formulas into a flat instruction list, children first, and records
-each instruction's modal depth on the way; ``_evaluate`` runs that list
-under one valuation with point sets as bitmasks. ``extents_and_depths``
-compiles many roots into one program, so subformulas the roots share are
-walked, measured and evaluated once; ``extent`` is its one-root case, and
-``validity_bruteforce`` reruns one program per valuation.
+each instruction's modal depth and the smallest variable index below it on
+the way; ``_evaluate`` runs a list of instructions under one valuation with
+point sets as bitmasks, each instruction writing its own slot of a value
+list. ``extents_and_depths`` compiles many roots into one program, so
+subformulas the roots share are walked, measured and evaluated once;
+``extent`` is its one-root case. ``validity_bruteforce`` enumerates the
+valuations incrementally (change propagation): it runs the whole program
+once, then after each step re-runs only the instructions whose smallest
+variable changed, so variable-free instructions run once per call.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 from . import partitions
@@ -42,70 +46,75 @@ class Model:
 
 
 _VAR, _FALSE, _NEG, _AND, _OR, _IMP, _DIA, _BOX = range(8)
+_NO_VAR = math.inf  # the level of a variable-free instruction: above every variable
 
 
 def _compile(frame: Frame, *roots: Formula):
     """One instruction list over the unique nodes below all roots, children
-    first. Returns ``(prog, depths, outs, vars_)``: the instructions, the
-    modal depth of each instruction's subformula, each root's instruction
-    index, and the sorted variable indices. Rejects modality ids outside
-    the frame's alphabet."""
+    first. Each instruction is ``(slot, op, x, y)`` and writes its value to
+    ``vals[slot]``; here the slot is its position in the list. Returns
+    ``(prog, depths, lows, outs, vars_)``: the instructions, the modal depth
+    of each slot's subformula, the smallest variable index in it
+    (``_NO_VAR`` when it has none), each root's slot, and the sorted
+    variable indices. Rejects modality ids outside the frame's alphabet."""
     index: dict[int, int] = {}
-    prog: list[tuple[int, int, int]] = []
+    prog: list[tuple[int, int, int, int]] = []
     depths: list[int] = []
+    lows: list[float] = []
     for g in iter_nodes(*roots):
+        i = len(prog)
         if isinstance(g, Var):
-            ins, d = (_VAR, g.index, 0), 0
+            ins, d, lo = (i, _VAR, g.index, 0), 0, g.index
         elif isinstance(g, Falsum):
-            ins, d = (_FALSE, 0, 0), 0
+            ins, d, lo = (i, _FALSE, 0, 0), 0, _NO_VAR
         elif isinstance(g, Neg):
             x = index[id(g.child)]
-            ins, d = (_NEG, x, 0), depths[x]
+            ins, d, lo = (i, _NEG, x, 0), depths[x], lows[x]
         elif isinstance(g, Dia):
             x = index[id(g.child)]
-            ins, d = (_BOX if g.boxed else _DIA, g.mod, x), 1 + depths[x]
+            ins, d, lo = (i, _BOX if g.boxed else _DIA, g.mod, x), 1 + depths[x], lows[x]
         elif isinstance(g, (And, Or, Imp)):
             op = _AND if isinstance(g, And) else _OR if isinstance(g, Or) else _IMP
             x, y = index[id(g.left)], index[id(g.right)]
-            ins, d = (op, x, y), max(depths[x], depths[y])
+            ins, d = (i, op, x, y), max(depths[x], depths[y])
+            lo = lows[x] if lows[x] < lows[y] else lows[y]
         else:
             raise TypeError(f"not a formula: {g!r}")
-        index[id(g)] = len(prog)
+        index[id(g)] = i
         prog.append(ins)
         depths.append(d)
+        lows.append(lo)
     size = len(frame.alphabet)
-    bad = sorted({x for op, x, _ in prog if op >= _DIA and x >= size})
+    bad = sorted({x for _, op, x, _ in prog if op >= _DIA and x >= size})
     if bad:
         raise ValueError(f"modality ids {bad} outside alphabet of size {size}")
     outs = [index[id(f)] for f in roots]
-    return prog, depths, outs, sorted({x for op, x, _ in prog if op == _VAR})
+    return prog, depths, lows, outs, sorted({x for _, op, x, _ in prog if op == _VAR})
 
 
-def _evaluate(prog, frame: Frame, var_masks, full: int) -> list[int]:
-    """The point mask of every instruction under one valuation."""
+def _evaluate(prog, frame: Frame, var_masks, full: int, vals: list[int]) -> None:
+    """Run the instructions in order under one valuation, each writing its
+    point mask to its own slot of ``vals``. The slots an instruction reads
+    must already hold current values: written earlier in ``prog`` or left
+    valid by an earlier run."""
     preimage = frame.preimage_mask
-    vals = [0] * len(prog)
-    i = 0
-    for op, x, y in prog:
+    for i, op, x, y in prog:
         if op == _VAR:
-            v = var_masks[x]
+            vals[i] = var_masks[x]
         elif op == _FALSE:
-            v = 0
+            vals[i] = 0
         elif op == _NEG:
-            v = vals[x] ^ full
+            vals[i] = vals[x] ^ full
         elif op == _AND:
-            v = vals[x] & vals[y]
+            vals[i] = vals[x] & vals[y]
         elif op == _OR:
-            v = vals[x] | vals[y]
+            vals[i] = vals[x] | vals[y]
         elif op == _IMP:
-            v = (vals[x] ^ full) | vals[y]
+            vals[i] = (vals[x] ^ full) | vals[y]
         elif op == _DIA:
-            v = preimage(x, vals[y])
+            vals[i] = preimage(x, vals[y])
         else:  # _BOX: no successor outside the target
-            v = preimage(x, vals[y] ^ full) ^ full
-        vals[i] = v
-        i += 1
-    return vals
+            vals[i] = preimage(x, vals[y] ^ full) ^ full
 
 
 def extents_and_depths(model: Model, roots) -> list[tuple[int, int]]:
@@ -113,13 +122,14 @@ def extents_and_depths(model: Model, roots) -> list[tuple[int, int]]:
 
     The roots are compiled into one program, so a subformula they share is
     walked, measured and evaluated once."""
-    prog, depths, outs, vars_ = _compile(model.frame, *roots)
+    prog, depths, _, outs, vars_ = _compile(model.frame, *roots)
     bad = [v for v in vars_ if v >= model.k]
     if bad:
         raise ValueError(f"variables {bad} outside the {model.k}-valuation")
     full = (1 << model.frame.n) - 1
     var_masks = [mask_of(ext) for ext in model.valuation]
-    vals = _evaluate(prog, model.frame, var_masks, full)
+    vals = [0] * len(prog)
+    _evaluate(prog, model.frame, var_masks, full, vals)
     return [(vals[i], depths[i]) for i in outs]
 
 
@@ -133,8 +143,14 @@ def extent(model: Model, f: Formula) -> frozenset[int]:
 def validity_bruteforce(frame: Frame, f: Formula, cap: int = DEFAULT_VALUATION_CAP) -> bool:
     """True iff the formula is true at every point under every valuation of
     its occurring variables. Raises CapExceeded when the assignment space
-    2^(k*n) is larger than ``cap``."""
-    prog, _, _, vars_ = _compile(frame, f)
+    2^(k*n) is larger than ``cap``.
+
+    Valuations are counted like an odometer, the lowest-index variable
+    fastest: under counter t, the occurring variable at position p (in
+    index order) takes the n-bit digit p of t as its extent. A step that
+    changes the variables at positions 0..j re-runs only the instructions
+    whose smallest variable sits at one of them."""
+    prog, _, lows, outs, vars_ = _compile(frame, f)
     n = frame.n
     total = (1 << n) ** len(vars_)
     if total > cap:
@@ -142,13 +158,30 @@ def validity_bruteforce(frame: Frame, f: Formula, cap: int = DEFAULT_VALUATION_C
             f"{len(vars_)} variables on {n} points need {total} assignments (cap {cap})"
         )
     full = (1 << n) - 1
+    # Highest level first, a stable sort: a child's level is at least its
+    # parent's, so children still come first, and the instructions that
+    # position j reaches form the suffix from start[j].
+    prog.sort(key=lambda ins: lows[ins[0]], reverse=True)
+    start = [sum(lo > v for lo in lows) for v in vars_]
     var_masks = [0] * (max(vars_, default=-1) + 1)
-    # the first variable changes fastest; product varies its last slot fastest
-    order = vars_[::-1]
-    for combo in itertools.product(range(1 << n), repeat=len(vars_)):
-        for v, m in zip(order, combo):
-            var_masks[v] = m
-        if _evaluate(prog, frame, var_masks, full)[-1] != full:  # the root is last
+    vals = [0] * len(prog)
+    _evaluate(prog, frame, var_masks, full, vals)
+    root = outs[0]
+    if vals[root] != full:
+        return False
+    if not vars_:
+        return True
+    first, fast = vars_[0], prog[start[0]:]
+    for t in range(1, total):
+        if t & full:  # only the fastest variable changed
+            var_masks[first] = t & full
+            _evaluate(fast, frame, var_masks, full, vals)
+        else:
+            j = ((t & -t).bit_length() - 1) // n  # the slowest position that changed
+            for p in range(j + 1):
+                var_masks[vars_[p]] = t >> (p * n) & full
+            _evaluate(prog[start[j]:], frame, var_masks, full, vals)
+        if vals[root] != full:
             return False
     return True
 

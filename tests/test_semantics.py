@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from modalwb.syntax import (
     finite_height_axiom_star,
     parse,
     pretransitivity_axiom,
+    variables,
 )
 
 import oracles
@@ -271,3 +273,63 @@ def test_extents_and_depths_match_per_root_references(case):
     for f, (mask, d) in zip(roots, results):
         assert points_of(mask) == oracles.naive_extent(model, f)
         assert d == depth(f)
+
+
+@st.composite
+def frames_and_formulas(draw):
+    """A frame (n <= 3, 1-2 modalities) and a formula DAG over 0-3 of the
+    variables p0..p2, gaps allowed (only p1 and p2, say), with
+    variable-free, boxed and shared subformulas. The root is the last node
+    built, joined to a node of each drawn variable it lacks, and weakened
+    half the time to g -> root with g from the same pool, so that many
+    roots are valid and the enumeration runs to its end."""
+    n = draw(st.integers(0, 3))
+    mods = draw(st.integers(1, 2))
+    points = st.integers(0, n - 1) if n else st.nothing()
+    pairs = st.tuples(points, points)
+    rels = [draw(st.sets(pairs, max_size=n * n)) for _ in range(mods)]
+    names = draw(st.lists(st.integers(0, 2), max_size=3, unique=True))
+    pool = [Falsum()] + [Var(i) for i in names]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["neg", "and", "or", "imp", "dia", "box"]))
+        child = draw(st.sampled_from(pool))
+        if kind == "neg":
+            pool.append(Neg(child))
+        elif kind in ("dia", "box"):
+            pool.append(Dia(draw(st.integers(0, mods - 1)), child, boxed=kind == "box"))
+        else:
+            other = draw(st.sampled_from(pool))
+            pool.append({"and": And, "or": Or, "imp": Imp}[kind](child, other))
+    f = pool[-1]
+    for v in names:  # every drawn variable occurs
+        if v not in variables(f):
+            g = draw(st.sampled_from([g for g in pool if v in variables(g)]))
+            f = draw(st.sampled_from([And, Or, Imp]))(f, g)
+    if draw(st.booleans()):
+        f = Imp(draw(st.sampled_from(pool)), f)
+    return Frame(default_alphabet(mods), n, rels), f
+
+
+def naive_validity(frame, f):
+    """Quantify over the occurring variables' extents as frozensets and
+    evaluate each valuation with the recursive oracle."""
+    occurring = sorted(variables(f))
+    k = max(occurring, default=-1) + 1
+    subsets = [
+        frozenset(p for p in range(frame.n) if (m >> p) & 1) for m in range(1 << frame.n)
+    ]
+    everything = frozenset(range(frame.n))
+    for combo in itertools.product(subsets, repeat=len(occurring)):
+        val = [frozenset()] * k
+        for v, ext in zip(occurring, combo):
+            val[v] = ext
+        if oracles.naive_extent(Model(frame, k, tuple(val)), f) != everything:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames_and_formulas())
+def test_validity_matches_naive_quantification_over_oracle_extents(case):
+    frame, f = case
+    assert validity_bruteforce(frame, f) == naive_validity(frame, f)

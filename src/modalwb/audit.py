@@ -525,7 +525,9 @@ def run_suite(suite: str, spec: GenSpec, trials: int) -> AuditReport:
             f"{partitions.EXACT_DEPTH_LIMIT}"
         )
     if suite == "md-sum" and spec.n_max > partitions.EXACT_DEPTH_LIMIT // 2:
-        raise ValueError("md-sum sums two frames; needs n_max <= 4")
+        raise ValueError(
+            f"md-sum sums two frames; needs n_max <= {partitions.EXACT_DEPTH_LIMIT // 2}"
+        )
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     failures: list[Failure] = []

@@ -10,10 +10,11 @@ style formula: it encodes the minimal filtration table of an upset under a
 bounded box (a chain of union diamonds up to the frame's transitivity
 index), so that each point's equivalence class becomes definable in the
 whole model, not just inside the upset. ``verify_definability`` and
-``stable_top`` model-check the resulting guarantees exhaustively. The betas
-of one upset share their gamma, so ``verify_definability`` hands all of them
-to ``semantics.extents_and_depths`` at once: the shared DAG is compiled,
-depth-measured and evaluated in one pass per model.
+``stable_top`` model-check the resulting guarantees exhaustively. One
+construction builds each signed diamond ``Dia(mod, f)`` once, and every
+splitter and gamma conjunct reuses it; the betas of one upset share their
+gamma, so ``verify_definability`` compiles, measures and evaluates the shared
+DAG in one ``semantics.extents_and_depths`` pass per model.
 """
 
 from __future__ import annotations
@@ -68,6 +69,16 @@ def _literal_profile(model: Model, block: int) -> list[Formula]:
     return [Var(l) if rep in model.valuation[l] else Neg(Var(l)) for l in range(model.k)]
 
 
+def _signed_diamond(memo: dict, mod: int, f: Formula) -> tuple[Formula, Formula]:
+    """``Dia(mod, f)`` and its negation, built once per memo. The memo keeps
+    f alive through its diamond, so no other formula takes the key id(f)."""
+    key = (mod, id(f))
+    if key not in memo:
+        dia = Dia(mod, f)
+        memo[key] = dia, Neg(dia)
+    return memo[key]
+
+
 def _stage_masks(model: Model) -> list[list[int]]:
     """Block masks of every refinement stage seeded by the valuation."""
     return list(partitions._stages(model.frame, [mask_of(v) for v in model.valuation]))
@@ -77,7 +88,7 @@ def _class_of(blocks: list[int], point: int) -> int:
     return next(b for b in blocks if b >> point & 1)
 
 
-def _stage_formulas(model: Model) -> tuple[list[list[int]], dict[int, Formula]]:
+def _stage_formulas(model: Model, memo: dict) -> tuple[list[list[int]], dict[int, Formula]]:
     """Refinement stages plus a defining formula per block of the final stage.
 
     Stage-0 blocks are defined by their literal profiles. A block that
@@ -111,8 +122,8 @@ def _stage_formulas(model: Model) -> tuple[list[list[int]], dict[int, Formula]]:
                 inside = bool(block & pre)
                 still = [s for s in remaining if bool(s & pre) == inside]
                 if len(still) < len(remaining):
-                    dia = Dia(mod, forms[pb])
-                    conjuncts.append(dia if inside else Neg(dia))
+                    dia, neg = _signed_diamond(memo, mod, forms[pb])
+                    conjuncts.append(dia if inside else neg)
                     remaining = still
             if remaining:
                 raise AssertionError("refinement stage left siblings unseparated")
@@ -125,7 +136,7 @@ def distinguishing_formulas(model: Model) -> dict[frozenset[int], Formula]:
     """For each block of the model's stabilized partition, a formula whose
     extent is exactly that block; depth is bounded by the block's birth
     stage."""
-    _, forms = _stage_formulas(model)
+    _, forms = _stage_formulas(model, {})
     return {points_of(b): f for b, f in forms.items()}
 
 
@@ -161,7 +172,8 @@ def build_jankov(
 
     old = sorted(y)
     sub = semantics.restrict_model(model, y)
-    substages, subforms = _stage_formulas(sub)
+    memo: dict = {}  # shared with the splitters: with k = 0 an alpha is a stage formula
+    substages, subforms = _stage_formulas(sub, memo)
 
     # lifting along sorted(y) keeps the blocks in min-element order
     alphas: dict[int, Formula] = {}
@@ -176,11 +188,11 @@ def build_jankov(
         pres = [frame.preimage_mask(mod, b) for b in blocks]
         for a in blocks:
             for b, pre in zip(blocks, pres):
-                dia = Dia(mod, alphas[b])
+                dia, neg = _signed_diamond(memo, mod, alphas[b])
                 if a & pre:
                     forces.append(Imp(alphas[a], dia))
                 else:
-                    forbids.append(Imp(alphas[a], Neg(dia)))
+                    forbids.append(Imp(alphas[a], neg))
     parts = []
     if GAMMA_FORCES in families:
         parts.append(_box_star(m, all_mods, conj(forces)))

@@ -243,25 +243,12 @@ def transitivity_index(frame: Frame) -> int:
 def skeleton(frame: Frame) -> SkeletonPoset:
     """Clusters (mutual-reachability classes of the union relation, with the
     diagonal counted) and the strict order between them."""
-    n = frame.n
-    star = _closure_rows(union_rows(frame), reflexive=True)
-    assigned = [-1] * n
-    clusters: list[frozenset[int]] = []
-    for a in range(n):
-        if assigned[a] >= 0:
-            continue
-        members = [b for b in range(n) if (star[a] >> b) & 1 and (star[b] >> a) & 1]
-        idx = len(clusters)
-        for b in members:
-            assigned[b] = idx
-        clusters.append(frozenset(members))
-    order = set()
-    for i, ci in enumerate(clusters):
-        a = min(ci)
-        for j, cj in enumerate(clusters):
-            if i != j and (star[a] >> min(cj)) & 1:
-                order.add((i, j))
-    return SkeletonPoset(tuple(clusters), frozenset(order))
+    clusters = _cluster_masks(frame)  # closure row -> members, least member first
+    heads = [m & -m for m in clusters.values()]  # least member bits
+    order = frozenset(
+        (i, j) for i, row in enumerate(clusters) for j, h in enumerate(heads) if i != j and row & h
+    )
+    return SkeletonPoset(tuple(points_of(m) for m in clusters.values()), order)
 
 
 def height(frame: Frame) -> int:
@@ -353,10 +340,10 @@ def generated_upset(frame: Frame, points: Iterable[int]) -> frozenset[int]:
     mask = mask_of(points)
     if mask >> frame.n:
         raise ValueError("point out of range")
-    star = _closure_rows(union_rows(frame), reflexive=True)
     acc = 0
-    for p in iter_bits(mask):
-        acc |= star[p]
+    for row, members in _cluster_masks(frame).items():
+        if members & mask:  # a cluster's points share their closure row
+            acc |= row
     return points_of(acc)
 
 

@@ -2,16 +2,17 @@
 
 Everything here is pure and works over immutable inputs. There is one
 compiler and one evaluator. ``_compile`` turns the DAG below one or more
-root formulas into a flat instruction list, children first, and records
-each instruction's modal depth and the smallest variable index below it on
-the way; ``_evaluate`` runs a list of instructions under one valuation with
-point sets as bitmasks, each instruction writing its own slot of a value
-list. ``extents_and_depths`` compiles many roots into one program, so
-subformulas the roots share are walked, measured and evaluated once;
-``extent`` is its one-root case. ``validity_bruteforce`` enumerates the
-valuations incrementally (change propagation): it runs the whole program
-once, then after each step re-runs only the instructions whose smallest
-variable changed, so variable-free instructions run once per call.
+root formulas into a flat instruction list, children first, in one
+explicit-stack walk that also measures each instruction's modal depth and
+smallest variable index and checks its modality ids; ``_evaluate`` runs a
+list of instructions under one valuation with point sets as bitmasks, each
+instruction writing its own slot of a value list. ``extents_and_depths``
+compiles many roots into one program, so subformulas the roots share are
+walked, measured and evaluated once; ``extent`` is its one-root case.
+``validity_bruteforce`` enumerates the valuations incrementally (change
+propagation): it runs the whole program once, then after each step re-runs
+only the instructions whose smallest variable changed, so variable-free
+instructions run once per call.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from . import partitions
 from .frames import Frame, mask_of, points_of, restriction
 from .partitions import CapExceeded, Partition
-from .syntax import And, Dia, Falsum, Formula, Imp, Neg, Or, Var, iter_nodes
+from .syntax import And, Dia, Falsum, Formula, Imp, Neg, Or, Var
 
 DEFAULT_VALUATION_CAP = 1 << 24
 
@@ -47,49 +48,62 @@ class Model:
 
 _VAR, _FALSE, _NEG, _AND, _OR, _IMP, _DIA, _BOX = range(8)
 _NO_VAR = math.inf  # the level of a variable-free instruction: above every variable
+_INNER = frozenset((Neg, Dia, And, Or, Imp))
 
 
 def _compile(frame: Frame, *roots: Formula):
-    """One instruction list over the unique nodes below all roots, children
-    first. Each instruction is ``(slot, op, x, y)`` and writes its value to
-    ``vals[slot]``; here the slot is its position in the list. Returns
-    ``(prog, depths, lows, outs, vars_)``: the instructions, the modal depth
-    of each slot's subformula, the smallest variable index in it
-    (``_NO_VAR`` when it has none), each root's slot, and the sorted
-    variable indices. Rejects modality ids outside the frame's alphabet."""
-    index: dict[int, int] = {}
+    """One instruction list over the unique nodes below all roots, in the
+    order of ``iter_nodes(*roots)``. Each instruction is ``(slot, op, x, y)``
+    and writes ``vals[slot]``, its position in the list. Returns ``(prog,
+    depths, lows, outs, vars_)``: the instructions, the modal depth of each
+    slot's subformula, the smallest variable index in it (``_NO_VAR`` when it
+    has none), each root's slot, and the sorted variable indices. Rejects
+    modality ids outside the frame's alphabet."""
+    index: dict[int, int] = {}  # id -> slot, -1 while the node waits for its children
     prog: list[tuple[int, int, int, int]] = []
     depths: list[int] = []
     lows: list[float] = []
-    for g in iter_nodes(*roots):
+    vars_, bad = set(), set()
+    size = len(frame.alphabet)
+    stack = list(reversed(roots))  # the walk of iter_nodes, without a generator
+    while stack:
+        g = stack.pop()
+        t, k = type(g), id(g)
+        slot = index.get(k)
+        if slot is None and t in _INNER:  # compiled when it comes back up
+            index[k] = -1
+            stack += (g, g.child) if t is Neg or t is Dia else (g, g.right, g.left)
+            continue
+        if slot is not None and slot >= 0:
+            continue
         i = len(prog)
-        if isinstance(g, Var):
+        if t is Var:
             ins, d, lo = (i, _VAR, g.index, 0), 0, g.index
-        elif isinstance(g, Falsum):
+            vars_.add(lo)
+        elif t is Falsum:
             ins, d, lo = (i, _FALSE, 0, 0), 0, _NO_VAR
-        elif isinstance(g, Neg):
+        elif t is Neg:
             x = index[id(g.child)]
             ins, d, lo = (i, _NEG, x, 0), depths[x], lows[x]
-        elif isinstance(g, Dia):
+        elif t is Dia:
             x = index[id(g.child)]
             ins, d, lo = (i, _BOX if g.boxed else _DIA, g.mod, x), 1 + depths[x], lows[x]
-        elif isinstance(g, (And, Or, Imp)):
-            op = _AND if isinstance(g, And) else _OR if isinstance(g, Or) else _IMP
+            if g.mod >= size:
+                bad.add(g.mod)
+        elif t in _INNER:  # And, Or, Imp
             x, y = index[id(g.left)], index[id(g.right)]
+            op = _AND if t is And else _OR if t is Or else _IMP
             ins, d = (i, op, x, y), max(depths[x], depths[y])
             lo = lows[x] if lows[x] < lows[y] else lows[y]
         else:
             raise TypeError(f"not a formula: {g!r}")
-        index[id(g)] = i
+        index[k] = i
         prog.append(ins)
         depths.append(d)
         lows.append(lo)
-    size = len(frame.alphabet)
-    bad = sorted({x for _, op, x, _ in prog if op >= _DIA and x >= size})
     if bad:
-        raise ValueError(f"modality ids {bad} outside alphabet of size {size}")
-    outs = [index[id(f)] for f in roots]
-    return prog, depths, lows, outs, sorted({x for _, op, x, _ in prog if op == _VAR})
+        raise ValueError(f"modality ids {sorted(bad)} outside alphabet of size {size}")
+    return prog, depths, lows, [index[id(f)] for f in roots], sorted(vars_)
 
 
 def _evaluate(prog, frame: Frame, var_masks, full: int, vals: list[int]) -> None:

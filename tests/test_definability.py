@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from modalwb.partitions import frame_modal_depth, refine_sequence
 from modalwb.semantics import Model, extent, model_depth
 from modalwb.syntax import (
     And,
+    Dia,
     Falsum,
     Neg,
     Var,
@@ -27,6 +29,7 @@ from modalwb.syntax import (
     default_alphabet,
     depth,
     disj,
+    iter_nodes,
     print_formula,
 )
 
@@ -314,3 +317,40 @@ def test_stable_top_definability_matches_reference(model, data):
     assert report.definable_ok == (
         oracles.naive_extent(model, defining) == z and depth(defining) <= cap
     )
+
+
+def test_jankov_betas_share_one_diamond_per_modality_and_child():
+    rng = random.Random(5)
+    for _ in range(100):
+        model = random_model(rng, n_max=7)
+        _, _, beta = build_jankov(model, random_upset(rng, model.frame))
+        dias = [(g.mod, id(g.child)) for g in iter_nodes(*beta.values()) if isinstance(g, Dia)]
+        assert len(dias) == len(set(dias))
+
+
+# SHA-256 of print_formula(gamma) and of every beta, one per line in point
+# order, recorded while each conjunct still built its own diamonds: sharing
+# nodes must not change a printed formula
+JANKOV_PRINT_DIGESTS = {
+    0: "29f867e5699dec68f3f27963bae9b84dfa367b7109335a68bce49da663c3580a",
+    1: "65fd0169cd165cc72db655bd418c1fd332117a1f7eae113ce07cb90c845fdd65",
+    2: "a736f25cfd57cc5657c87bd87bbb2edbe568b989bcc703ff7315e3acd0d42d27",
+    3: "6140578b57cb91b7245bf4a0d106934cad0de6781bca2470f489a38eaab383ee",
+    4: "360381425b53242dde69f17082d46c15c9a5a99495da0c982288fb53e83d103c",
+    5: "b8cfae51986adab7de416e8e65c3ea5d6980a1f3eba40cedbdf427ea14f13eae",
+    6: "55b0f137e9e34204efc0e19cd73438eb7dd50bb678b2114a8cb4ef1c2706ac85",
+    7: "22983959125edda592df53998bb7dd046ad89c8c0713d6d4509d2b6da8489e2b",
+    8: "8c91c53f27be1ec2991133cb5da147f92062dfd2905cf789b8be98a052a4bff6",
+    9: "8d986218a5e93f19ad8ac08296b2741933aac287a1ffd982c93f28a263c19b05",
+    10: "112ce1d8ab114c2a3f8de3550ffc0da27c6159edeef0ca64befdaa3bec04696f",
+    11: "16b8bf0b17a6dc5fdbdc282f8252a5931f8af060977d580604c4f3de5a44f193",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(JANKOV_PRINT_DIGESTS))
+def test_jankov_printed_formulas_are_unchanged(seed):
+    rng = random.Random(seed)
+    model = random_model(rng, n_max=7)
+    _, gamma, beta = build_jankov(model, random_upset(rng, model.frame))
+    text = "\n".join([print_formula(gamma)] + [print_formula(beta[p]) for p in sorted(beta)])
+    assert hashlib.sha256(text.encode()).hexdigest() == JANKOV_PRINT_DIGESTS[seed]

@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modalwb import partitions
+from modalwb import partitions, semantics
 from modalwb.frames import Frame, is_pmorphism, points_of, quotient_filtration
 from modalwb.partitions import CapExceeded, coarsest_tuned_refinement, is_tuned
 from modalwb.semantics import (
@@ -27,6 +28,7 @@ from modalwb.syntax import (
     default_alphabet,
     depth,
     finite_height_axiom_star,
+    iter_nodes,
     parse,
     pretransitivity_axiom,
     variables,
@@ -333,3 +335,63 @@ def naive_validity(frame, f):
 def test_validity_matches_naive_quantification_over_oracle_extents(case):
     frame, f = case
     assert validity_bruteforce(frame, f) == naive_validity(frame, f)
+
+
+def assert_program_follows_iter_nodes(frame, roots):
+    """``_compile`` against its reference: one instruction per node of
+    ``iter_nodes(*roots)``, in that order, reading its children's slots,
+    with each node's own depth and smallest variable."""
+    prog, depths, lows, outs, vars_ = semantics._compile(frame, *roots)
+    nodes = list(iter_nodes(*roots))
+    slot = {id(g): i for i, g in enumerate(nodes)}
+    binary = {And: semantics._AND, Or: semantics._OR, Imp: semantics._IMP}
+    assert len(prog) == len(nodes)
+    for i, (g, ins) in enumerate(zip(nodes, prog)):
+        if isinstance(g, Var):
+            assert ins == (i, semantics._VAR, g.index, 0)
+        elif isinstance(g, Falsum):
+            assert ins == (i, semantics._FALSE, 0, 0)
+        elif isinstance(g, Neg):
+            assert ins == (i, semantics._NEG, slot[id(g.child)], 0)
+        elif isinstance(g, Dia):
+            op = semantics._BOX if g.boxed else semantics._DIA
+            assert ins == (i, op, g.mod, slot[id(g.child)])
+        else:
+            assert ins == (i, binary[type(g)], slot[id(g.left)], slot[id(g.right)])
+        assert depths[i] == depth(g)
+        assert lows[i] == min(variables(g), default=math.inf)
+    assert outs == [slot[id(f)] for f in roots]
+    assert vars_ == sorted(set().union(*map(variables, roots)))
+
+
+def test_compile_order_with_shared_and_repeated_roots():
+    p, q = Var(0), Var(1)
+    shared = Dia(0, And(Neg(q), p))
+    left = Or(shared, Imp(q, p))
+    roots = [left, shared, Imp(shared, left), left, Neg(Neg(shared)), p]
+    assert_program_follows_iter_nodes(CHAIN3, roots)
+    assert_program_follows_iter_nodes(CHAIN3, [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(models_and_roots())
+def test_compile_order_matches_iter_nodes(case):
+    model, roots = case
+    assert_program_follows_iter_nodes(model.frame, roots)
+
+
+def test_compile_deep_chain_without_recursion():
+    m = Model(CHAIN3, 1, (frozenset({2}),))
+    f = parse("~" * 3000 + "p0", AL1)
+    assert extents_and_depths(m, [f, f.child]) == [(0b100, 0), (0b011, 0)]
+
+
+def test_compile_rejects_non_formulas_and_unknown_modalities():
+    m = Model(CHAIN3, 1, (frozenset(),))
+    with pytest.raises(TypeError, match="not a formula"):
+        extents_and_depths(m, [Var(0), "p0"])
+    with pytest.raises(TypeError, match="not a formula"):
+        extents_and_depths(m, [And(Var(0), Neg(None))])
+    # every bad id is reported, once each, after the whole walk
+    with pytest.raises(ValueError, match=r"modality ids \[1, 3\] outside alphabet of size 1"):
+        extents_and_depths(m, [Dia(3, Dia(1, Var(0))), Dia(0, Var(0)), Dia(1, Falsum())])

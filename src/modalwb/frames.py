@@ -3,15 +3,17 @@
 A frame is a point set {0..n-1} with one binary relation per modality of an
 alphabet. Each relation is stored as successor rows: one integer bitmask per
 point, bit b of row a set iff a sees b. The rows are the frame's only stored
-relational data. Three views are derived from them on first use and
+relational data. Four views are derived from them on first use and
 cached: the pair sets ``Frame.relations``; the predecessor rows (the
-transposed rows, bit a of row b set iff a sees b), of which
-``Frame.preimage_mask`` ORs one per point of its argument; and the cluster
-masks, from one reflexive-transitive closure of the union relation, which
-``height``, ``min_part``, ``cluster_frames`` and ``to_dot`` share. Frames
-are immutable after construction and safe to share; point sets are plain
-frozensets at the API surface while the algorithms work on integer
-bitmasks internally.
+transposed rows, bit a of row b set iff a sees b); the preimage mappings
+``Frame.preimages``, one per modality, which on at most ``TABLE_POINTS``
+points list the preimage of every point subset (2^n ints per modality, kept
+with the frame) and above that OR one predecessor row per point of their
+argument; and the cluster masks, from one reflexive-transitive closure of
+the union relation, which ``height``, ``min_part``, ``cluster_frames`` and
+``to_dot`` share. Frames are immutable after construction and safe to
+share; point sets are plain frozensets at the API surface while the
+algorithms work on integer bitmasks internally.
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ Pair = tuple[int, int]
 # info`` takes about 1 s on an empty relation and 5 s on a chain (2-core
 # x86-64 host, Python 3.11).
 POINT_LIMIT = 2048
+
+# Largest point count whose preimage mapping is a table of all 2^n point
+# subsets: about 2 KB per modality at 8 points, its 256 entries being
+# CPython's shared small ints.
+TABLE_POINTS = 8
 
 
 class PathBudgetExceeded(RuntimeError):
@@ -97,14 +104,33 @@ def _closure_rows(rows, reflexive: bool) -> list[int]:
     return rows
 
 
+class _RowUnion:
+    """Preimages on frames above ``TABLE_POINTS`` points: the OR of the
+    predecessor rows of the argument's points."""
+
+    __slots__ = ("pred",)
+
+    def __init__(self, pred: tuple[int, ...]):
+        self.pred = pred
+
+    def __getitem__(self, vmask: int) -> int:
+        pred = self.pred
+        acc = 0
+        while vmask:
+            low = vmask & -vmask
+            acc |= pred[low.bit_length() - 1]
+            vmask ^= low
+        return acc
+
+
 class Frame:
     """Immutable frame; one tuple of successor rows per modality.
 
     ``Frame(alphabet, n, relations)`` takes one iterable of ordered pairs per
     modality; ``Frame.from_rows`` takes the rows themselves. ``relations``,
     the pair-set view (one frozenset of pairs per modality), the
-    predecessor rows and the cluster masks are built from the rows on first
-    use and cached.
+    predecessor rows, the preimage mappings and the cluster masks are built
+    from the rows on first use and cached.
     """
 
     def __init__(self, alphabet: Alphabet, n: int, relations: Sequence[Iterable[Pair]]):
@@ -138,6 +164,7 @@ class Frame:
         self._rows = rows
         self._relations = None
         self._preds = None
+        self._preimages = None
         self._clusters = None
 
     @property
@@ -165,16 +192,30 @@ class Frame:
             self._preds = tuple(preds)
         return self._preds[mod]
 
+    def preimages(self, mod: int):
+        """Map from a point mask to the mask of the points that see some
+        point of it under one modality, built on first use and kept on the
+        frame (callers must not change it): on at most ``TABLE_POINTS``
+        points a list of all 2^n preimages, built by doubling (the subset
+        table of the Four Russians method, Arlazarov et al. 1970), above
+        that a ``_RowUnion``."""
+        if self._preimages is None:
+            mappings = []
+            for m in range(len(self._rows)):
+                pred = self.pred_rows(m)
+                if self.n > TABLE_POINTS:
+                    mappings.append(_RowUnion(pred))
+                    continue
+                table = [0]
+                for row in pred:
+                    table += [t | row for t in table]
+                mappings.append(table)
+            self._preimages = tuple(mappings)
+        return self._preimages[mod]
+
     def preimage_mask(self, mod: int, vmask: int) -> int:
-        """Mask of the points that see some point of ``vmask``, a mask over
-        this frame's points: the OR of the predecessor rows of its points."""
-        pred = self.pred_rows(mod) if self._preds is None else self._preds[mod]
-        acc = 0
-        while vmask:
-            low = vmask & -vmask
-            acc |= pred[low.bit_length() - 1]
-            vmask ^= low
-        return acc
+        """Mask of the points that see some point of the mask ``vmask``."""
+        return self.preimages(mod)[vmask]
 
     def preimage(self, mod: int, points: Iterable[int]) -> frozenset[int]:
         mask = mask_of(points)

@@ -17,7 +17,7 @@ splits nothing.
 One stage is one call of ``_split_masks``, the only split loop: the
 blocks, split by the preimage of every block under every modality. A
 preimage is the OR of the frame's predecessor rows over the block's points
-(``Frame.preimage_mask``), the standard step of partition refinement
+(``Frame.preimages``), the standard step of partition refinement
 (Paige & Tarjan 1987). Many splitters repeat, or miss or cover every block;
 the split loop skips them, and returns the blocks in min-element order.
 
@@ -27,10 +27,10 @@ a set partition, so one memo per call maps each partition met to its index
 are computed only until they reach a known partition. Since every stage
 before the fixpoint adds a block, a partition with k blocks has index at
 most n - k, and the enumeration of seeds skips every partition with too
-many blocks to beat the deepest seed found so far. On at most
-``EXACT_DEPTH_LIMIT`` points a table of the preimage of every point subset
-(2^n entries per modality, built from the predecessor rows in one pass and
-dropped when the call returns) turns each splitter into a list lookup.
+many blocks to beat the deepest seed found so far. ``EXACT_DEPTH_LIMIT``
+does not exceed ``frames.TABLE_POINTS``, so there the frame's preimage
+mapping is its table of every point subset (2^n entries per modality, kept
+with the frame) and each splitter is a list lookup.
 """
 
 from __future__ import annotations
@@ -151,8 +151,8 @@ def _check_partition(frame: Frame, partition: Partition) -> None:
 
 
 def _next_stage_masks(frame: Frame, blocks: list[int], mods: Iterable[int]) -> list[int]:
-    preimage = frame.preimage_mask
-    return _split_masks(blocks, [preimage(mod, b) for mod in mods for b in blocks])
+    pres = [frame.preimages(mod) for mod in mods]
+    return _split_masks(blocks, [pre[b] for pre in pres for b in blocks])
 
 
 def _stages(frame: Frame, initial_masks: Iterable[int]):
@@ -236,16 +236,7 @@ def _exact_depth(frame: Frame) -> int:
     each partition's index computed at most once (see the module docstring).
     """
     n = frame.n
-    # every point subset's preimage per modality, so that a stage's
-    # splitters are list lookups; the table lives only for this call
-    tables = []
-    for mod in range(len(frame.alphabet)):
-        pred = frame.pred_rows(mod)
-        table = [0] * (1 << n)
-        for s in range(1, 1 << n):
-            low = s & -s
-            table[s] = table[s ^ low] | pred[low.bit_length() - 1]
-        tables.append(table)
+    tables = [frame.preimages(mod) for mod in range(len(frame.alphabet))]
     index: dict[tuple[int, ...], int] = {}  # block masks -> stabilization index
     best = 0
     # Seeds depth first, point by point, from a stack of (next point, blocks

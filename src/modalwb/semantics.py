@@ -6,13 +6,16 @@ root formulas into a flat instruction list, children first, in one
 explicit-stack walk that also measures each instruction's modal depth and
 smallest variable index and checks its modality ids; ``_evaluate`` runs a
 list of instructions under one valuation with point sets as bitmasks, each
-instruction writing its own slot of a value list. ``extents_and_depths``
-compiles many roots into one program, so subformulas the roots share are
-walked, measured and evaluated once; ``extent`` is its one-root case.
-``validity_bruteforce`` enumerates the valuations incrementally (change
-propagation): it runs the whole program once, then after each step re-runs
-only the instructions whose smallest variable changed, so variable-free
-instructions run once per call.
+instruction writing its own slot of a value list, and reads a diamond from
+``pre``, the frame's ``preimages`` per modality (one list lookup on at most
+``frames.TABLE_POINTS`` points). ``extents_and_depths`` compiles many roots
+into one program, so subformulas the roots share are walked, measured and
+evaluated once; ``extent`` is its one-root case. ``validity_bruteforce``
+enumerates the valuations incrementally (change propagation): it runs the
+whole program once, then after each step re-runs only the instructions
+whose smallest variable changed, so variable-free instructions run once per
+call. It drops the variable instructions: its odometer writes each changed
+variable's extent straight into the slots of that variable's occurrences.
 """
 
 from __future__ import annotations
@@ -106,29 +109,29 @@ def _compile(frame: Frame, *roots: Formula):
     return prog, depths, lows, [index[id(f)] for f in roots], sorted(vars_)
 
 
-def _evaluate(prog, frame: Frame, var_masks, full: int, vals: list[int]) -> None:
+def _evaluate(prog, pre, var_masks, full: int, vals: list[int]) -> None:
     """Run the instructions in order under one valuation, each writing its
-    point mask to its own slot of ``vals``. The slots an instruction reads
-    must already hold current values: written earlier in ``prog`` or left
-    valid by an earlier run."""
-    preimage = frame.preimage_mask
+    point mask to its own slot of ``vals``; ``pre[mod]`` is the frame's
+    preimage mapping of a modality. The slots an instruction reads must
+    already hold current values: written earlier in ``prog`` or left valid
+    by an earlier run. The cases are tested most frequent first."""
     for i, op, x, y in prog:
-        if op == _VAR:
+        if op == _OR:
+            vals[i] = vals[x] | vals[y]
+        elif op == _AND:
+            vals[i] = vals[x] & vals[y]
+        elif op == _DIA:
+            vals[i] = pre[x][vals[y]]
+        elif op == _IMP:
+            vals[i] = (vals[x] ^ full) | vals[y]
+        elif op == _NEG:
+            vals[i] = vals[x] ^ full
+        elif op == _VAR:
             vals[i] = var_masks[x]
         elif op == _FALSE:
             vals[i] = 0
-        elif op == _NEG:
-            vals[i] = vals[x] ^ full
-        elif op == _AND:
-            vals[i] = vals[x] & vals[y]
-        elif op == _OR:
-            vals[i] = vals[x] | vals[y]
-        elif op == _IMP:
-            vals[i] = (vals[x] ^ full) | vals[y]
-        elif op == _DIA:
-            vals[i] = preimage(x, vals[y])
         else:  # _BOX: no successor outside the target
-            vals[i] = preimage(x, vals[y] ^ full) ^ full
+            vals[i] = pre[x][vals[y] ^ full] ^ full
 
 
 def extents_and_depths(model: Model, roots) -> list[tuple[int, int]]:
@@ -143,7 +146,8 @@ def extents_and_depths(model: Model, roots) -> list[tuple[int, int]]:
     full = (1 << model.frame.n) - 1
     var_masks = [mask_of(ext) for ext in model.valuation]
     vals = [0] * len(prog)
-    _evaluate(prog, model.frame, var_masks, full, vals)
+    pre = [model.frame.preimages(mod) for mod in range(len(model.frame.alphabet))]
+    _evaluate(prog, pre, var_masks, full, vals)
     return [(vals[i], depths[i]) for i in outs]
 
 
@@ -161,9 +165,10 @@ def validity_bruteforce(frame: Frame, f: Formula, cap: int = DEFAULT_VALUATION_C
 
     Valuations are counted like an odometer, the lowest-index variable
     fastest: under counter t, the occurring variable at position p (in
-    index order) takes the n-bit digit p of t as its extent. A step that
-    changes the variables at positions 0..j re-runs only the instructions
-    whose smallest variable sits at one of them."""
+    index order) takes the n-bit digit p of t as its extent, written into
+    the slots of its occurrences. A step that changes the variables at
+    positions 0..j re-runs only the instructions whose smallest variable
+    sits at one of them."""
     prog, _, lows, outs, vars_ = _compile(frame, f)
     n = frame.n
     total = (1 << n) ** len(vars_)
@@ -176,25 +181,32 @@ def validity_bruteforce(frame: Frame, f: Formula, cap: int = DEFAULT_VALUATION_C
     # parent's, so children still come first, and the instructions that
     # position j reaches form the suffix from start[j].
     prog.sort(key=lambda ins: lows[ins[0]], reverse=True)
-    start = [sum(lo > v for lo in lows) for v in vars_]
-    var_masks = [0] * (max(vars_, default=-1) + 1)
-    vals = [0] * len(prog)
-    _evaluate(prog, frame, var_masks, full, vals)
+    # the odometer writes the slots of each position's occurrences itself,
+    # so the variable instructions go
+    slots = [[i for i, op, x, _ in prog if op == _VAR and x == v] for v in vars_]
+    prog = [ins for ins in prog if ins[1] != _VAR]
+    start = [sum(lows[ins[0]] > v for ins in prog) for v in vars_]
+    pre = [frame.preimages(mod) for mod in range(len(frame.alphabet))]
+    vals = [0] * len(lows)  # all variables start empty
+    _evaluate(prog, pre, (), full, vals)
     root = outs[0]
     if vals[root] != full:
         return False
     if not vars_:
         return True
-    first, fast = vars_[0], prog[start[0]:]
+    first, fast = slots[0], prog[start[0]:]
     for t in range(1, total):
-        if t & full:  # only the fastest variable changed
-            var_masks[first] = t & full
-            _evaluate(fast, frame, var_masks, full, vals)
+        digit = t & full
+        if digit:  # only the fastest variable changed
+            for s in first:
+                vals[s] = digit
+            _evaluate(fast, pre, (), full, vals)
         else:
             j = ((t & -t).bit_length() - 1) // n  # the slowest position that changed
             for p in range(j + 1):
-                var_masks[vars_[p]] = t >> (p * n) & full
-            _evaluate(prog[start[j]:], frame, var_masks, full, vals)
+                for s in slots[p]:
+                    vals[s] = t >> (p * n) & full
+            _evaluate(prog[start[j]:], pre, (), full, vals)
         if vals[root] != full:
             return False
     return True

@@ -337,6 +337,77 @@ def test_validity_matches_naive_quantification_over_oracle_extents(case):
     assert validity_bruteforce(frame, f) == naive_validity(frame, f)
 
 
+def fresh_copy(f):
+    """The same formula built again: a new object for every node."""
+    if isinstance(f, Var):
+        return Var(f.index)
+    if isinstance(f, Falsum):
+        return Falsum()
+    if isinstance(f, Neg):
+        return Neg(fresh_copy(f.child))
+    if isinstance(f, Dia):
+        return Dia(f.mod, fresh_copy(f.child), boxed=f.boxed)
+    return type(f)(fresh_copy(f.left), fresh_copy(f.right))
+
+
+@st.composite
+def frames_and_repeated_variables(draw, sizes, names):
+    """A frame of one of the sizes (1-2 modalities) and a formula tree over
+    the variable indices drawn from ``names``, in which every occurrence of
+    a variable is its own ``Var`` object, with boxes and variable-free
+    boxed or diamond subformulas. The root joins the tree to a fresh copy
+    of itself: as f | ~f' or f -> f' it is valid, as f & f' or f it need
+    not be, and either way each index occurs as at least two objects."""
+    n = draw(st.sampled_from(sizes))
+    mods = draw(st.integers(1, 2))
+    points = st.integers(0, n - 1) if n else st.nothing()
+    rels = [draw(st.sets(st.tuples(points, points), max_size=n * n)) for _ in range(mods)]
+    indices = draw(st.lists(names, min_size=1, max_size=2, unique=True))
+    modality = st.integers(0, mods - 1)
+    closed = st.builds(Dia, modality, st.builds(Neg, st.builds(Falsum)), boxed=st.booleans())
+    leaves = st.sampled_from(indices).map(Var) | st.builds(Falsum) | closed
+
+    def extend(sub):
+        binary = st.sampled_from([And, Or, Imp])
+        return (
+            st.builds(Neg, sub)
+            | st.builds(Dia, modality, sub, boxed=st.booleans())
+            | st.builds(lambda op, a, b: op(a, b), binary, sub, sub)
+        )
+
+    f = draw(st.recursive(leaves, extend, max_leaves=8))
+    for i in indices:
+        f = draw(st.sampled_from([And, Or, Imp]))(f, Dia(0, Var(i), boxed=draw(st.booleans())))
+    shape = draw(st.sampled_from(["excluded middle", "implication", "conjunction", "plain"]))
+    if shape == "excluded middle":
+        f = Or(f, Neg(fresh_copy(f)))
+    elif shape == "implication":
+        f = Imp(f, fresh_copy(f))
+    elif shape == "conjunction":
+        f = And(f, fresh_copy(f))
+    else:
+        f = Or(f, And(Var(indices[0]), Falsum()))
+    return Frame(default_alphabet(mods), n, rels), f
+
+
+def assert_validity_matches_naive(frame, f):
+    objects = [g for g in iter_nodes(f) if isinstance(g, Var)]
+    assert len(objects) > len(variables(f))  # some index has several slots
+    assert validity_bruteforce(frame, f) == naive_validity(frame, f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames_and_repeated_variables(range(5), st.integers(0, 2)))
+def test_validity_writes_every_occurrence_of_a_variable(case):
+    assert_validity_matches_naive(*case)
+
+
+@settings(max_examples=20, deadline=None)
+@given(frames_and_repeated_variables([9, 10], st.just(1)))
+def test_validity_above_the_table_size_matches_naive(case):
+    assert_validity_matches_naive(*case)
+
+
 def assert_program_follows_iter_nodes(frame, roots):
     """``_compile`` against its reference: one instruction per node of
     ``iter_nodes(*roots)``, in that order, reading its children's slots,

@@ -3,13 +3,14 @@
 A frame is a point set {0..n-1} with one binary relation per modality of an
 alphabet. Each relation is stored as successor rows: one integer bitmask per
 point, bit b of row a set iff a sees b. The rows are the frame's only stored
-relational data. Four views are derived from them on first use and
-cached: the pair sets ``Frame.relations``; the predecessor rows (the
-transposed rows, bit a of row b set iff a sees b); the preimage mappings
-``Frame.preimages``, one per modality, which on at most ``TABLE_POINTS``
-points list the preimage of every point subset (2^n ints per modality, kept
-with the frame) and above that OR one predecessor row per point of their
-argument; and the cluster masks, from one reflexive-transitive closure of
+relational data. Three views are derived from them on first use and
+cached. The pair sets are ``Frame.relations``. The preimage mappings
+``Frame.preimages``, one per modality, are built from the predecessor rows
+(the transposed rows, bit a of row b set iff a sees b). On at most
+``TABLE_POINTS`` points a mapping lists the preimage of every point subset
+(2^n ints per modality, kept with the frame; entry ``1 << b`` is b's
+predecessor row); above that it ORs one predecessor row per point of its
+argument. The cluster masks come from one reflexive-transitive closure of
 the union relation, which ``height``, ``min_part``, ``cluster_frames`` and
 ``to_dot`` share. Frames are immutable after construction and safe to
 share; point sets are plain frozensets at the API surface while the
@@ -110,7 +111,7 @@ class _RowUnion:
 
     __slots__ = ("pred",)
 
-    def __init__(self, pred: tuple[int, ...]):
+    def __init__(self, pred: list[int]):
         self.pred = pred
 
     def __getitem__(self, vmask: int) -> int:
@@ -128,9 +129,9 @@ class Frame:
 
     ``Frame(alphabet, n, relations)`` takes one iterable of ordered pairs per
     modality; ``Frame.from_rows`` takes the rows themselves. ``relations``,
-    the pair-set view (one frozenset of pairs per modality), the
-    predecessor rows, the preimage mappings and the cluster masks are built
-    from the rows on first use and cached.
+    the pair-set view (one frozenset of pairs per modality), the preimage
+    mappings and the cluster masks are built from the rows on first use and
+    cached.
     """
 
     def __init__(self, alphabet: Alphabet, n: int, relations: Sequence[Iterable[Pair]]):
@@ -163,7 +164,6 @@ class Frame:
         self.n = n
         self._rows = rows
         self._relations = None
-        self._preds = None
         self._preimages = None
         self._clusters = None
 
@@ -178,20 +178,6 @@ class Frame:
         """Per-point successor bitmasks of one modality."""
         return self._rows[mod]
 
-    def pred_rows(self, mod: int) -> tuple[int, ...]:
-        """Per-point predecessor bitmasks of one modality: bit a of entry b is
-        set iff a sees b."""
-        if self._preds is None:
-            preds = []
-            for rows in self._rows:
-                pred = [0] * self.n
-                for a, row in enumerate(rows):
-                    for b in iter_bits(row):
-                        pred[b] |= 1 << a
-                preds.append(tuple(pred))
-            self._preds = tuple(preds)
-        return self._preds[mod]
-
     def preimages(self, mod: int):
         """Map from a point mask to the mask of the points that see some
         point of it under one modality, built on first use and kept on the
@@ -201,8 +187,11 @@ class Frame:
         that a ``_RowUnion``."""
         if self._preimages is None:
             mappings = []
-            for m in range(len(self._rows)):
-                pred = self.pred_rows(m)
+            for rows in self._rows:
+                pred = [0] * self.n  # bit a of pred[b] set iff a sees b
+                for a, row in enumerate(rows):
+                    for b in iter_bits(row):
+                        pred[b] |= 1 << a
                 if self.n > TABLE_POINTS:
                     mappings.append(_RowUnion(pred))
                     continue

@@ -2,17 +2,18 @@
 sequences, coarsest tuned refinements, frame modal depth, and subalgebra
 counting.
 
-Every refinement runs through one staged loop, ``_stages``: stage 0 is
-the partition induced by a family of point sets, and each later stage
-splits the previous one by the modal preimages of its blocks. Blocks only
-ever split, so a stage is the fixpoint exactly when its successor has as
-many blocks, and on an n-point frame the loop stops within n stages. The
-fixpoint is tuned, and it is the coarsest tuned refinement of the seed:
-every tuned refinement of the seed also refines it. The stabilization
-index (the number of the fixpoint stage) is the modal depth of the seeding
-data, and the maximum over all seed partitions is the modal depth of the
-frame. ``is_tuned`` takes one step of that loop and checks that it
-splits nothing.
+Refinement from a family of point sets runs through one staged loop,
+``_stages`` (exact modal depth has its own, below): stage 0 is the
+partition induced by the family, and each later stage splits the previous
+one by the modal preimages of its blocks. Blocks only ever split, so a
+stage is the fixpoint exactly when its successor has as many blocks, and
+on an n-point frame the loop stops within n stages. The fixpoint is tuned,
+and it is the coarsest tuned refinement of the seed: every tuned
+refinement of the seed also refines it. The stabilization index (the
+number of the fixpoint stage) is the modal depth of the seeding data, and
+the maximum over all seed partitions is the modal depth of the frame.
+``is_tuned`` takes one step of that loop and checks that it splits
+nothing.
 
 One stage is one call of ``_split_masks``, the only split loop: the
 blocks, split by the preimage of every block under every modality. A
@@ -21,16 +22,26 @@ preimage is the OR of the frame's predecessor rows over the block's points
 (Paige & Tarjan 1987). Many splitters repeat, or miss or cover every block;
 the split loop skips them, and returns the blocks in min-element order.
 
-Exact frame modal depth does not rerun the loop per seed. A stage is itself
-a set partition, so one memo per call maps each partition met to its index
-(0 at a fixpoint, else 1 + the index of its successor), and a seed's stages
-are computed only until they reach a known partition. Since every stage
-before the fixpoint adds a block, a partition with k blocks has index at
-most n - k, and the enumeration of seeds skips every partition with too
-many blocks to beat the deepest seed found so far. ``EXACT_DEPTH_LIMIT``
-does not exceed ``frames.TABLE_POINTS``, so there the frame's preimage
-mapping is its table of every point subset (2^n entries per modality, kept
-with the frame) and each splitter is a list lookup.
+Exact frame modal depth does not run that loop. It writes a partition as a
+tuple of canonical labels, ``labels[a]`` being the least point of a's
+block, and computes one stage as one packed int (the naive stage of
+Kanellakis & Smolka 1990 in the signature form of Blom & Orzan 2003). Each
+point owns a field of n bits for its own label and n bits per modality for
+the labels its successors hit: bit l of a's segment for m is set iff a lies
+in the m-preimage of the block labelled l, so points with equal fields
+share a block of the next stage, labelled by the least of them. The bits
+each point sets for each label it may carry are computed once per call from
+its predecessor rows, so a stage is an OR of n precomputed ints and no
+splitter is looked up. A stage is itself a set partition, so one memo per
+call maps each label tuple met to its index (0 at a fixpoint, else 1 + the
+index of its successor), and a seed's stages are computed only until they
+reach a known partition. Seeds are enumerated depth first with the
+signature of their prefix, so a seed costs one OR and its first stage one
+field split, and a seed whose first stage splits nothing is tuned and never
+reaches the memo. Since every stage before the fixpoint adds a block, a
+partition with k blocks has index at most n - k, and the enumeration of
+seeds skips every partition with too many blocks to beat the deepest seed
+found so far.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .frames import Frame, disjoint_sum, mask_of, points_of
+from .frames import Frame, disjoint_sum, iter_bits, mask_of, points_of
 
 
 class CapExceeded(RuntimeError):
@@ -236,42 +247,62 @@ def _exact_depth(frame: Frame) -> int:
     each partition's index computed at most once (see the module docstring).
     """
     n = frame.n
-    tables = [frame.preimages(mod) for mod in range(len(frame.alphabet))]
-    index: dict[tuple[int, ...], int] = {}  # block masks -> stabilization index
+    if not n:
+        return 0
+    mods = len(frame.alphabet)
+    # point a's field: a's label in the low n bits, then one n-bit segment per
+    # modality holding the labels of a's successors
+    width = n * (mods + 1)
+    shifts = range(0, n * width, width)
+    field = (1 << width) - 1
+    delta = []  # delta[b][l]: the bits that point b with label l sets
+    for b in range(n):
+        row = [1 << (b * width + l) for l in range(n)]
+        for m in range(mods):
+            spread = 0
+            for a in iter_bits(frame.preimages(m)[1 << b]):
+                spread |= 1 << (a * width + n * (m + 1))
+            row = [d | spread << l for l, d in enumerate(row)]
+        delta.append(row)
+    index: dict[tuple[int, ...], int] = {}  # labels -> stabilization index
     best = 0
-    # Seeds depth first, point by point, from a stack of (next point, blocks
-    # so far): the point joins each block in turn, then opens its own. A
-    # recursive closure would keep the memo alive in a reference cycle until
-    # the next collection.
-    stack = [(1, [1])] if n else []
+    # Seeds depth first, point by point, from a stack of (labels so far,
+    # block leaders, their signature): the point joins each block in turn,
+    # then opens its own. A recursive closure would keep the memo alive in a
+    # reference cycle until the next collection.
+    stack = [((0,), (0,), delta[0][0])]
     while stack:
-        i, blocks = stack.pop()
-        if n - len(blocks) <= best:  # every seed below has index <= n - |blocks|
-            continue
+        labels, leaders, sig = stack.pop()
+        i = len(labels)
         if i < n:
-            bit = 1 << i
-            stack.append((i + 1, blocks + [bit]))
-            for lab in range(len(blocks) - 1, -1, -1):
-                child = blocks.copy()
-                child[lab] |= bit
-                stack.append((i + 1, child))
+            row = delta[i]
+            # the seeds below a new block have index <= n - |leaders| - 1
+            if n - len(leaders) > best + 1:
+                stack.append((labels + (i,), leaders + (i,), sig | row[i]))
+            for lab in reversed(leaders):
+                stack.append((labels + (lab,), leaders, sig | row[lab]))
+            continue
+        fields = [sig >> s & field for s in shifts]
+        key = tuple(map(fields.index, fields))  # stage 1
+        if key == labels:  # tuned: index 0
             continue
         chain = []
-        while True:
-            key = tuple(blocks)
-            if key in index:
-                break
-            nxt = _split_masks(blocks, [t[b] for t in tables for b in blocks])
-            if len(nxt) == len(blocks):
+        while key not in index:
+            sig = 0
+            for row, lab in zip(delta, key):
+                sig |= row[lab]
+            fields = [sig >> s & field for s in shifts]
+            nxt = tuple(map(fields.index, fields))
+            if nxt == key:
                 index[key] = 0
                 break
             chain.append(key)
-            blocks = nxt
+            key = nxt
         d = index[key]
         for key in reversed(chain):
             d += 1
             index[key] = d
-        best = max(best, d)
+        best = max(best, d + 1)
     return best
 
 

@@ -467,3 +467,77 @@ def test_frame_modal_depth_zero_at_seven_points(pairs):
     # depth 0 prunes no seed: every partition but the singletons is refined
     frame = uni(7, pairs(7))
     assert frame_modal_depth(frame) == oracles.exact_modal_depth(frame) == 0
+
+
+def memoised_exact_depth(frame):
+    """Exact frame modal depth as computed before labels and packed stages:
+    block-mask tuples as memo keys and one ``_split_masks`` call per stage.
+    Kept verbatim as the reference for ``frame_modal_depth``."""
+    n = frame.n
+    tables = [frame.preimages(mod) for mod in range(len(frame.alphabet))]
+    index: dict[tuple[int, ...], int] = {}  # block masks -> stabilization index
+    best = 0
+    # Seeds depth first, point by point, from a stack of (next point, blocks
+    # so far): the point joins each block in turn, then opens its own. A
+    # recursive closure would keep the memo alive in a reference cycle until
+    # the next collection.
+    stack = [(1, [1])] if n else []
+    while stack:
+        i, blocks = stack.pop()
+        if n - len(blocks) <= best:  # every seed below has index <= n - |blocks|
+            continue
+        if i < n:
+            bit = 1 << i
+            stack.append((i + 1, blocks + [bit]))
+            for lab in range(len(blocks) - 1, -1, -1):
+                child = blocks.copy()
+                child[lab] |= bit
+                stack.append((i + 1, child))
+            continue
+        chain = []
+        while True:
+            key = tuple(blocks)
+            if key in index:
+                break
+            nxt = _split_masks(blocks, [t[b] for t in tables for b in blocks])
+            if len(nxt) == len(blocks):
+                index[key] = 0
+                break
+            chain.append(key)
+            blocks = nxt
+        d = index[key]
+        for key in reversed(chain):
+            d += 1
+            index[key] = d
+        best = max(best, d)
+    return best
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_frame_modal_depth_matches_memoised_masks(n):
+    # 8 points and 3 modalities give the widest packed fields, 32 bits
+    rng = random.Random(40 + n)
+    for _ in range(30):
+        f = random_frame(rng, n, mods=rng.randint(1, 3), density=rng.choice([0.1, 0.2, 0.35, 0.6]))
+        assert frame_modal_depth(f) == memoised_exact_depth(f)
+
+
+def test_frame_modal_depth_matches_oracle_at_seven_points():
+    rng = random.Random(47)
+    for mods in (1, 2, 3):
+        f = random_frame(rng, 7, mods=mods, density=0.3)
+        assert frame_modal_depth(f) == oracles.exact_modal_depth(f)
+
+
+def test_frame_modal_depth_small_and_extreme_frames():
+    for mods in (1, 3):
+        for n in (0, 1):
+            empty = Frame(default_alphabet(mods), n, [set()] * mods)
+            full = Frame(default_alphabet(mods), n, [{(a, b) for a in range(n) for b in range(n)}] * mods)
+            assert frame_modal_depth(empty) == frame_modal_depth(full) == 0
+    # every point has a successor, so the one-block seed is tuned; the only
+    # seed of index 1 has two blocks, its index bound n - 2
+    assert frame_modal_depth(uni(3, [(0, 0), (1, 2), (2, 1), (2, 2)])) == 1
+    assert frame_modal_depth(uni(8, [(a, a + 1) for a in range(7)])) == 7
+    assert frame_modal_depth(uni(8, [])) == 0
+    assert frame_modal_depth(uni(8, [(a, b) for a in range(8) for b in range(8)])) == 0

@@ -80,16 +80,6 @@ def _image(mask: int, mapping) -> int:
     return out
 
 
-def _compose_rows(r1, r2) -> list[int]:
-    out = []
-    for m in r1:
-        acc = 0
-        for b in iter_bits(m):
-            acc |= r2[b]
-        out.append(acc)
-    return out
-
-
 def _closure_rows(rows, reflexive: bool) -> list[int]:
     n = len(rows)
     rows = list(rows)
@@ -256,18 +246,21 @@ def rt_closure(rel: Iterable[Pair], n: int) -> frozenset[Pair]:
 
 def transitivity_index(frame: Frame) -> int:
     """Least m such that m+1 steps of the union relation collapse into at
-    most m; always at most n on a frame with n points."""
+    most m: the most steps a shortest path from a point to another point
+    needs (0 when no point reaches another), one breadth-first search per
+    point."""
     n = frame.n
-    base = union_rows(frame)
-    upto = [1 << a for a in range(n)]
-    power = list(base)
-    for m in range(n + 1):
-        if all((power[a] & ~upto[a]) == 0 for a in range(n)):
-            return m
-        for a in range(n):
-            upto[a] |= power[a]
-        power = _compose_rows(power, base)
-    raise AssertionError("unreachable: n+1 steps always collapse on n points")
+    image = _RowUnion(union_rows(frame))  # a mask's one-step successors
+    best = 0
+    for a in range(n):
+        seen = frontier = 1 << a
+        for d in range(1, n):
+            frontier = image[frontier] & ~seen
+            if not frontier or best == n - 1:
+                break
+            seen |= frontier
+            best = max(best, d)
+    return best
 
 
 def skeleton(frame: Frame) -> SkeletonPoset:

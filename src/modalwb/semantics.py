@@ -11,11 +11,13 @@ instruction writing its own slot of a value list, and reads a diamond from
 ``frames.TABLE_POINTS`` points). ``extents_and_depths`` compiles many roots
 into one program, so subformulas the roots share are walked, measured and
 evaluated once; ``extent`` is its one-root case. ``validity_bruteforce``
-enumerates the valuations incrementally (change propagation): it runs the
-whole program once, then after each step re-runs only the instructions
-whose smallest variable changed, so variable-free instructions run once per
-call. It drops the variable instructions: its odometer writes each changed
-variable's extent straight into the slots of that variable's occurrences.
+counts valuations with an odometer and bit-slices its fastest variable
+(Biham, FSE 1997): one int holds every point's lanes, so the evaluator runs
+a chunk of 2^c values of that variable in one pass, with ``_Lanes`` as the
+preimage mappings. The instructions above it stay scalar and re-run only
+when their smallest variable changes (change propagation), so variable-free
+ones run once per call, and the odometer writes each changed variable's
+extent straight into the slots of its occurrences.
 """
 
 from __future__ import annotations
@@ -24,11 +26,16 @@ import math
 from dataclasses import dataclass
 
 from . import partitions
-from .frames import Frame, mask_of, points_of, restriction
+from .frames import Frame, iter_bits, mask_of, points_of, restriction
 from .partitions import CapExceeded, Partition
 from .syntax import And, Dia, Falsum, Formula, Imp, Neg, Or, Var
 
+# At this cap validity_bruteforce took 1.8 s for 3 variables on 8 points and
+# 7.4 s for 1 variable on 24 points (valid formulas, 2-core x86-64, 3.11).
 DEFAULT_VALUATION_CAP = 1 << 24
+# validity_bruteforce slices its fastest variable on at most this many
+# points: 2^8 lanes, so a sliced value takes 256 bits a point.
+_LANE_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -112,9 +119,10 @@ def _compile(frame: Frame, *roots: Formula):
 def _evaluate(prog, pre, var_masks, full: int, vals: list[int]) -> None:
     """Run the instructions in order under one valuation, each writing its
     point mask to its own slot of ``vals``; ``pre[mod]`` is the frame's
-    preimage mapping of a modality. The slots an instruction reads must
-    already hold current values: written earlier in ``prog`` or left valid
-    by an earlier run. The cases are tested most frequent first."""
+    preimage mapping of a modality (``_Lanes`` on sliced values). The slots
+    an instruction reads must already hold current values: written earlier
+    in ``prog`` or left valid by an earlier run. The cases are tested most
+    frequent first."""
     for i, op, x, y in prog:
         if op == _OR:
             vals[i] = vals[x] | vals[y]
@@ -132,6 +140,29 @@ def _evaluate(prog, pre, var_masks, full: int, vals: list[int]) -> None:
             vals[i] = 0
         else:  # _BOX: no successor outside the target
             vals[i] = pre[x][vals[y] ^ full] ^ full
+
+
+def _stride(mask: int, width: int) -> int:
+    """Bit a*width set for each point a of the mask."""
+    return sum(1 << a * width for a in iter_bits(mask))
+
+
+class _Lanes:
+    """Lane-wise preimages under one modality: point b's lanes, masked out
+    and multiplied by a bit at the field of each predecessor of b, land in
+    every predecessor's field without carries."""
+
+    __slots__ = ("terms", "lane")
+
+    def __init__(self, pre, n: int, width: int):
+        self.terms = [(b * width, _stride(pre[1 << b], width)) for b in range(n) if pre[1 << b]]
+        self.lane = (1 << width) - 1
+
+    def __getitem__(self, v: int) -> int:
+        lane, acc = self.lane, 0
+        for shift, m in self.terms:
+            acc |= (v >> shift & lane) * m
+        return acc
 
 
 def extents_and_depths(model: Model, roots) -> list[tuple[int, int]]:
@@ -167,8 +198,14 @@ def validity_bruteforce(frame: Frame, f: Formula, cap: int = DEFAULT_VALUATION_C
     fastest: under counter t, the occurring variable at position p (in
     index order) takes the n-bit digit p of t as its extent, written into
     the slots of its occurrences. A step that changes the variables at
-    positions 0..j re-runs only the instructions whose smallest variable
-    sits at one of them."""
+    positions 1..j re-runs on point masks only the instructions whose
+    smallest variable sits at one of them. Position 0's instructions run
+    bit-sliced in chunks of 2^c counters, c = min(n, 8): bits a*2^c ..
+    a*2^c + 2^c - 1 of a sliced value are point a's lanes, lane l holds
+    point a < c in the fastest variable iff bit a of l is set, and a point
+    a >= c iff bit a of the chunk's counter is set. The mask slots the pass
+    reads are broadcast to every lane, ``_Lanes`` maps diamonds, and the
+    formula is valid iff its sliced value is all ones in every chunk."""
     prog, _, lows, outs, vars_ = _compile(frame, f)
     n = frame.n
     total = (1 << n) ** len(vars_)
@@ -194,20 +231,34 @@ def validity_bruteforce(frame: Frame, f: Formula, cap: int = DEFAULT_VALUATION_C
         return False
     if not vars_:
         return True
+    c = min(n, _LANE_POINTS)
+    width = 1 << c
+    lane, ones = (1 << width) - 1, (1 << n * width) - 1
+    # lane l of point a < c has bit a of l: runs of 2^a clear, 2^a set lanes
+    low = sum((lane // ((1 << (1 << a)) + 1)) << (1 << a) << a * width for a in range(c))
+    lanes = [_Lanes(p, n, width) for p in pre]
     first, fast = slots[0], prog[start[0]:]
-    for t in range(1, total):
+    reads = set()  # a diamond or box reads y, a negation x
+    for _, op, x, y in fast:
+        reads.update((y,) if op >= _DIA else (x,) if op == _NEG else (x, y))
+    reads = [s for s in reads if lows[s] > vars_[0]]  # mask slots, not sliced ones
+    sliced = [0] * len(lows)
+    for t in range(0, total, width):
         digit = t & full
-        if digit:  # only the fastest variable changed
-            for s in first:
-                vals[s] = digit
-            _evaluate(fast, pre, (), full, vals)
-        else:
+        if t and not digit:  # a slow variable changed: re-run its suffix on masks
             j = ((t & -t).bit_length() - 1) // n  # the slowest position that changed
-            for p in range(j + 1):
+            for p in range(1, j + 1):
                 for s in slots[p]:
                     vals[s] = t >> (p * n) & full
-            _evaluate(prog[start[j]:], pre, (), full, vals)
-        if vals[root] != full:
+            _evaluate(prog[start[j]:start[0]], pre, (), full, vals)
+        if not digit:  # new mask values: broadcast each to all its lanes
+            for s in reads:
+                sliced[s] = _stride(vals[s], width) * lane
+        value = low | _stride(digit, width) * lane  # points a >= c: bit a of t
+        for s in first:
+            sliced[s] = value
+        _evaluate(fast, lanes, (), ones, sliced)
+        if sliced[root] != ones:
             return False
     return True
 

@@ -95,6 +95,25 @@ def test_transitivity_index_bounded_by_n():
         assert transitivity_index(f) <= n
 
 
+def test_transitivity_index_is_the_least_collapsing_step_count():
+    """Against the definition: the least m with R^{<=m+1} = R^{<=m}, from
+    the path-counting oracle, on sparse to dense frames with cycles."""
+    rng = random.Random(21)
+    for _ in range(150):
+        n = rng.randint(0, 8)
+        f = random_frame(rng, n, mods=rng.randint(1, 2), density=rng.choice([0.1, 0.2, 0.4, 0.7]))
+        upto = [oracles.reach_upto(f, m) for m in range(n + 2)]
+        assert transitivity_index(f) == next(m for m in range(n + 1) if upto[m + 1] == upto[m])
+
+
+def test_transitivity_index_of_long_chains_and_cycles():
+    n = POINT_LIMIT
+    assert transitivity_index(uni(n, [(i, i + 1) for i in range(n - 1)])) == n - 1
+    assert transitivity_index(uni(n, [(i, (i + 1) % n) for i in range(n)])) == n - 1
+    # two chains, the longer one found from a later start point
+    assert transitivity_index(uni(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])) == 3
+
+
 def test_skeleton_examples():
     skel = skeleton(EMPTY)
     assert skel.clusters == () and skel.order == frozenset()

@@ -466,3 +466,153 @@ def test_compile_rejects_non_formulas_and_unknown_modalities():
     # every bad id is reported, once each, after the whole walk
     with pytest.raises(ValueError, match=r"modality ids \[1, 3\] outside alphabet of size 1"):
         extents_and_depths(m, [Dia(3, Dia(1, Var(0))), Dia(0, Var(0)), Dia(1, Falsum())])
+
+
+def scalar_validity_bruteforce(frame, f, cap=semantics.DEFAULT_VALUATION_CAP):
+    """The scalar incremental enumeration that the bit-sliced chunks
+    replaced, kept verbatim as the differential reference of
+    ``validity_bruteforce`` on inputs too large for ``naive_validity``."""
+    _compile, _evaluate, _VAR = semantics._compile, semantics._evaluate, semantics._VAR
+    prog, _, lows, outs, vars_ = _compile(frame, f)
+    n = frame.n
+    total = (1 << n) ** len(vars_)
+    if total > cap:
+        raise CapExceeded(
+            f"{len(vars_)} variables on {n} points need {total} assignments (cap {cap})"
+        )
+    full = (1 << n) - 1
+    # Highest level first, a stable sort: a child's level is at least its
+    # parent's, so children still come first, and the instructions that
+    # position j reaches form the suffix from start[j].
+    prog.sort(key=lambda ins: lows[ins[0]], reverse=True)
+    # the odometer writes the slots of each position's occurrences itself,
+    # so the variable instructions go
+    slots = [[i for i, op, x, _ in prog if op == _VAR and x == v] for v in vars_]
+    prog = [ins for ins in prog if ins[1] != _VAR]
+    start = [sum(lows[ins[0]] > v for ins in prog) for v in vars_]
+    pre = [frame.preimages(mod) for mod in range(len(frame.alphabet))]
+    vals = [0] * len(lows)  # all variables start empty
+    _evaluate(prog, pre, (), full, vals)
+    root = outs[0]
+    if vals[root] != full:
+        return False
+    if not vars_:
+        return True
+    first, fast = slots[0], prog[start[0]:]
+    for t in range(1, total):
+        digit = t & full
+        if digit:  # only the fastest variable changed
+            for s in first:
+                vals[s] = digit
+            _evaluate(fast, pre, (), full, vals)
+        else:
+            j = ((t & -t).bit_length() - 1) // n  # the slowest position that changed
+            for p in range(j + 1):
+                for s in slots[p]:
+                    vals[s] = t >> (p * n) & full
+            _evaluate(prog[start[j]:], pre, (), full, vals)
+        if vals[root] != full:
+            return False
+    return True
+
+
+def random_formula(rng, indices, mods, size):
+    """A formula tree with about ``size`` inner nodes over the variables
+    ``indices`` (each occurring), with boxes, falsum and variable-free
+    boxed or diamond subformulas. Half the time it is joined to a fresh
+    copy of itself as f | ~f' or f -> f', which is valid, so the
+    enumeration runs through every chunk."""
+    def grow(budget):
+        if budget <= 0:
+            r = rng.random()
+            if r < 0.75:
+                return Var(rng.choice(indices))
+            if r < 0.85:
+                return Falsum()
+            return Dia(rng.randrange(mods), Neg(Falsum()), boxed=rng.random() < 0.5)
+        kind = rng.randrange(5)
+        if kind == 0:
+            return Neg(grow(budget - 1))
+        if kind == 1:
+            return Dia(rng.randrange(mods), grow(budget - 1), boxed=rng.random() < 0.5)
+        left = rng.randint(0, budget - 1)
+        return rng.choice([And, Or, Imp])(grow(left), grow(budget - 1 - left))
+
+    f = grow(size)
+    for i in indices:
+        link = Dia(rng.randrange(mods), Var(i), boxed=rng.random() < 0.5)
+        f = rng.choice([And, Or, Imp])(f, link)
+    shape = rng.randrange(4)
+    if shape == 0:
+        return Or(f, Neg(fresh_copy(f)))
+    if shape == 1:
+        return Imp(f, fresh_copy(f))
+    return f
+
+
+def random_frame_of(rng, n, mods):
+    density = rng.choice([0.1, 0.3, 0.5, 0.9])
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    rels = [{ab for ab in pairs if rng.random() < density} for _ in range(mods)]
+    return Frame(default_alphabet(mods), n, rels)
+
+
+def test_sliced_validity_with_counter_fed_points_matches_scalar():
+    """One variable on 9-11 points: two to eight chunks per formula, whose
+    points 8 and up take their value from the chunk's counter."""
+    rng = random.Random(41)
+    verdicts = set()
+    for _ in range(40):
+        n, mods = rng.randint(9, 11), rng.randint(1, 2)
+        frame, f = random_frame_of(rng, n, mods), random_formula(rng, [rng.randint(0, 2)], mods, 6)
+        verdict = validity_bruteforce(frame, f)
+        assert verdict == scalar_validity_bruteforce(frame, f)
+        verdicts.add(verdict)
+    assert verdicts == {False, True}
+
+
+def test_sliced_validity_with_slow_variables_matches_scalar_and_naive():
+    """Two or three variables on at most 4 points: the slow variables stay
+    scalar and are broadcast to the lanes at each chunk."""
+    rng = random.Random(42)
+    verdicts = set()
+    for _ in range(150):
+        n, mods, k = rng.randint(0, 4), rng.randint(1, 2), rng.randint(2, 3)
+        indices = sorted(rng.sample(range(4), k))
+        frame, f = random_frame_of(rng, n, mods), random_formula(rng, indices, mods, 7)
+        verdict = validity_bruteforce(frame, f)
+        assert verdict == scalar_validity_bruteforce(frame, f)
+        if n <= 3 and k == 2:
+            assert verdict == naive_validity(frame, f)
+        verdicts.add(verdict)
+    assert verdicts == {False, True}
+
+
+def test_sliced_validity_fails_in_the_last_chunk_only():
+    """On a frame where every point sees every point, [d0]p is true only
+    when p holds everywhere, so these formulas fail under the very last
+    valuation alone, and their weakenings are valid."""
+    for n, indices in [(9, [0]), (11, [2]), (8, [0, 1]), (4, [0, 1, 2]), (3, [1, 3, 5])]:
+        frame = uni(n, [(a, b) for a in range(n) for b in range(n)])
+        boxes = [Dia(0, Var(i), boxed=True) for i in indices]
+        f = Neg(boxes[0])
+        for b in boxes[1:]:
+            f = Imp(b, f)
+        assert not validity_bruteforce(frame, f)
+        assert not scalar_validity_bruteforce(frame, f)
+        everywhere = Var(indices[0])
+        for i in indices[1:]:
+            everywhere = And(everywhere, Var(i))
+        assert validity_bruteforce(frame, Or(f, everywhere))
+        assert validity_bruteforce(frame, Imp(Dia(0, Falsum(), boxed=True), f))
+
+
+def test_sliced_validity_resets_the_positions_below_a_carry():
+    """<d0>p2 -> <d0>p1 fails on a frame where every point sees every point
+    exactly when p1 is empty and p2 is not: first right after p2's first
+    carry, which must reset p1 to empty as well as p0."""
+    for n in (1, 2, 4):
+        frame = uni(n, [(a, b) for a in range(n) for b in range(n)])
+        f = Or(Imp(Dia(0, Var(2)), Dia(0, Var(1))), And(Var(0), Neg(Var(0))))
+        assert not validity_bruteforce(frame, f)
+        assert validity_bruteforce(frame, Or(f, Dia(0, Neg(Var(1)), boxed=True)))

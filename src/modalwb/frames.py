@@ -309,6 +309,8 @@ def is_path_reducible(frame: Frame, m: int, budget: int = 10**6) -> bool:
     """
     if m < 0:
         raise ValueError("m must be non-negative")
+    if m + 2 > frame.n:  # a path of m+1 steps visits m+2 points, so one repeats
+        return True
     rows = union_rows(frame)
     steps = 0
     for start in range(frame.n):

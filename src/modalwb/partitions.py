@@ -358,9 +358,10 @@ def count_k_formulas(frame: Frame, k: int, cap: int = 4096) -> int:
     if k < 0:
         raise ValueError("k must be non-negative")
     n = frame.n
-    profiles = (1 << n) ** k
-    if profiles > cap:
-        raise CapExceeded(f"{profiles} valuation profiles exceed cap {cap}")
+    bits = n * k
+    if cap < 1 or bits >= cap.bit_length():  # exactly 2^bits > cap
+        raise CapExceeded(f"2^{bits} valuation profiles exceed cap {cap}")
+    profiles = 1 << bits
     big = disjoint_sum([frame] * profiles, frame.alphabet)
     gen_masks = [0] * k
     off = 0

@@ -11,13 +11,14 @@ instruction writing its own slot of a value list, and reads a diamond from
 ``frames.TABLE_POINTS`` points). ``extents_and_depths`` compiles many roots
 into one program, so subformulas the roots share are walked, measured and
 evaluated once; ``extent`` is its one-root case. ``validity_bruteforce``
-counts valuations with an odometer and bit-slices its fastest variable
+counts valuations with an odometer and runs every instruction bit-sliced
 (Biham, FSE 1997): one int holds every point's lanes, so the evaluator runs
-a chunk of 2^c values of that variable in one pass, with ``_Lanes`` as the
-preimage mappings. The instructions above it stay scalar and re-run only
-when their smallest variable changes (change propagation), so variable-free
-ones run once per call, and the odometer writes each changed variable's
-extent straight into the slots of its occurrences.
+a chunk of 2^c values of the fastest variable in one pass, with ``_Lanes``
+as the preimage mappings (without variables c = 0: one lane, plain point
+masks and the frame's own mappings). After the first chunk an instruction
+re-runs only when its smallest variable changes (change propagation), so
+variable-free ones run once per call, and the odometer writes each changed
+variable's sliced extent straight into the slots of its occurrences.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from .frames import Frame, iter_bits, mask_of, points_of, restriction
 from .partitions import CapExceeded, Partition
 from .syntax import And, Dia, Falsum, Formula, Imp, Neg, Or, Var
 
-# At this cap validity_bruteforce took 1.8 s for 3 variables on 8 points and
-# 7.4 s for 1 variable on 24 points (valid formulas, 2-core x86-64, 3.11).
+# At this cap validity_bruteforce took 1.0-1.4 s for 3 variables on 8 points
+# and 4.6-8.3 s for 1 variable on 24 points (valid formulas, several runs on a
+# 2-core x86-64 host whose speed varies, CPython 3.11).
 DEFAULT_VALUATION_CAP = 1 << 24
 # validity_bruteforce slices its fastest variable on at most this many
 # points: 2^8 lanes, so a sliced value takes 256 bits a point.
@@ -196,68 +198,51 @@ def validity_bruteforce(frame: Frame, f: Formula, cap: int = DEFAULT_VALUATION_C
 
     Valuations are counted like an odometer, the lowest-index variable
     fastest: under counter t, the occurring variable at position p (in
-    index order) takes the n-bit digit p of t as its extent, written into
-    the slots of its occurrences. A step that changes the variables at
-    positions 1..j re-runs on point masks only the instructions whose
-    smallest variable sits at one of them. Position 0's instructions run
-    bit-sliced in chunks of 2^c counters, c = min(n, 8): bits a*2^c ..
-    a*2^c + 2^c - 1 of a sliced value are point a's lanes, lane l holds
-    point a < c in the fastest variable iff bit a of l is set, and a point
-    a >= c iff bit a of the chunk's counter is set. The mask slots the pass
-    reads are broadcast to every lane, ``_Lanes`` maps diamonds, and the
-    formula is valid iff its sliced value is all ones in every chunk."""
+    index order) takes the n-bit digit p of t as its extent. Every
+    instruction runs bit-sliced, on chunks of 2^c counters, c = min(n, 8)
+    (c = 0 without variables): bits a*2^c .. a*2^c + 2^c - 1 of a sliced
+    value are point a's lanes, lane l holds point a < c in the fastest
+    variable iff bit a of l is set, and a point a >= c in any variable iff
+    bit a of that variable's digit of the chunk's counter is set. ``_Lanes``
+    maps diamonds (with c = 0 a sliced value is a point mask, and the
+    frame's own preimage mappings do). The first chunk runs every
+    instruction; a later one writes the slots of the positions that changed
+    and re-runs only the instructions whose smallest variable sits at one
+    of them (change propagation), so variable-free ones run once per call.
+    The formula is valid iff its sliced value is all ones in every chunk."""
     prog, _, lows, outs, vars_ = _compile(frame, f)
-    n = frame.n
-    total = (1 << n) ** len(vars_)
-    if total > cap:
-        raise CapExceeded(
-            f"{len(vars_)} variables on {n} points need {total} assignments (cap {cap})"
-        )
-    full = (1 << n) - 1
+    n, k = frame.n, len(vars_)
+    bits = n * k
+    if cap < 1 or bits >= cap.bit_length():  # exactly 2^bits > cap
+        raise CapExceeded(f"{k} variables on {n} points need 2^{bits} assignments (cap {cap})")
     # Highest level first, a stable sort: a child's level is at least its
     # parent's, so children still come first, and the instructions that
-    # position j reaches form the suffix from start[j].
+    # position j reaches form a suffix, suffixes[j].
     prog.sort(key=lambda ins: lows[ins[0]], reverse=True)
     # the odometer writes the slots of each position's occurrences itself,
     # so the variable instructions go
     slots = [[i for i, op, x, _ in prog if op == _VAR and x == v] for v in vars_]
     prog = [ins for ins in prog if ins[1] != _VAR]
-    start = [sum(lows[ins[0]] > v for ins in prog) for v in vars_]
+    suffixes = [prog[sum(lows[ins[0]] > v for ins in prog):] for v in vars_]
     pre = [frame.preimages(mod) for mod in range(len(frame.alphabet))]
-    vals = [0] * len(lows)  # all variables start empty
-    _evaluate(prog, pre, (), full, vals)
-    root = outs[0]
-    if vals[root] != full:
-        return False
-    if not vars_:
-        return True
-    c = min(n, _LANE_POINTS)
+    full = (1 << n) - 1
+    c = min(n, _LANE_POINTS) if vars_ else 0  # no variables: one lane, point masks
     width = 1 << c
     lane, ones = (1 << width) - 1, (1 << n * width) - 1
+    lanes = [_Lanes(p, n, width) for p in pre] if c else pre
     # lane l of point a < c has bit a of l: runs of 2^a clear, 2^a set lanes
     low = sum((lane // ((1 << (1 << a)) + 1)) << (1 << a) << a * width for a in range(c))
-    lanes = [_Lanes(p, n, width) for p in pre]
-    first, fast = slots[0], prog[start[0]:]
-    reads = set()  # a diamond or box reads y, a negation x
-    for _, op, x, y in fast:
-        reads.update((y,) if op >= _DIA else (x,) if op == _NEG else (x, y))
-    reads = [s for s in reads if lows[s] > vars_[0]]  # mask slots, not sliced ones
-    sliced = [0] * len(lows)
-    for t in range(0, total, width):
-        digit = t & full
-        if t and not digit:  # a slow variable changed: re-run its suffix on masks
+    sliced, root = [0] * len(lows), outs[0]
+    run, j = prog, k - 1  # the first chunk writes every position and runs everything
+    for t in range(0, 1 << bits, width):
+        if t:
             j = ((t & -t).bit_length() - 1) // n  # the slowest position that changed
-            for p in range(1, j + 1):
-                for s in slots[p]:
-                    vals[s] = t >> (p * n) & full
-            _evaluate(prog[start[j]:start[0]], pre, (), full, vals)
-        if not digit:  # new mask values: broadcast each to all its lanes
-            for s in reads:
-                sliced[s] = _stride(vals[s], width) * lane
-        value = low | _stride(digit, width) * lane  # points a >= c: bit a of t
-        for s in first:
-            sliced[s] = value
-        _evaluate(fast, lanes, (), ones, sliced)
+            run = suffixes[j]
+        for p in range(j + 1):  # position j and those its carry reset
+            value = _stride(t >> p * n & full, width) * lane
+            for s in slots[p]:
+                sliced[s] = value if p else value | low
+        _evaluate(run, lanes, (), ones, sliced)
         if sliced[root] != ones:
             return False
     return True

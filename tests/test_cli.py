@@ -104,6 +104,20 @@ def test_check_cap_exceeded(chain3, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_check_cap_on_a_huge_assignment_space(tmp_path, capsys):
+    # 8 variables on 2048 points: 2^16384 assignments, a number too long to
+    # print in full, so the message names the power
+    path = tmp_path / "chain2048.json"
+    dump_frame(Frame(default_alphabet(1), 2048, [{(a, a + 1) for a in range(2047)}]), path)
+    assert cli.main(["check", str(path), "p0 | p1 | p2 | p3 | p4 | p5 | p6 | p7"]) == 2
+    assert "2^16384" in capsys.readouterr().err
+
+
+def test_count_cap_on_a_huge_profile_count(chain3, capsys):
+    assert cli.main(["count", chain3, "-k", "3000"]) == 2
+    assert "2^9000 valuation profiles exceed cap 4096" in capsys.readouterr().err
+
+
 def test_check_env_cap(chain3, capsys, monkeypatch):
     monkeypatch.setenv("MODALWB_CAP", "2")
     assert cli.main(["check", chain3, "p0 & p1"]) == 2

@@ -188,6 +188,19 @@ def test_path_reducible_long_chain_beyond_recursion_limit():
     assert not is_path_reducible(chain, n - 2)
 
 
+def test_path_reducible_without_enumeration_when_a_point_must_repeat():
+    # a path of m+1 steps visits m+2 points, so m >= n-1 needs no search
+    chain = uni(2048, [(a, a + 1) for a in range(2047)])
+    assert is_path_reducible(chain, 2047, budget=0)
+    assert is_path_reducible(EMPTY, 0, budget=0)
+    rng = random.Random(15)
+    for _ in range(200):
+        n = rng.randint(0, 4)
+        f = random_frame(rng, n, mods=rng.randint(1, 2), density=rng.random())
+        m = rng.randint(max(n - 1, 0), n + 1)
+        assert is_path_reducible(f, m) == oracles.path_reducible(f, m), (to_dict(f), m)
+
+
 def test_restriction_examples():
     sub = restriction(CHAIN3, {1, 2})
     assert sub.n == 2 and sub.relations[0] == {(0, 1)}

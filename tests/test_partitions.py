@@ -308,6 +308,16 @@ def test_count_k_formulas_cap():
         count_k_formulas(uni(4, []), 4, cap=1000)
 
 
+def test_count_k_formulas_cap_without_building_the_profile_count():
+    # 2^(4*10^6) profiles: the check compares exponents, and the message
+    # names the power instead of printing its million digits
+    with pytest.raises(CapExceeded, match=r"2\^4000000 valuation profiles"):
+        count_k_formulas(uni(4, []), 10**6)
+    with pytest.raises(CapExceeded):
+        count_k_formulas(uni(0, []), 1, cap=0)
+    assert count_k_formulas(uni(1, [(0, 0)]), 1, cap=2) == 4
+
+
 @st.composite
 def frame_and_family(draw):
     n = draw(st.integers(1, 6))

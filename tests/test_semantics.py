@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modalwb import partitions, semantics
-from modalwb.frames import Frame, is_pmorphism, points_of, quotient_filtration
+from modalwb.frames import Frame, expand, is_pmorphism, points_of, quotient_filtration
 from modalwb.partitions import CapExceeded, coarsest_tuned_refinement, is_tuned
 from modalwb.semantics import (
     Model,
@@ -31,6 +31,7 @@ from modalwb.syntax import (
     iter_nodes,
     parse,
     pretransitivity_axiom,
+    print_formula,
     variables,
 )
 
@@ -616,3 +617,97 @@ def test_sliced_validity_resets_the_positions_below_a_carry():
         f = Or(Imp(Dia(0, Var(2)), Dia(0, Var(1))), And(Var(0), Neg(Var(0))))
         assert not validity_bruteforce(frame, f)
         assert validity_bruteforce(frame, Or(f, Dia(0, Neg(Var(1)), boxed=True)))
+
+
+def closed_formula(rng, mods, size):
+    """A formula without variables: falsum and verum under negations,
+    boxes, diamonds and binary connectives."""
+    if size <= 0:
+        return Falsum() if rng.random() < 0.5 else Neg(Falsum())
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Neg(closed_formula(rng, mods, size - 1))
+    if kind == 1:
+        return Dia(rng.randrange(mods), closed_formula(rng, mods, size - 1), boxed=rng.random() < 0.5)
+    left = rng.randint(0, size - 1)
+    op = rng.choice([And, Or, Imp])
+    return op(closed_formula(rng, mods, left), closed_formula(rng, mods, size - 1 - left))
+
+
+def test_validity_without_variables_above_the_table_size_matches_scalar():
+    """No variable on 9-12 points: one chunk of one lane, so sliced values
+    are plain point masks and the diamonds go through the frame's
+    ``_RowUnion``."""
+    rng = random.Random(43)
+    verdicts = set()
+    for _ in range(120):
+        n, mods = rng.randint(9, 12), rng.randint(1, 2)
+        frame, f = random_frame_of(rng, n, mods), closed_formula(rng, mods, rng.randint(1, 8))
+        if rng.random() < 0.3:
+            f = Or(f, Neg(fresh_copy(f)))
+        verdict = validity_bruteforce(frame, f)
+        assert verdict == scalar_validity_bruteforce(frame, f)
+        assert verdict == naive_validity(frame, f)
+        verdicts.add(verdict)
+    assert verdicts == {False, True}
+
+
+def test_validity_on_frames_without_points():
+    """Every formula is valid on the empty frame, with or without variables;
+    the enumeration has the one valuation of empty extents."""
+    rng = random.Random(44)
+    for mods in (1, 2):
+        frame = Frame(default_alphabet(mods), 0, [set()] * mods)
+        for k in range(4):
+            indices = sorted(rng.sample(range(4), k))
+            for _ in range(10):
+                if indices:
+                    f = random_formula(rng, indices, mods, 5)
+                else:
+                    f = closed_formula(rng, mods, 5)
+                assert validity_bruteforce(frame, f)
+                assert scalar_validity_bruteforce(frame, f)
+                assert naive_validity(frame, f)
+
+
+def test_validity_fails_under_the_empty_valuation_only():
+    """With a universal modality u, <u>p0 | <u>p1 is false exactly when p0
+    and p1 are both empty, the very first valuation of the first chunk."""
+    rng = random.Random(45)
+    for n in (1, 2, 3, 5, 8, 9, 10):
+        frame = expand(random_frame_of(rng, n, 1), "universal")
+        u = len(frame.alphabet) - 1
+        f = Or(Dia(u, Var(0)), Dia(u, Var(1)))
+        nowhere = Dia(u, Or(Var(0), Var(1)), boxed=True)
+        assert not validity_bruteforce(frame, f)
+        assert not scalar_validity_bruteforce(frame, f)
+        assert not validity_bruteforce(frame, Or(f, Dia(u, Falsum(), boxed=True)))
+        if n <= 5:  # the weakening is valid, so it runs through every chunk
+            assert validity_bruteforce(frame, Or(f, Neg(nowhere)))
+            assert scalar_validity_bruteforce(frame, Or(f, Neg(nowhere)))
+        if n <= 3:
+            assert not naive_validity(frame, f)
+
+
+def test_validity_on_two_modalities_with_one_used():
+    """A two-modality frame whose formula reads one modality only: the
+    other modality's mappings go unused."""
+    rng = random.Random(46)
+    verdicts = set()
+    for _ in range(60):
+        n, k = rng.randint(1, 10), rng.randint(1, 2)
+        if n > 6:
+            k = 1
+        indices = sorted(rng.sample(range(3), k))
+        frame = random_frame_of(rng, n, 2)
+        used = rng.randrange(2)
+        f = random_formula(rng, indices, 1, 5)
+        if used:  # move every modality of the formula to d1
+            f = parse(print_formula(f, default_alphabet(1)).replace("d0", "d1"), frame.alphabet)
+        assert {g.mod for g in iter_nodes(f) if isinstance(g, Dia)} <= {used}
+        verdict = validity_bruteforce(frame, f)
+        assert verdict == scalar_validity_bruteforce(frame, f)
+        if n <= 3:
+            assert verdict == naive_validity(frame, f)
+        verdicts.add(verdict)
+    assert verdicts == {False, True}

@@ -22,26 +22,20 @@ preimage is the OR of the frame's predecessor rows over the block's points
 (Paige & Tarjan 1987). Many splitters repeat, or miss or cover every block;
 the split loop skips them, and returns the blocks in min-element order.
 
-Exact frame modal depth does not run that loop. It writes a partition as a
-tuple of canonical labels, ``labels[a]`` being the least point of a's
-block, and computes one stage as one packed int (the naive stage of
-Kanellakis & Smolka 1990 in the signature form of Blom & Orzan 2003). Each
-point owns a field of n bits for its own label and n bits per modality for
-the labels its successors hit: bit l of a's segment for m is set iff a lies
-in the m-preimage of the block labelled l, so points with equal fields
-share a block of the next stage, labelled by the least of them. The bits
-each point sets for each label it may carry are computed once per call from
-its predecessor rows, so a stage is an OR of n precomputed ints and no
-splitter is looked up. A stage is itself a set partition, so one memo per
-call maps each label tuple met to its index (0 at a fixpoint, else 1 + the
-index of its successor), and a seed's stages are computed only until they
-reach a known partition. Seeds are enumerated depth first with the
-signature of their prefix, so a seed costs one OR and its first stage one
-field split, and a seed whose first stage splits nothing is tuned and never
-reaches the memo. Since every stage before the fixpoint adds a block, a
-partition with k blocks has index at most n - k, and the enumeration of
-seeds skips every partition with too many blocks to beat the deepest seed
-found so far.
+Exact frame modal depth does not run that loop either: it refines every
+set partition of the points at once, one bit lane per partition
+(bit-slicing, Biham 1997, over the naive stage of Kanellakis & Smolka
+1990). ``eq[a][b]`` is one int whose bit s is set iff points a and b share
+a block in lane s. In one stage, bit s of ``hit_m[a][c]`` is set iff a has
+an m-successor in c's block, the OR of ``eq[t][c]`` over the m-successors
+t of a, and a and b stay together in a lane iff their hits agree for every
+modality and point there. Every modality reads the same ``eq``, and a lane
+that stops splitting stays fixed, so the frame's modal depth is the number
+of stages in which some lane splits. A pair apart in every lane drops out of
+later stages. The lane table is built per call, point by point, with lanes
+grouped by block count: the lanes with c blocks on i + 1 points are c
+copies of the c-block lanes on i points, point i joining block j in copy j,
+then the (c - 1)-block lanes, point i opening a block.
 """
 
 from __future__ import annotations
@@ -49,6 +43,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_, xor
 from typing import Iterable, Sequence
 
 from .frames import Frame, disjoint_sum, iter_bits, mask_of, points_of
@@ -242,68 +238,67 @@ def _random_partition_masks(rng: random.Random, n: int) -> list[int]:
     return out
 
 
+def _lane_table(n: int) -> list[list[int]]:
+    """``eq[a][b]`` over one lane per set partition of the n points: bit s
+    is set iff a and b share a block in lane s."""
+    zero = [0] * n
+    # group c: its lane count and rows[a][j], whose bit s is set iff point a
+    # lies in block j of the group's lane s, blocks numbered by least point
+    groups = [(1, [])]  # no points: one lane, the empty partition
+    for i in range(n):
+        groups.append((0, [zero] * i))
+        grown = [(0, [zero] * (i + 1))]
+        for c in range(1, i + 2):
+            # c copies of group c, point i joining block j in copy j, then
+            # group c - 1, point i opening block c - 1
+            (same, kept), (opened, prev) = groups[c], groups[c - 1]
+            width = c * same
+            copies = sum(1 << k * same for k in range(c))
+            rows = [[x * copies | y << width for x, y in zip(r, p)] for r, p in zip(kept, prev)]
+            row = [((1 << same) - 1) << j * same for j in range(c)] + zero[c:]
+            row[c - 1] |= ((1 << opened) - 1) << width
+            grown.append((width + opened, rows + [row]))
+        groups = grown
+    member = [zero] * n
+    offset = 0
+    for count, rows in groups:
+        member = [[m | x << offset for m, x in zip(ms, r)] for ms, r in zip(member, rows)]
+        offset += count
+    return [[reduce(or_, map(and_, ma, mb)) for mb in member] for ma in member]
+
+
 def _exact_depth(frame: Frame) -> int:
     """Largest stabilization index over every set partition of the points,
-    each partition's index computed at most once (see the module docstring).
+    one lane per partition, all refined at once (see the module docstring).
     """
     n = frame.n
-    if not n:
-        return 0
-    mods = len(frame.alphabet)
-    # point a's field: a's label in the low n bits, then one n-bit segment per
-    # modality holding the labels of a's successors
-    width = n * (mods + 1)
-    shifts = range(0, n * width, width)
-    field = (1 << width) - 1
-    delta = []  # delta[b][l]: the bits that point b with label l sets
-    for b in range(n):
-        row = [1 << (b * width + l) for l in range(n)]
-        for m in range(mods):
-            spread = 0
-            for a in iter_bits(frame.preimages(m)[1 << b]):
-                spread |= 1 << (a * width + n * (m + 1))
-            row = [d | spread << l for l, d in enumerate(row)]
-        delta.append(row)
-    index: dict[tuple[int, ...], int] = {}  # labels -> stabilization index
-    best = 0
-    # Seeds depth first, point by point, from a stack of (labels so far,
-    # block leaders, their signature): the point joins each block in turn,
-    # then opens its own. A recursive closure would keep the memo alive in a
-    # reference cycle until the next collection.
-    stack = [((0,), (0,), delta[0][0])]
-    while stack:
-        labels, leaders, sig = stack.pop()
-        i = len(labels)
-        if i < n:
-            row = delta[i]
-            # the seeds below a new block have index <= n - |leaders| - 1
-            if n - len(leaders) > best + 1:
-                stack.append((labels + (i,), leaders + (i,), sig | row[i]))
-            for lab in reversed(leaders):
-                stack.append((labels + (lab,), leaders, sig | row[lab]))
-            continue
-        fields = [sig >> s & field for s in shifts]
-        key = tuple(map(fields.index, fields))  # stage 1
-        if key == labels:  # tuned: index 0
-            continue
-        chain = []
-        while key not in index:
-            sig = 0
-            for row, lab in zip(delta, key):
-                sig |= row[lab]
-            fields = [sig >> s & field for s in shifts]
-            nxt = tuple(map(fields.index, fields))
-            if nxt == key:
-                index[key] = 0
-                break
-            chain.append(key)
-            key = nxt
-        d = index[key]
-        for key in reversed(chain):
-            d += 1
-            index[key] = d
-        best = max(best, d + 1)
-    return best
+    eq = _lane_table(n)
+    # per modality and point: a zero row, then the eq rows of its successors
+    seen = [
+        [[[0] * n] + [eq[t] for t in iter_bits(row)] for row in frame.rows(m)]
+        for m in range(len(frame.alphabet))
+    ]
+    pairs = [(a, b) for a in range(n) for b in range(a)]
+    depth = 0
+    while True:
+        # bit s of hit[a][m * n + c] is set iff a has an m-successor in c's
+        # block in lane s; every modality reads the same eq
+        hit = [[reduce(or_, col) for rows in seen for col in zip(*rows[a])] for a in range(n)]
+        split = False
+        live = []
+        for a, b in pairs:
+            e = eq[a][b]
+            cut = e & reduce(or_, map(xor, hit[a], hit[b]), 0)
+            if cut:
+                split = True
+                e ^= cut
+                eq[a][b] = eq[b][a] = e
+            if e:
+                live.append((a, b))
+        if not split:
+            return depth
+        depth += 1
+        pairs = live
 
 
 EXACT_DEPTH_LIMIT = 8
@@ -321,10 +316,8 @@ def frame_modal_depth(
     Exact mode covers every set partition (Bell-number many, so the point
     count is capped at 8); the sequence depends only on the partition
     induced by a seeding family, which is why set partitions suffice. It
-    computes each partition's index at most once, memoised along the
-    refinement chains, and skips the seeds with k blocks once the best index
-    found is at least n - k, their bound. Sampled mode maximizes over random
-    seed partitions and is only a lower bound.
+    refines all of them at once, one bit lane each. Sampled mode maximizes
+    over random seed partitions and is only a lower bound.
     """
     n = frame.n
     if mode == "exact":
@@ -361,6 +354,8 @@ def count_k_formulas(frame: Frame, k: int, cap: int = 4096) -> int:
     bits = n * k
     if cap < 1 or bits >= cap.bit_length():  # exactly 2^bits > cap
         raise CapExceeded(f"2^{bits} valuation profiles exceed cap {cap}")
+    if not n:  # one empty profile, whatever k: the subalgebra {0}
+        return 1
     profiles = 1 << bits
     big = disjoint_sum([frame] * profiles, frame.alphabet)
     gen_masks = [0] * k

@@ -113,9 +113,14 @@ def test_check_cap_on_a_huge_assignment_space(tmp_path, capsys):
     assert "2^16384" in capsys.readouterr().err
 
 
-def test_count_cap_on_a_huge_profile_count(chain3, capsys):
+def test_count_cap_on_a_huge_profile_count(chain3, tmp_path, capsys):
     assert cli.main(["count", chain3, "-k", "3000"]) == 2
     assert "2^9000 valuation profiles exceed cap 4096" in capsys.readouterr().err
+    # on 0 points every k has one profile, within the cap, and one class
+    empty0 = tmp_path / "empty0.json"
+    dump_frame(Frame(default_alphabet(1), 0, [set()]), empty0)
+    assert cli.main(["count", str(empty0), "-k", str(10**30), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"count": 1, "k": 10**30}
 
 
 def test_check_env_cap(chain3, capsys, monkeypatch):

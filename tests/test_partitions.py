@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from modalwb.frames import (
 from modalwb.partitions import (
     CapExceeded,
     Partition,
+    _lane_table,
     _random_partition_masks,
     _split_masks,
     coarsest_tuned_refinement,
@@ -474,7 +476,7 @@ def test_split_masks_matches_profile_partition(data):
     ids=["empty", "identity", "universal", "irreflexive-universal"],
 )
 def test_frame_modal_depth_zero_at_seven_points(pairs):
-    # depth 0 prunes no seed: every partition but the singletons is refined
+    # depth 0: the first stage splits no lane
     frame = uni(7, pairs(7))
     assert frame_modal_depth(frame) == oracles.exact_modal_depth(frame) == 0
 
@@ -525,11 +527,39 @@ def memoised_exact_depth(frame):
 
 @pytest.mark.parametrize("n", [7, 8])
 def test_frame_modal_depth_matches_memoised_masks(n):
-    # 8 points and 3 modalities give the widest packed fields, 32 bits
+    # 8 points give the most lanes, Bell(8) = 4140; the structured shapes
+    # are where lanes and memoised seeds differ most in cost
     rng = random.Random(40 + n)
-    for _ in range(30):
-        f = random_frame(rng, n, mods=rng.randint(1, 3), density=rng.choice([0.1, 0.2, 0.35, 0.6]))
+    frames = [
+        random_frame(rng, n, mods=rng.randint(1, 3), density=rng.choice([0.1, 0.2, 0.35, 0.6]))
+        for _ in range(30)
+    ]
+    frames += [
+        uni(n, [(a, a + 1) for a in range(n - 1)]),  # chain
+        uni(n, [(a, (a + 1) % n) for a in range(n)]),  # cycle
+        uni(n, [(a, b) for a in range(n) for b in range(a, n)]),  # linear order
+        uni(n, []),
+        uni(n, [(a, b) for a in range(n) for b in range(n)]),
+    ]
+    if n == 8:  # the three-modality cycle of the CI check
+        d0 = {(0, 1), (2, 3), (4, 5), (6, 7)}
+        frames.append(Frame(default_alphabet(3), 8, [d0, {(1, 2), (3, 4), (5, 6)}, {(7, 0)}]))
+    for f in frames:
         assert frame_modal_depth(f) == memoised_exact_depth(f)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lane_table_holds_every_set_partition_once(n):
+    eq = _lane_table(n)
+    full = eq[0][0]
+    assert all(eq[a][a] == full for a in range(n))
+    lanes = [
+        frozenset(frozenset(b for b in range(n) if eq[a][b] >> s & 1) for a in range(n))
+        for s in range(full.bit_length())
+    ]
+    expected = [frozenset(p) for p in oracles.set_partitions(range(n))]
+    assert Counter(lanes) == Counter(expected)
+    assert len(set(expected)) == len(expected)
 
 
 def test_frame_modal_depth_matches_oracle_at_seven_points():

@@ -1,10 +1,13 @@
 """Command-line surface.
 
 Subcommands: ``frame info``, ``frame md``, ``check``, ``count``, ``tune``,
-``audit``, ``export dot``. Every subcommand accepts ``--json`` for
-machine-readable output. Exit codes: 0 success, 1 property failure
-(invalid formula, audit failures), 2 usage or input errors. The
-environment variable MODALWB_CAP overrides the default brute-force caps.
+``audit``, ``export dot``. Each call builds the parser of only the
+subcommand it runs, or the full tree when the first argument names no
+subcommand, so help and error output are the same either way. Every
+subcommand accepts ``--json`` for machine-readable output. Exit codes: 0
+success, 1 property failure (invalid formula, audit failures), 2 usage or
+input errors. The environment variable MODALWB_CAP overrides the default
+brute-force caps.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ def _load(path) -> frames.Frame:
         return frames.load_frame(path)
     except FileNotFoundError:
         raise _UsageError(f"frame file not found: {path}") from None
+    except OSError as exc:
+        raise _UsageError(f"cannot read frame file {path}: {exc.strerror or exc}") from None
     except (ValueError, RecursionError) as exc:
         # RecursionError: json gives up on deeply nested arrays or objects
         raise _UsageError(f"bad frame file {path}: {exc}") from None
@@ -177,7 +182,10 @@ def _cmd_audit(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     if args.out:
-        audit.emit_report(report, args.out)
+        try:
+            audit.emit_report(report, args.out)
+        except OSError as exc:
+            raise _UsageError(f"cannot write report {args.out}: {exc.strerror or exc}") from None
     data = audit.report_to_dict(report)
     _emit(
         data,
@@ -203,13 +211,7 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="modalwb",
-        description="Workbench for finite polymodal Kripke frames.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_frame(sub) -> None:
     frame_p = sub.add_parser("frame", help="frame inspection")
     frame_sub = frame_p.add_subparsers(dest="frame_command", required=True)
     info_p = frame_sub.add_parser("info", help="relational invariants of a frame")
@@ -223,6 +225,8 @@ def _build_parser() -> argparse.ArgumentParser:
     md_p.add_argument("--json", action="store_true")
     md_p.set_defaults(fn=_cmd_frame_md)
 
+
+def _add_check(sub) -> None:
     check_p = sub.add_parser("check", help="brute-force validity of a formula")
     check_p.add_argument("path")
     check_p.add_argument("formula")
@@ -230,6 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("--json", action="store_true")
     check_p.set_defaults(fn=_cmd_check)
 
+
+def _add_count(sub) -> None:
     count_p = sub.add_parser("count", help="count nonequivalent k-formulas")
     count_p.add_argument("path")
     count_p.add_argument("-k", type=int, required=True)
@@ -237,12 +243,16 @@ def _build_parser() -> argparse.ArgumentParser:
     count_p.add_argument("--json", action="store_true")
     count_p.set_defaults(fn=_cmd_count)
 
+
+def _add_tune(sub) -> None:
     tune_p = sub.add_parser("tune", help="coarsest tuned refinement of seed sets")
     tune_p.add_argument("path")
     tune_p.add_argument("--sets", required=True, help="JSON list of point lists")
     tune_p.add_argument("--json", action="store_true")
     tune_p.set_defaults(fn=_cmd_tune)
 
+
+def _add_audit(sub) -> None:
     audit_p = sub.add_parser("audit", help="run a property suite")
     audit_p.add_argument("suite")
     audit_p.add_argument("--trials", type=int)
@@ -251,6 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
     audit_p.add_argument("--json", action="store_true")
     audit_p.set_defaults(fn=_cmd_audit)
 
+
+def _add_export(sub) -> None:
     export_p = sub.add_parser("export", help="export a frame")
     export_sub = export_p.add_subparsers(dest="export_command", required=True)
     dot_p = export_sub.add_parser("dot", help="Graphviz DOT rendering")
@@ -258,11 +270,43 @@ def _build_parser() -> argparse.ArgumentParser:
     dot_p.add_argument("--json", action="store_true")
     dot_p.set_defaults(fn=_cmd_export_dot)
 
+
+# top-level commands in help order
+_COMMANDS = {
+    "frame": _add_frame,
+    "check": _add_check,
+    "count": _add_count,
+    "tune": _add_tune,
+    "audit": _add_audit,
+    "export": _add_export,
+}
+
+
+def _build_parser(only=None) -> argparse.ArgumentParser:
+    """The parser of command ``only``, or of every command when ``only`` is
+    not a command name."""
+    parser = argparse.ArgumentParser(
+        prog="modalwb",
+        description="Workbench for finite polymodal Kripke frames.",
+    )
+    if only in _COMMANDS:
+        # the metavar keeps the full command list in usage lines; the full
+        # tree must not take it, as it would rename "argument command:"
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}"
+        )
+        _COMMANDS[only](sub)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add in _COMMANDS.values():
+            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

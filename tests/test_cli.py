@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -188,6 +189,19 @@ def test_missing_file(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_frame_path_that_is_a_directory(tmp_path, capsys):
+    for argv in (["frame", "info", str(tmp_path)], ["export", "dot", str(tmp_path)]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read frame file {tmp_path}: ")
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_audit_out_path_that_cannot_be_written(tmp_path, capsys, where):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+    assert cli.main(["audit", "md-sum", "--trials", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write report {out}: ")
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["frame"]) == 2
     assert cli.main([]) == 2
@@ -298,3 +312,82 @@ def test_frame_file_too_large(tmp_path, capsys, text, message):
     path.write_text(text)
     assert cli.main(["frame", "info", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+# argv cases that must print the same whether the parser holds only the
+# command named by argv[0] or every command; FRAME stands for a frame file
+FULL_TREE_CASES = [
+    [],
+    ["-h"],
+    ["--json"],
+    ["--json", "check", "FRAME", "p0"],
+    ["bogus"],
+    ["chec"],
+    ["CHECK"],
+    ["fr", "info", "FRAME"],
+    ["frame"],
+    ["frame", "-h"],
+    ["frame", "info"],
+    ["frame", "info", "-h"],
+    ["frame", "info", "FRAME"],
+    ["frame", "info", "FRAME", "--json"],
+    ["frame", "info", "FRAME", "extra"],
+    ["frame", "md", "FRAME", "--json"],
+    ["frame", "md", "-h"],
+    ["frame", "md", "FRAME", "--sample", "x"],
+    ["frame", "bogus", "FRAME"],
+    ["frame", "inf", "FRAME"],
+    ["check"],
+    ["check", "-h"],
+    ["check", "FRAME"],
+    ["check", "FRAME", "p0"],
+    ["check", "FRAME", "p0", "--json"],
+    ["check", "FRAME", "p0", "extra"],
+    ["check", "FRAME", "p0", "--cap", "z"],
+    ["check", "FRAME", "p0", "--bogus"],
+    ["count", "-h"],
+    ["count", "FRAME"],
+    ["count", "FRAME", "-k", "1", "--json"],
+    ["count", "FRAME", "-k", "x"],
+    ["tune", "-h"],
+    ["tune", "FRAME"],
+    ["tune", "FRAME", "--sets", "[[0]]"],
+    ["audit"],
+    ["audit", "-h"],
+    ["audit", "md-sum", "--trials", "0", "--json"],
+    ["audit", "md-sum", "--trials", "q"],
+    ["export"],
+    ["export", "-h"],
+    ["export", "dot"],
+    ["export", "dot", "-h"],
+    ["export", "dot", "FRAME", "--json"],
+    ["export", "png", "FRAME"],
+]
+
+
+@pytest.mark.parametrize("argv", FULL_TREE_CASES, ids=lambda argv: " ".join(argv) or "none")
+def test_output_matches_the_full_tree(chain3, capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [chain3 if token == "FRAME" else token for token in argv]
+    full = cli._build_parser
+    runs = []
+    for build in (full, lambda only=None: full()):
+        monkeypatch.setattr(cli, "_build_parser", build)
+        code = cli.main(argv)
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("command", ["chec", "CHECK"])
+def test_invalid_command_names_the_command_argument(capsys, command):
+    assert cli.main([command]) == 2
+    assert f"error: argument command: invalid choice: '{command}'" in capsys.readouterr().err
+
+
+def test_entry_point_reads_sys_argv(chain3, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "argv", ["modalwb", "check", chain3, "p0", "extra"])
+    assert cli.main() == 2
+    assert capsys.readouterr().err.startswith(
+        "usage: modalwb [-h] {frame,check,count,tune,audit,export} ...\n"
+    )

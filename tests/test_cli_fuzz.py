@@ -1,8 +1,13 @@
 """Fuzz the command line: whatever the formula text, frame file, ``tune --sets``
 value or ``audit`` suite, trial count and seed, ``cli.main`` returns an exit
-code in {0, 1, 2} and raises nothing."""
+code in {0, 1, 2} and raises nothing. A command followed by junk prints as
+it does with the parser of every command."""
 
+import contextlib
+import io
 import json
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -92,3 +97,32 @@ def test_tune_any_sets_text(workdir, text):
 def test_audit_any_suite_trials_and_seed(suite, trials, seed):
     argv = ["audit", suite, "--trials", str(trials), "--seed", str(seed), "--json"]
     assert cli.main(argv) in (0, 1, 2)
+
+
+JUNK = ["info", "md", "dot", "FRAME", "p0", "-k", "1", "--json", "--sets", "[[0]]", "--cap",
+        "--bogus", "-h"]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(["frame", "check", "count", "tune", "audit", "export"]),
+    rest=st.lists(st.sampled_from(JUNK) | st.text(max_size=3), max_size=5),
+)
+def test_command_then_junk_prints_as_the_full_tree(workdir, command, rest):
+    frame = str(workdir / "frame.json")
+    # no trials keeps a drawn suite name cheap
+    argv = [command] + (["--trials", "0"] if command == "audit" else [])
+    argv += [frame if token == "FRAME" else token for token in rest]
+    full = cli._build_parser
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        got = _run(argv)
+        with mock.patch.object(cli, "_build_parser", lambda only=None: full()):
+            assert _run(argv) == got
+    assert got[0] in (0, 1, 2)

@@ -6,6 +6,11 @@ routine against an inline reimplementation). Suites are deterministic: the
 per-trial RNG stream is derived from (seed, trial index), so reports are
 byte-identical across reruns.
 
+Each suite is one ``Suite`` record in ``SUITES``: its draw, its CLI
+defaults and its exact-depth scale. Only md-sum, top-down and cluster-bound
+take exact modal depth, so only their ``n_max`` is bounded by
+``partitions.EXACT_DEPTH_LIMIT``; md-sum sums two frames, so its bound is half.
+
 A suite draws its frame and states its law once, as a function of a point
 subset that checks the law on the restriction to those points. The trial
 checks it on every point; a failing trial serializes a counterexample frame,
@@ -33,7 +38,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import definability, frames, partitions, semantics, syntax
 from .frames import Frame
@@ -447,50 +452,37 @@ def _suite_byrd_frame(spec: GenSpec, rng: random.Random, trial: int):
     return frame, law
 
 
-SUITES: dict[str, Callable[[GenSpec, random.Random, int], tuple[Frame, Law]]] = {
-    "tuned-equivalences": _suite_tuned_equivalences,
-    "height-correspondence": _suite_height_correspondence,
-    "atr-correspondence": _suite_atr_correspondence,
-    "rpp-correspondence": _suite_rpp_correspondence,
-    "md-sum": _suite_md_sum,
-    "top-down": _suite_top_down,
-    "cluster-bound": _suite_cluster_bound,
-    "lex-phi": _suite_lex_phi,
-    "diff-axioms": _suite_diff_axioms,
-    "definability": _suite_definability,
-    "byrd-frame": _suite_byrd_frame,
+class Suite(NamedTuple):
+    """One suite: its draw, its CLI defaults and the point count of the
+    largest frame whose exact modal depth a trial takes, as a multiple of
+    ``n_max`` (0 when it takes none)."""
+
+    draw: Callable[[GenSpec, random.Random, int], tuple[Frame, Law]]
+    spec: GenSpec
+    trials: int
+    depth_scale: int
+
+
+SUITES = {
+    "tuned-equivalences": Suite(
+        _suite_tuned_equivalences, GenSpec(n_max=5, alphabet_size=2, density=0.4), 500, 0
+    ),
+    "height-correspondence": Suite(
+        _suite_height_correspondence, GenSpec(n_max=4, density=0.3), 200, 0
+    ),
+    "atr-correspondence": Suite(_suite_atr_correspondence, GenSpec(n_max=4, density=0.3), 200, 0),
+    "rpp-correspondence": Suite(_suite_rpp_correspondence, GenSpec(n_max=4, density=0.3), 200, 0),
+    "md-sum": Suite(_suite_md_sum, GenSpec(n_max=4, density=0.35), 100, 2),
+    "top-down": Suite(_suite_top_down, GenSpec(n_max=8, density=0.3), 100, 1),
+    "cluster-bound": Suite(_suite_cluster_bound, GenSpec(n_max=8, density=0.3), 100, 1),
+    "lex-phi": Suite(_suite_lex_phi, GenSpec(n_max=3, density=0.4), 100, 0),
+    "diff-axioms": Suite(_suite_diff_axioms, GenSpec(n_max=4, density=0.35), 100, 0),
+    "definability": Suite(_suite_definability, GenSpec(n_max=8, density=0.3), 100, 0),
+    "byrd-frame": Suite(_suite_byrd_frame, GenSpec(n_max=8), 5, 0),
 }
 
-# CLI defaults per suite: frame shape and trial count.
-DEFAULT_AUDIT_SPECS = {
-    "tuned-equivalences": GenSpec(n_max=5, alphabet_size=2, density=0.4),
-    "height-correspondence": GenSpec(n_max=4, density=0.3),
-    "atr-correspondence": GenSpec(n_max=4, density=0.3),
-    "rpp-correspondence": GenSpec(n_max=4, density=0.3),
-    "md-sum": GenSpec(n_max=4, density=0.35),
-    "top-down": GenSpec(n_max=8, density=0.3),
-    "cluster-bound": GenSpec(n_max=8, density=0.3),
-    "lex-phi": GenSpec(n_max=3, density=0.4),
-    "diff-axioms": GenSpec(n_max=4, density=0.35),
-    "definability": GenSpec(n_max=8, density=0.3),
-    "byrd-frame": GenSpec(n_max=8),
-}
-
-DEFAULT_AUDIT_TRIALS = {
-    "tuned-equivalences": 500,
-    "height-correspondence": 200,
-    "atr-correspondence": 200,
-    "rpp-correspondence": 200,
-    "md-sum": 100,
-    "top-down": 100,
-    "cluster-bound": 100,
-    "lex-phi": 100,
-    "diff-axioms": 100,
-    "definability": 100,
-    "byrd-frame": 5,
-}
-
-_EXACT_DEPTH_SUITES = ("md-sum", "top-down", "cluster-bound", "definability")
+# each suite's default frame shape, as the tests read it
+DEFAULT_AUDIT_SPECS = {name: suite.spec for name, suite in SUITES.items()}
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -516,24 +508,21 @@ def _minimize(frame: Frame, law: Law) -> Frame:
 def run_suite(suite: str, spec: GenSpec, trials: int) -> AuditReport:
     """Run one property suite; deterministic for a fixed spec seed."""
     try:
-        fn = SUITES[suite]
+        record = SUITES[suite]
     except KeyError:
         raise ValueError(f"unknown suite {suite!r}") from None
-    if suite in _EXACT_DEPTH_SUITES and spec.n_max > partitions.EXACT_DEPTH_LIMIT:
+    scale = record.depth_scale
+    if scale and spec.n_max * scale > partitions.EXACT_DEPTH_LIMIT:
         raise ValueError(
-            f"suite {suite!r} uses exact modal depth and needs n_max <= "
-            f"{partitions.EXACT_DEPTH_LIMIT}"
-        )
-    if suite == "md-sum" and spec.n_max > partitions.EXACT_DEPTH_LIMIT // 2:
-        raise ValueError(
-            f"md-sum sums two frames; needs n_max <= {partitions.EXACT_DEPTH_LIMIT // 2}"
+            f"suite {suite!r} takes exact modal depth on {scale} x n_max points "
+            f"and needs n_max <= {partitions.EXACT_DEPTH_LIMIT // scale}"
         )
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     failures: list[Failure] = []
     passes = 0
     for t in range(trials):
-        frame, law = fn(spec, random.Random(_trial_seed(spec.seed, t)), t)
+        frame, law = record.draw(spec, random.Random(_trial_seed(spec.seed, t)), t)
         ok, detail = law(list(range(frame.n)))
         if ok:
             passes += 1

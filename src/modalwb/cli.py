@@ -125,7 +125,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_count(args) -> int:
     frame = _load(args.path)
-    cap = args.cap if args.cap is not None else _env_cap(4096)
+    cap = args.cap if args.cap is not None else _env_cap(partitions.DEFAULT_PROFILE_CAP)
     try:
         count = partitions.count_k_formulas(frame, args.k, cap=cap)
     except (partitions.CapExceeded, ValueError) as exc:
@@ -167,16 +167,14 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    if args.suite not in audit.SUITES:
+    try:
+        record = audit.SUITES[args.suite]
+    except KeyError:
         raise _UsageError(
             f"unknown suite {args.suite!r}; known: {', '.join(sorted(audit.SUITES))}"
-        )
-    spec = audit.DEFAULT_AUDIT_SPECS[args.suite]
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
-    trials = args.trials
-    if trials is None:
-        trials = audit.DEFAULT_AUDIT_TRIALS[args.suite]
+        ) from None
+    spec = record.spec if args.seed is None else dataclasses.replace(record.spec, seed=args.seed)
+    trials = record.trials if args.trials is None else args.trials
     try:
         report = audit.run_suite(args.suite, spec, trials)
     except ValueError as exc:

@@ -62,8 +62,13 @@ def points_of(mask: int) -> frozenset[int]:
 
 
 def _rel_rows(rel, n: int) -> list[int]:
+    """Successor rows of a pair set on points 0..n-1; a pair outside them
+    raises ValueError."""
     rows = [0] * n
     for a, b in rel:
+        a, b = int(a), int(b)
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"pair ({a},{b}) outside points 0..{n - 1}")
         rows[a] |= 1 << b
     return rows
 
@@ -125,16 +130,7 @@ class Frame:
     """
 
     def __init__(self, alphabet: Alphabet, n: int, relations: Sequence[Iterable[Pair]]):
-        rows = []
-        for rel in relations:
-            row = [0] * n
-            for a, b in rel:
-                a, b = int(a), int(b)
-                if not (0 <= a < n and 0 <= b < n):
-                    raise ValueError(f"pair ({a},{b}) outside points 0..{n - 1}")
-                row[a] |= 1 << b
-            rows.append(tuple(row))
-        self._set(alphabet, n, tuple(rows))
+        self._set(alphabet, n, tuple(tuple(_rel_rows(rel, n)) for rel in relations))
 
     @classmethod
     def from_rows(cls, alphabet: Alphabet, n: int, rows: Sequence[Sequence[int]]) -> "Frame":

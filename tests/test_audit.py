@@ -1,9 +1,10 @@
+import hashlib
 import json
 import random
 
 import pytest
 
-from modalwb import audit, frames, partitions, semantics
+from modalwb import audit, cli, frames, partitions, semantics
 from modalwb.audit import (
     GenSpec,
     cluster_depth_bound,
@@ -60,6 +61,20 @@ def test_exact_depth_suites_reject_large_frames():
         run_suite("top-down", GenSpec(n_max=9), 1)
     with pytest.raises(ValueError, match="md-sum"):
         run_suite("md-sum", GenSpec(n_max=8), 1)
+
+
+def test_exact_depth_bound_scales_with_the_suite():
+    # md-sum takes the depth of a sum of two frames, top-down of one frame
+    with pytest.raises(ValueError, match="md-sum.*exact modal depth"):
+        run_suite("md-sum", GenSpec(n_max=5), 1)
+    assert run_suite("md-sum", GenSpec(n_max=4), 0).ok()
+    assert run_suite("top-down", GenSpec(n_max=8), 0).ok()
+
+
+def test_definability_is_not_bounded_by_exact_depth():
+    # its law calls verify_definability and stable_top, never the exact depth
+    report = run_suite("definability", GenSpec(n_max=10, density=0.3, seed=4), 20)
+    assert report.passes == 20, [f.detail for f in report.failures]
 
 
 @pytest.mark.parametrize(
@@ -173,3 +188,33 @@ def test_cluster_depth_bound_arithmetic():
     for h in range(1, 8):
         assert cluster_depth_bound(1, 1, h) == 3 * h - 2
         assert cluster_depth_bound(2, 1, h) == 4 * h - 2
+
+
+# sha256 of the report each suite writes at its CLI defaults and seed 0; a
+# change to a suite's draw, law, defaults or RNG use changes its digest, and
+# must say so where it re-records it
+REPORT_DIGESTS = [
+    ("tuned-equivalences", "830ca40c625b9b6dcdd66565c46ba9655949cd3906e1604088a854547d49748b"),
+    ("height-correspondence", "4630c89308ac5df0f961766b2dcfdf07013651bce6686bf69fd8947579e5c12f"),
+    ("atr-correspondence", "3627a071c0b69d7a9d2f39346fd175f8147c0fb17b45cca45504c54f25641b66"),
+    ("rpp-correspondence", "6226c5f60a53a9f2af36d6e37a679f1585d2f5de5259766b3ac3374f1dfaedf1"),
+    ("md-sum", "95bd6d104116afae49d2e03053d87e423bb1bd8dfd36722c0a2b47484f500ace"),
+    ("top-down", "ca3279b70d8dc642c78b341b4cd486970453dde26d63f3f3a11fdccefeb07ad7"),
+    ("cluster-bound", "6a10dbbdaf6ed99f715f74bed91d9707e1cac0690a6e323467d7463af6d6d744"),
+    ("lex-phi", "6830516434fa45f56edf75c83ba71d1e6079e1803d7081df91e77816f89fdec0"),
+    ("diff-axioms", "0de930d461906591fae4b5bcfc358f9d015c92d4c7ec6dc725f4bc1cc959aea8"),
+    ("definability", "e5d14bcb2690d2fd2fc6a30e828c02afb498565e54c726d3c4491ed0251fe9af"),
+    ("byrd-frame", "8b8740d84a577b2b6381b4d2cb8bb088f3df902fe73d52f49a88ba0ce3c71c92"),
+]
+
+
+def test_every_suite_has_a_pinned_digest():
+    assert [suite for suite, _ in REPORT_DIGESTS] == list(audit.SUITES)
+
+
+@pytest.mark.parametrize("suite,digest", REPORT_DIGESTS)
+def test_default_report_bytes_are_pinned(tmp_path, capsys, suite, digest):
+    out = tmp_path / "report.json"
+    assert cli.main(["audit", suite, "--seed", "0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

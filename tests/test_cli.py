@@ -6,6 +6,7 @@ import pytest
 
 from modalwb import cli
 from modalwb.frames import Frame, dump_frame, skeleton
+from modalwb.partitions import DEFAULT_PROFILE_CAP
 from modalwb.syntax import default_alphabet
 
 
@@ -116,7 +117,7 @@ def test_check_cap_on_a_huge_assignment_space(tmp_path, capsys):
 
 def test_count_cap_on_a_huge_profile_count(chain3, tmp_path, capsys):
     assert cli.main(["count", chain3, "-k", "3000"]) == 2
-    assert "2^9000 valuation profiles exceed cap 4096" in capsys.readouterr().err
+    assert f"2^9000 valuation profiles exceed cap {DEFAULT_PROFILE_CAP}" in capsys.readouterr().err
     # on 0 points every k has one profile, within the cap, and one class
     empty0 = tmp_path / "empty0.json"
     dump_frame(Frame(default_alphabet(1), 0, [set()]), empty0)
@@ -140,6 +141,16 @@ def test_count(point_refl, capsys):
 def test_count_cluster(cluster2, capsys):
     assert cli.main(["count", cluster2, "-k", "1"]) == 0
     assert "16" in capsys.readouterr().out
+
+
+def test_count_default_cap_stops_before_a_slow_count(tmp_path, capsys):
+    # 9 points and one variable: 2^9 = 512 profiles, past the default cap
+    path = tmp_path / "empty9.json"
+    dump_frame(Frame(default_alphabet(1), 9, [set()]), path)
+    assert cli.main(["count", str(path), "-k", "1"]) == 2
+    assert "2^9 valuation profiles exceed cap 256" in capsys.readouterr().err
+    assert cli.main(["count", str(path), "-k", "1", "--cap", "512", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"count": 4, "k": 1}
 
 
 def test_tune(chain3, capsys):

@@ -79,6 +79,12 @@ def test_rt_closure():
     assert rt_closure({(0, 1), (1, 0)}, 2) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
+@pytest.mark.parametrize("pair", [(-1, 0), (0, 5), (5, 0)])
+def test_rt_closure_rejects_pairs_outside_the_points(pair):
+    with pytest.raises(ValueError, match=r"outside points 0\.\.1"):
+        rt_closure({pair}, 2)
+
+
 def test_transitivity_index_examples():
     full2 = uni(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
     assert transitivity_index(full2) == 1

@@ -11,10 +11,13 @@ bounded box (a chain of union diamonds up to the frame's transitivity
 index), so that each point's equivalence class becomes definable in the
 whole model, not just inside the upset. ``verify_definability`` and
 ``stable_top`` model-check the resulting guarantees exhaustively. One
-construction builds each signed diamond ``Dia(mod, f)`` once, and every
-splitter and gamma conjunct reuses it; the betas of one upset share their
-gamma, so ``verify_definability`` compiles, measures and evaluates the shared
-DAG in one ``semantics.extents_and_depths`` pass per model.
+construction builds each literal ``Var(l)`` and ``Neg(Var(l))`` once and
+each signed diamond ``Dia(mod, f)`` once (for the gamma, one preimage,
+diamond and negation per modality and block, before the loop over blocks
+that reuses them), and every alpha, splitter and gamma conjunct reuses
+those nodes; the betas of one upset share their gamma, so
+``verify_definability`` compiles, measures and evaluates the shared DAG in
+one ``semantics.extents_and_depths`` pass per model.
 """
 
 from __future__ import annotations
@@ -63,10 +66,19 @@ def _box_star(m: int, mods, f: Formula) -> Formula:
     return Neg(diamond_upto(m, mods, Neg(f)))
 
 
-def _literal_profile(model: Model, block: int) -> list[Formula]:
-    """The literals of the block's least point."""
+def _literal_profile(model: Model, block: int, memo: dict) -> list[Formula]:
+    """The literals of the block's least point. ``Var(l)`` and its negation
+    are built once per memo, under the key ``("var", l)``."""
     rep = (block & -block).bit_length() - 1
-    return [Var(l) if rep in model.valuation[l] else Neg(Var(l)) for l in range(model.k)]
+    out = []
+    for l, ext in enumerate(model.valuation):
+        key = ("var", l)
+        if key not in memo:
+            var = Var(l)
+            memo[key] = var, Neg(var)
+        var, neg = memo[key]
+        out.append(var if rep in ext else neg)
+    return out
 
 
 def _signed_diamond(memo: dict, mod: int, f: Formula) -> tuple[Formula, Formula]:
@@ -98,7 +110,7 @@ def _stage_formulas(model: Model, memo: dict) -> tuple[list[list[int]], dict[int
     """
     frame = model.frame
     stages = _stage_masks(model)
-    forms = {b: conj(_literal_profile(model, b)) for b in stages[0]}
+    forms = {b: conj(_literal_profile(model, b, memo)) for b in stages[0]}
     for prev, cur in zip(stages, stages[1:]):
         pool = [
             (mod, pb, frame.preimage_mask(mod, pb))
@@ -179,20 +191,23 @@ def build_jankov(
     alphas: dict[int, Formula] = {}
     for b, form in subforms.items():
         lifted = mask_of(old[p] for p in iter_bits(b))
-        alphas[lifted] = conj(_literal_profile(sub, b) + [form])
+        alphas[lifted] = conj(_literal_profile(sub, b, memo) + [form])
     blocks = list(alphas)
 
     all_mods = tuple(range(len(frame.alphabet)))
     forces, forbids = [], []
     for mod in all_mods:
-        pres = [frame.preimage_mask(mod, b) for b in blocks]
+        signed = [
+            (frame.preimage_mask(mod, b), *_signed_diamond(memo, mod, alphas[b]))
+            for b in blocks
+        ]
         for a in blocks:
-            for b, pre in zip(blocks, pres):
-                dia, neg = _signed_diamond(memo, mod, alphas[b])
+            alpha = alphas[a]
+            for pre, dia, neg in signed:
                 if a & pre:
-                    forces.append(Imp(alphas[a], dia))
+                    forces.append(Imp(alpha, dia))
                 else:
-                    forbids.append(Imp(alphas[a], neg))
+                    forbids.append(Imp(alpha, neg))
     parts = []
     if GAMMA_FORCES in families:
         parts.append(_box_star(m, all_mods, conj(forces)))

@@ -50,6 +50,16 @@ def mask_of(points: Iterable[int]) -> int:
     return m
 
 
+def _checked_mask(n: int, points: Iterable[int]) -> int:
+    """``mask_of(points)``, rejecting a point outside 0..n-1 by name."""
+    m = 0
+    for p in points:
+        if not 0 <= p < n:
+            raise ValueError(f"point {p} out of range")
+        m |= 1 << p
+    return m
+
+
 def iter_bits(mask: int):
     while mask:
         low = mask & -mask
@@ -193,10 +203,7 @@ class Frame:
         return self.preimages(mod)[vmask]
 
     def preimage(self, mod: int, points: Iterable[int]) -> frozenset[int]:
-        mask = mask_of(points)
-        if mask >> self.n:
-            raise ValueError("point out of range")
-        return points_of(self.preimage_mask(mod, mask))
+        return points_of(self.preimage_mask(mod, _checked_mask(self.n, points)))
 
     def __eq__(self, other):
         return (
@@ -334,20 +341,15 @@ def is_path_reducible(frame: Frame, m: int, budget: int = 10**6) -> bool:
 def restriction(frame: Frame, points: Iterable[int]) -> Frame:
     """Restriction to a point subset, reindexed along sorted(points)."""
     pts = sorted(set(points))
-    for p in pts:
-        if not 0 <= p < frame.n:
-            raise ValueError(f"point {p} out of range")
+    keep = _checked_mask(frame.n, pts)
     pos = {p: i for i, p in enumerate(pts)}
-    keep = mask_of(pts)
     rows = [[_image(r[p] & keep, pos) for p in pts] for r in frame._rows]
     return Frame.from_rows(frame.alphabet, len(pts), rows)
 
 
 def is_upset(frame: Frame, points: Iterable[int]) -> bool:
     """True iff the set is closed under every relation's successors."""
-    mask = mask_of(points)
-    if mask >> frame.n:
-        raise ValueError("point out of range")
+    mask = _checked_mask(frame.n, points)
     for mod in range(len(frame.alphabet)):
         rows = frame.rows(mod)
         for p in iter_bits(mask):
@@ -358,9 +360,7 @@ def is_upset(frame: Frame, points: Iterable[int]) -> bool:
 
 def generated_upset(frame: Frame, points: Iterable[int]) -> frozenset[int]:
     """Closure of the set under reachability along the union relation."""
-    mask = mask_of(points)
-    if mask >> frame.n:
-        raise ValueError("point out of range")
+    mask = _checked_mask(frame.n, points)
     acc = 0
     for row, members in _cluster_masks(frame).items():
         if members & mask:  # a cluster's points share their closure row

@@ -3,22 +3,24 @@
 Everything here is pure and works over immutable inputs. There is one
 compiler and one evaluator. ``_compile`` turns the DAG below one or more
 root formulas into a flat instruction list, children first, in one
-explicit-stack walk that also measures each instruction's modal depth and
-smallest variable index and checks its modality ids; ``_evaluate`` runs a
-list of instructions under one valuation with point sets as bitmasks, each
-instruction writing its own slot of a value list, and reads a diamond from
-``pre``, the frame's ``preimages`` per modality (one list lookup on at most
-``frames.TABLE_POINTS`` points). ``extents_and_depths`` compiles many roots
-into one program, so subformulas the roots share are walked, measured and
-evaluated once; ``extent`` is its one-root case. ``validity_bruteforce``
-counts valuations with an odometer and runs every instruction bit-sliced
-(Biham, FSE 1997): one int holds every point's lanes, so the evaluator runs
-a chunk of 2^c values of the fastest variable in one pass, with ``_Lanes``
-as the preimage mappings (without variables c = 0: one lane, plain point
-masks and the frame's own mappings). After the first chunk an instruction
-re-runs only when its smallest variable changes (change propagation), so
-variable-free ones run once per call, and the odometer writes each changed
-variable's sliced extent straight into the slots of its occurrences.
+explicit-stack walk that compiles a node once its children have slots
+(pushing only the children that lack one), measures each instruction's
+modal depth and smallest variable index and checks its modality ids;
+``_evaluate`` runs a list of instructions under one valuation with point
+sets as bitmasks, each instruction writing its own slot of a value list,
+and reads a diamond from ``pre``, the frame's ``preimages`` per modality
+(one list lookup on at most ``frames.TABLE_POINTS`` points).
+``extents_and_depths`` compiles many roots into one program, so subformulas
+the roots share are walked, measured and evaluated once; ``extent`` is its
+one-root case. ``validity_bruteforce`` counts valuations with an odometer
+and runs every instruction bit-sliced (Biham, FSE 1997): one int holds
+every point's lanes, so the evaluator runs a chunk of 2^c values of the
+fastest variable in one pass, with ``_Lanes`` as the preimage mappings
+(without variables c = 0: one lane, plain point masks and the frame's own
+mappings). After the first chunk an instruction re-runs only when its
+smallest variable changes (change propagation), so variable-free ones run
+once per call, and the odometer writes each changed variable's sliced
+extent straight into the slots of its occurrences.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class Model:
 
 _VAR, _FALSE, _NEG, _AND, _OR, _IMP, _DIA, _BOX = range(8)
 _NO_VAR = math.inf  # the level of a variable-free instruction: above every variable
-_INNER = frozenset((Neg, Dia, And, Or, Imp))
+_BINARY = {And: _AND, Or: _OR, Imp: _IMP}
 
 
 def _compile(frame: Frame, *roots: Formula):
@@ -70,45 +72,59 @@ def _compile(frame: Frame, *roots: Formula):
     depths, lows, outs, vars_)``: the instructions, the modal depth of each
     slot's subformula, the smallest variable index in it (``_NO_VAR`` when it
     has none), each root's slot, and the sorted variable indices. Rejects
-    modality ids outside the frame's alphabet."""
-    index: dict[int, int] = {}  # id -> slot, -1 while the node waits for its children
+    modality ids outside the frame's alphabet.
+
+    The walk reads the top of an explicit stack: a node already compiled is
+    popped, a node whose children all have slots is compiled and popped, and
+    otherwise only the children without a slot are pushed, right then left,
+    so the node is compiled when it is met again. A node whose children are
+    already compiled, as shared subformulas often are, takes one visit."""
+    index: dict[int, int] = {}  # id -> slot
     prog: list[tuple[int, int, int, int]] = []
     depths: list[int] = []
     lows: list[float] = []
     vars_, bad = set(), set()
     size = len(frame.alphabet)
-    stack = list(reversed(roots))  # the walk of iter_nodes, without a generator
+    stack = list(reversed(roots))
     while stack:
-        g = stack.pop()
-        t, k = type(g), id(g)
-        slot = index.get(k)
-        if slot is None and t in _INNER:  # compiled when it comes back up
-            index[k] = -1
-            stack += (g, g.child) if t is Neg or t is Dia else (g, g.right, g.left)
+        g = stack[-1]
+        k = id(g)
+        if k in index:
+            stack.pop()
             continue
-        if slot is not None and slot >= 0:
-            continue
+        t = type(g)
         i = len(prog)
-        if t is Var:
+        op = _BINARY.get(t)
+        if op is not None:
+            x, y = index.get(id(g.left)), index.get(id(g.right))
+            if x is None or y is None:
+                if y is None:
+                    stack.append(g.right)
+                if x is None:
+                    stack.append(g.left)
+                continue
+            dx, dy, lx, ly = depths[x], depths[y], lows[x], lows[y]
+            ins, d, lo = (i, op, x, y), dx if dx > dy else dy, lx if lx < ly else ly
+        elif t is Neg or t is Dia:
+            x = index.get(id(g.child))
+            if x is None:
+                stack.append(g.child)
+                continue
+            if t is Neg:
+                ins, d = (i, _NEG, x, 0), depths[x]
+            else:
+                ins, d = (i, _BOX if g.boxed else _DIA, g.mod, x), 1 + depths[x]
+                if g.mod >= size:
+                    bad.add(g.mod)
+            lo = lows[x]
+        elif t is Var:
             ins, d, lo = (i, _VAR, g.index, 0), 0, g.index
             vars_.add(lo)
         elif t is Falsum:
             ins, d, lo = (i, _FALSE, 0, 0), 0, _NO_VAR
-        elif t is Neg:
-            x = index[id(g.child)]
-            ins, d, lo = (i, _NEG, x, 0), depths[x], lows[x]
-        elif t is Dia:
-            x = index[id(g.child)]
-            ins, d, lo = (i, _BOX if g.boxed else _DIA, g.mod, x), 1 + depths[x], lows[x]
-            if g.mod >= size:
-                bad.add(g.mod)
-        elif t in _INNER:  # And, Or, Imp
-            x, y = index[id(g.left)], index[id(g.right)]
-            op = _AND if t is And else _OR if t is Or else _IMP
-            ins, d = (i, op, x, y), max(depths[x], depths[y])
-            lo = lows[x] if lows[x] < lows[y] else lows[y]
         else:
             raise TypeError(f"not a formula: {g!r}")
+        stack.pop()
         index[k] = i
         prog.append(ins)
         depths.append(d)

@@ -462,19 +462,21 @@ def star_translate(f: Formula, m: int, subset: Iterable[int]) -> Formula:
     return out[id(f)]
 
 
+def _union(subset: tuple[int, ...], f: Formula) -> Formula:
+    """``diamond_union`` over a subset ``_norm_subset`` has already normalised."""
+    return disj([Dia(b, f) for b in subset]) if subset else Falsum()
+
+
 def diamond_union(subset: Iterable[int], f: Formula) -> Formula:
     """Union diamond over a set of modalities; the empty union is falsum."""
-    subset = _norm_subset(subset)
-    if not subset:
-        return Falsum()
-    return disj([Dia(b, f) for b in subset])
+    return _union(_norm_subset(subset), f)
 
 
 def diamond_power(i: int, subset: Iterable[int], f: Formula) -> Formula:
     i = _nat(i, "power")
     subset = _norm_subset(subset)
     for _ in range(i):
-        f = diamond_union(subset, f)
+        f = _union(subset, f)
     return f
 
 
@@ -483,10 +485,8 @@ def diamond_upto(m: int, subset: Iterable[int], f: Formula) -> Formula:
     m = _nat(m, "m")
     subset = _norm_subset(subset)
     parts = [f]
-    cur = f
     for _ in range(m):
-        cur = diamond_union(subset, cur)
-        parts.append(cur)
+        parts.append(_union(subset, parts[-1]))
     return disj(parts)
 
 
@@ -520,7 +520,7 @@ def reducible_path_axiom(m: int, subset: Iterable[int]) -> Formula:
     subset = _norm_subset(subset)
     ante: Formula = Var(m + 1)
     for i in range(m, -1, -1):
-        ante = And(Var(i), diamond_union(subset, ante))
+        ante = And(Var(i), _union(subset, ante))
     parts = []
     for i in range(0, m + 2):
         for j in range(i + 1, m + 2):
@@ -528,7 +528,7 @@ def reducible_path_axiom(m: int, subset: Iterable[int]) -> Formula:
     for i in range(0, m + 1):
         for j in range(i + 1, m + 1):
             parts.append(
-                diamond_power(i, subset, And(Var(i), diamond_union(subset, Var(j + 1))))
+                diamond_power(i, subset, And(Var(i), _union(subset, Var(j + 1))))
             )
     return Imp(ante, disj(parts))
 

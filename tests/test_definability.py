@@ -109,6 +109,13 @@ def test_build_jankov_requires_upset():
         build_jankov(model, frozenset({0}))
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("build", [build_jankov, verify_definability, stable_top])
+def test_definability_names_an_upset_point_out_of_range(build, bad):
+    with pytest.raises(ValueError, match=rf"^point {bad} out of range$"):
+        build(Model(CHAIN3, 0, ()), [2, bad])
+
+
 def test_build_jankov_rejects_small_m():
     model = Model(CHAIN3, 0, ())
     with pytest.raises(ValueError, match="transitivity index"):
@@ -326,6 +333,21 @@ def test_jankov_betas_share_one_diamond_per_modality_and_child():
         _, _, beta = build_jankov(model, random_upset(rng, model.frame))
         dias = [(g.mod, id(g.child)) for g in iter_nodes(*beta.values()) if isinstance(g, Dia)]
         assert len(dias) == len(set(dias))
+
+
+def test_jankov_betas_share_one_node_per_literal():
+    rng = random.Random(6)
+    for _ in range(100):
+        model = random_model(rng, n_max=7)
+        _, _, beta = build_jankov(model, random_upset(rng, model.frame))
+        nodes = list(iter_nodes(*beta.values()))
+        lits = [("var", g.index) for g in nodes if isinstance(g, Var)]
+        lits += [
+            ("neg", g.child.index)
+            for g in nodes
+            if isinstance(g, Neg) and isinstance(g.child, Var)
+        ]
+        assert len(lits) == len(set(lits))
 
 
 # SHA-256 of print_formula(gamma) and of every beta, one per line in point

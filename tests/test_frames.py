@@ -222,6 +222,24 @@ def test_upsets():
     assert generated_upset(CHAIN3, {1}) == {1, 2}
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_is_upset_names_a_point_out_of_range(bad):
+    with pytest.raises(ValueError, match=rf"^point {bad} out of range$"):
+        is_upset(CHAIN3, {1, bad})
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_generated_upset_names_a_point_out_of_range(bad):
+    with pytest.raises(ValueError, match=rf"^point {bad} out of range$"):
+        generated_upset(CHAIN3, {1, bad})
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_preimage_names_a_point_out_of_range(bad):
+    with pytest.raises(ValueError, match=rf"^point {bad} out of range$"):
+        CHAIN3.preimage(0, {1, bad})
+
+
 def test_cluster_frames():
     two_parts = uni(3, [(0, 1), (1, 0)])  # 2-cycle plus isolated point
     parts = cluster_frames(two_parts)

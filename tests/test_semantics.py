@@ -458,6 +458,18 @@ def test_compile_deep_chain_without_recursion():
     assert extents_and_depths(m, [f, f.child]) == [(0b100, 0), (0b011, 0)]
 
 
+def test_compile_heavily_shared_dag_once_per_node():
+    # 201 nodes, 2^200 paths: one instruction per node, not per path
+    f = Var(0)
+    for _ in range(200):
+        f = And(f, f)
+    prog, _, _, outs, _ = semantics._compile(CHAIN3, f)
+    assert len(prog) == 201 and outs == [200]
+    assert_program_follows_iter_nodes(CHAIN3, [f])
+    m = Model(CHAIN3, 1, (frozenset({2}),))
+    assert extents_and_depths(m, [f]) == [(0b100, 0)]
+
+
 def test_compile_rejects_non_formulas_and_unknown_modalities():
     m = Model(CHAIN3, 1, (frozenset(),))
     with pytest.raises(TypeError, match="not a formula"):

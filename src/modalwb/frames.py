@@ -5,16 +5,13 @@ alphabet. Each relation is stored as successor rows: one integer bitmask per
 point, bit b of row a set iff a sees b. The rows are the frame's only stored
 relational data. Three views are derived from them on first use and
 cached. The pair sets are ``Frame.relations``. The preimage mappings
-``Frame.preimages``, one per modality, are built from the predecessor rows
-(the transposed rows, bit a of row b set iff a sees b). On at most
-``TABLE_POINTS`` points a mapping lists the preimage of every point subset
-(2^n ints per modality, kept with the frame; entry ``1 << b`` is b's
-predecessor row); above that it ORs one predecessor row per point of its
-argument. The cluster masks come from one reflexive-transitive closure of
-the union relation, which ``height``, ``min_part``, ``cluster_frames`` and
-``to_dot`` share. Frames are immutable after construction and safe to
-share; point sets are plain frozensets at the API surface while the
-algorithms work on integer bitmasks internally.
+``Frame.preimages``, one per modality, hold the predecessor rows (the
+transposed rows, bit a of row b set iff a sees b) and OR one of them per
+point of their argument. The cluster masks come from one
+reflexive-transitive closure of the union relation, which ``height``,
+``min_part``, ``cluster_frames`` and ``to_dot`` share. Frames are immutable
+after construction and safe to share; point sets are plain frozensets at
+the API surface while the algorithms work on integer bitmasks internally.
 """
 
 from __future__ import annotations
@@ -32,11 +29,6 @@ Pair = tuple[int, int]
 # info`` takes about 1 s on an empty relation and 5 s on a chain (2-core
 # x86-64 host, Python 3.11).
 POINT_LIMIT = 2048
-
-# Largest point count whose preimage mapping is a table of all 2^n point
-# subsets: about 2 KB per modality at 8 points, its 256 entries being
-# CPython's shared small ints.
-TABLE_POINTS = 8
 
 
 class PathBudgetExceeded(RuntimeError):
@@ -111,8 +103,9 @@ def _closure_rows(rows, reflexive: bool) -> list[int]:
 
 
 class _RowUnion:
-    """Preimages on frames above ``TABLE_POINTS`` points: the OR of the
-    predecessor rows of the argument's points."""
+    """Map from a point mask to the OR of the rows of its points, one row per
+    point: preimages over predecessor rows (``Frame.preimages``), images
+    over successor rows (``transitivity_index``)."""
 
     __slots__ = ("pred",)
 
@@ -176,11 +169,9 @@ class Frame:
 
     def preimages(self, mod: int):
         """Map from a point mask to the mask of the points that see some
-        point of it under one modality, built on first use and kept on the
-        frame (callers must not change it): on at most ``TABLE_POINTS``
-        points a list of all 2^n preimages, built by doubling (the subset
-        table of the Four Russians method, Arlazarov et al. 1970), above
-        that a ``_RowUnion``."""
+        point of it under one modality: a ``_RowUnion`` over the
+        modality's predecessor rows (``pred``), built on first use and kept
+        on the frame (callers must not change it)."""
         if self._preimages is None:
             mappings = []
             for rows in self._rows:
@@ -188,13 +179,7 @@ class Frame:
                 for a, row in enumerate(rows):
                     for b in iter_bits(row):
                         pred[b] |= 1 << a
-                if self.n > TABLE_POINTS:
-                    mappings.append(_RowUnion(pred))
-                    continue
-                table = [0]
-                for row in pred:
-                    table += [t | row for t in table]
-                mappings.append(table)
+                mappings.append(_RowUnion(pred))
             self._preimages = tuple(mappings)
         return self._preimages[mod]
 

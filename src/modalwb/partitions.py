@@ -328,6 +328,8 @@ def frame_modal_depth(
         return _exact_depth(frame)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     rng = random.Random(seed)
     seeds = (_random_partition_masks(rng, n) for _ in range(trials))
     return max((_stabilization_masks(frame, masks) for masks in seeds), default=0)

@@ -9,7 +9,7 @@ modal depth and smallest variable index and checks its modality ids;
 ``_evaluate`` runs a list of instructions under one valuation with point
 sets as bitmasks, each instruction writing its own slot of a value list,
 and reads a diamond from ``pre``, the frame's ``preimages`` per modality
-(one list lookup on at most ``frames.TABLE_POINTS`` points).
+(an OR of the predecessor rows of the argument's points).
 ``extents_and_depths`` compiles many roots into one program, so subformulas
 the roots share are walked, measured and evaluated once; ``extent`` is its
 one-root case. ``validity_bruteforce`` counts valuations with an odometer
@@ -114,7 +114,7 @@ def _compile(frame: Frame, *roots: Formula):
                 ins, d = (i, _NEG, x, 0), depths[x]
             else:
                 ins, d = (i, _BOX if g.boxed else _DIA, g.mod, x), 1 + depths[x]
-                if g.mod >= size:
+                if not 0 <= g.mod < size:
                     bad.add(g.mod)
             lo = lows[x]
         elif t is Var:
@@ -166,14 +166,14 @@ def _stride(mask: int, width: int) -> int:
 
 
 class _Lanes:
-    """Lane-wise preimages under one modality: point b's lanes, masked out
-    and multiplied by a bit at the field of each predecessor of b, land in
-    every predecessor's field without carries."""
+    """Lane-wise preimages under one modality, from its predecessor rows:
+    point b's lanes, masked out and multiplied by a bit at the field of each
+    predecessor of b, land in every predecessor's field without carries."""
 
     __slots__ = ("terms", "lane")
 
-    def __init__(self, pre, n: int, width: int):
-        self.terms = [(b * width, _stride(pre[1 << b], width)) for b in range(n) if pre[1 << b]]
+    def __init__(self, pred: list[int], width: int):
+        self.terms = [(b * width, _stride(row, width)) for b, row in enumerate(pred) if row]
         self.lane = (1 << width) - 1
 
     def __getitem__(self, v: int) -> int:
@@ -245,7 +245,7 @@ def validity_bruteforce(frame: Frame, f: Formula, cap: int = DEFAULT_VALUATION_C
     c = min(n, _LANE_POINTS) if vars_ else 0  # no variables: one lane, point masks
     width = 1 << c
     lane, ones = (1 << width) - 1, (1 << n * width) - 1
-    lanes = [_Lanes(p, n, width) for p in pre] if c else pre
+    lanes = [_Lanes(p.pred, width) for p in pre] if c else pre
     # lane l of point a < c has bit a of l: runs of 2^a clear, 2^a set lanes
     low = sum((lane // ((1 << (1 << a)) + 1)) << (1 << a) << a * width for a in range(c))
     sliced, root = [0] * len(lows), outs[0]

@@ -377,6 +377,8 @@ def print_formula(f: Formula, alphabet: Alphabet | None = None) -> str:
     names = None if alphabet is None else alphabet.names
 
     def name_of(mod):
+        if mod < 0:
+            raise ValueError(f"modality id {mod} is negative")
         if names is None:
             return f"d{mod}"
         if mod >= len(names):

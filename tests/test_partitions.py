@@ -253,6 +253,12 @@ def test_frame_modal_depth_modes():
         frame_modal_depth(CHAIN3, mode="nope")
 
 
+def test_sampled_depth_rejects_negative_trials():
+    with pytest.raises(ValueError, match="trials must be non-negative, got -5"):
+        frame_modal_depth(CHAIN3, mode="sampled", trials=-5)
+    assert frame_modal_depth(CHAIN3, mode="sampled", trials=0) == 0
+
+
 def test_frame_modal_depth_generated_subframe():
     rng = random.Random(6)
     for _ in range(60):

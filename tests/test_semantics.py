@@ -481,6 +481,16 @@ def test_compile_rejects_non_formulas_and_unknown_modalities():
         extents_and_depths(m, [Dia(3, Dia(1, Var(0))), Dia(0, Var(0)), Dia(1, Falsum())])
 
 
+def test_compile_rejects_negative_modality_ids():
+    # -1 must not alias the last modality of a 2-modality frame
+    frame = Frame(AL2, 2, [{(0, 1)}, {(1, 0)}])
+    m = Model(frame, 1, (frozenset({0}),))
+    with pytest.raises(ValueError, match=r"modality ids \[-2, -1\] outside alphabet of size 2"):
+        extent(m, Or(Dia(-1, Var(0)), Dia(-2, Dia(-1, Var(0)))))
+    with pytest.raises(ValueError, match=r"modality ids \[-1\] outside alphabet of size 2"):
+        validity_bruteforce(frame, Imp(Dia(-1, Var(0)), Dia(1, Var(0))))
+
+
 def scalar_validity_bruteforce(frame, f, cap=semantics.DEFAULT_VALUATION_CAP):
     """The scalar incremental enumeration that the bit-sliced chunks
     replaced, kept verbatim as the differential reference of

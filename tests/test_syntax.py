@@ -170,6 +170,16 @@ def test_print_examples():
     assert parse(print_formula(nested, AL2), AL2) == nested
 
 
+def test_print_rejects_modality_ids_outside_the_alphabet():
+    # a negative id must not alias the last name, nor print as "<d-1>",
+    # which parse rejects
+    for alphabet in (None, AL2):
+        with pytest.raises(ValueError, match="modality id -1 is negative"):
+            print_formula(Dia(-1, Var(0)), alphabet)
+    with pytest.raises(ValueError, match="modality id 2 outside alphabet"):
+        print_formula(box(2, Var(0)), AL2)
+
+
 def test_print_parse_identity_on_canonical_text():
     for text in ["p0 & p1 -> <d0>p2 | false", "[d0](p0 -> p1)", "~~p0", "(p0 | p1) & p2"]:
         assert print_formula(parse(text, AL2), AL2) == text

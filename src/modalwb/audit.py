@@ -17,6 +17,9 @@ checks it on every point; a failing trial serializes a counterexample frame,
 greedily minimized by point deletion while the law still fails. Every suite
 but ``byrd-frame`` is minimized: its law is about one member of a fixed
 family, so its restrictions pass and its failures show the whole frame.
+A trial whose draw or law raises ``GenerationError``, ``CapExceeded`` or
+``PathBudgetExceeded`` is listed under the report's ``errors`` and counts as
+neither a pass nor a failure.
 
 Suite ids:
 
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 from . import definability, frames, partitions, semantics, syntax
@@ -84,6 +87,14 @@ class Failure:
 
 
 @dataclass
+class TrialError:
+    """A trial whose draw or law raised a sampling, cap or path-budget error."""
+
+    trial: int
+    detail: str
+
+
+@dataclass
 class AuditReport:
     suite: str
     seed: int
@@ -91,9 +102,10 @@ class AuditReport:
     passes: int
     failures: list[Failure]
     config: dict
+    errors: list[TrialError] = field(default_factory=list)
 
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failures and not self.errors
 
 
 def satisfies_structure(frame: Frame, structure: str, param: int | None) -> bool:
@@ -136,10 +148,10 @@ def random_frame(spec: GenSpec, rng: random.Random | None = None) -> Frame:
                 for b in range(n):
                     if rng.random() < spec.density:
                         rows[a] |= 1 << b
-            if spec.structure in ("transitive", "wk4"):
-                rows = frames._closure_rows(rows, reflexive=False)
-            elif spec.structure == "preorder":
-                rows = frames._closure_rows(rows, reflexive=True)
+            if spec.structure in ("preorder", "transitive", "wk4"):
+                closure = frames._closure(rows)[0]
+                star = frames._RowUnion(closure)  # a mask's points and all they reach
+                rows = closure if spec.structure == "preorder" else [star[r] for r in rows]
             if spec.structure == "wk4":
                 # draws follow the pair set's iteration order; seeded frames depend on it
                 pairs = frames._rows_to_rel(rows)
@@ -520,21 +532,30 @@ def run_suite(suite: str, spec: GenSpec, trials: int) -> AuditReport:
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     failures: list[Failure] = []
+    errors: list[TrialError] = []
     passes = 0
     for t in range(trials):
-        frame, law = record.draw(spec, random.Random(_trial_seed(spec.seed, t)), t)
-        ok, detail = law(list(range(frame.n)))
+        try:
+            frame, law = record.draw(spec, random.Random(_trial_seed(spec.seed, t)), t)
+            ok, detail = law(list(range(frame.n)))
+        except (GenerationError, partitions.CapExceeded, frames.PathBudgetExceeded) as exc:
+            errors.append(TrialError(t, f"{type(exc).__name__}: {exc}"))
+            continue
         if ok:
             passes += 1
         else:
             failures.append(Failure(t, frames.to_dict(_minimize(frame, law)), detail))
     config = asdict(spec)
     del config["seed"]
-    return AuditReport(suite, spec.seed, trials, passes, failures, config)
+    return AuditReport(suite, spec.seed, trials, passes, failures, config, errors)
 
 
 def report_to_dict(report: AuditReport) -> dict:
-    return asdict(report)
+    """The report as a dict; ``errors`` appears only when a trial raised."""
+    data = asdict(report)
+    if not report.errors:
+        del data["errors"]
+    return data
 
 
 def emit_report(report: AuditReport, path) -> None:

@@ -5,9 +5,9 @@ Subcommands: ``frame info``, ``frame md``, ``check``, ``count``, ``tune``,
 subcommand it runs, or the full tree when the first argument names no
 subcommand, so help and error output are the same either way. Every
 subcommand accepts ``--json`` for machine-readable output. Exit codes: 0
-success, 1 property failure (invalid formula, audit failures), 2 usage or
-input errors. The environment variable MODALWB_CAP overrides the default
-brute-force caps.
+success, 1 property failure (invalid formula, audit failures or errored
+trials), 2 usage or input errors. The environment variable MODALWB_CAP
+overrides the default brute-force caps.
 """
 
 from __future__ import annotations
@@ -194,7 +194,9 @@ def _cmd_audit(args) -> int:
             f"passes: {report.passes}",
             f"failures: {len(report.failures)}",
         ]
-        + [f"  trial {f.trial}: {f.detail}" for f in report.failures],
+        + [f"  trial {f.trial}: {f.detail}" for f in report.failures]
+        + ([f"errors: {len(report.errors)}"] if report.errors else [])
+        + [f"  trial {e.trial}: {e.detail}" for e in report.errors],
     )
     return 0 if report.ok() else 1
 

@@ -3,15 +3,15 @@
 A frame is a point set {0..n-1} with one binary relation per modality of an
 alphabet. Each relation is stored as successor rows: one integer bitmask per
 point, bit b of row a set iff a sees b. The rows are the frame's only stored
-relational data. Three views are derived from them on first use and
-cached. The pair sets are ``Frame.relations``. The preimage mappings
+relational data. Two views are derived from them on first use and cached.
+The pair sets are ``Frame.relations``. The preimage mappings
 ``Frame.preimages``, one per modality, hold the predecessor rows (the
 transposed rows, bit a of row b set iff a sees b) and OR one of them per
-point of their argument. The cluster masks come from one
-reflexive-transitive closure of the union relation, which ``height``,
-``min_part``, ``cluster_frames`` and ``to_dot`` share. Frames are immutable
-after construction and safe to share; point sets are plain frozensets at
-the API surface while the algorithms work on integer bitmasks internally.
+point of their argument. Closure rows, clusters and height all come from
+one search over the union relation's rows, ``_closure``, which each call
+runs afresh. Frames are immutable after construction and safe to share;
+point sets are plain frozensets at the API surface while the algorithms
+work on integer bitmasks internally.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ Pair = tuple[int, int]
 
 # Largest ``points`` value a frame file may declare. ``Frame`` allocates its
 # n-entry rows before any check on the pairs; at this size ``modalwb frame
-# info`` takes about 1 s on an empty relation and 5 s on a chain (2-core
-# x86-64 host, Python 3.11).
+# info`` takes about 0.2 s as a process on an empty relation, a chain or a
+# cycle, and 1.7 s on a random frame with 3 successors a point, most of it in
+# ``transitivity_index`` (2-core x86-64 host, Python 3.11).
 POINT_LIMIT = 2048
 
 
@@ -87,19 +88,48 @@ def _image(mask: int, mapping) -> int:
     return out
 
 
-def _closure_rows(rows, reflexive: bool) -> list[int]:
+def _closure(rows) -> tuple[list[int], int]:
+    """Reflexive-transitive closure rows of successor rows, and the height:
+    the most clusters (strongly connected components) on a chain. One
+    iterative Tarjan search (SIAM J. Comput. 1972) finishes each cluster
+    after the clusters it reaches, so its closure row is its members OR
+    theirs (Purdom, BIT 1970) and its chain one more than their longest."""
     n = len(rows)
-    rows = list(rows)
-    if reflexive:
-        for a in range(n):
-            rows[a] |= 1 << a
-    for k in range(n):
-        rk = rows[k]
-        bit = 1 << k
-        for a in range(n):
-            if rows[a] & bit:
-                rows[a] |= rk
-    return rows
+    closure = [0] * n
+    chain = [0] * n  # the chain of a point's cluster once finished, 0 before
+    low = [0] * n + [1]  # least stack position, from 1, seen from a point; 0 unvisited
+    stack: list[int] = []  # the points of unfinished clusters, in visit order
+    # point n sees every point: it roots the search and ends it as an empty cluster
+    work = [(n, 1, iter(range(n)))]
+    while work:
+        a, pos, succ = work[-1]
+        for b in succ:
+            if not low[b]:
+                stack.append(b)
+                low[b] = len(stack)
+                work.append((b, len(stack), iter_bits(rows[b])))
+                break
+            if not chain[b]:  # b is on the stack
+                low[a] = min(low[a], low[b])
+        else:
+            work.pop()
+            if low[a] < pos:  # a shares its cluster with a point visited earlier
+                low[work[-1][0]] = min(low[work[-1][0]], low[a])
+                continue
+            cluster = stack[pos - 1 :]
+            del stack[pos - 1 :]
+            row = mask_of(cluster)
+            out = _RowUnion(rows)[row] & ~row  # all in finished clusters
+            longest = 0
+            while out:  # nothing b reaches has a longer chain than b
+                b = (out & -out).bit_length() - 1
+                row |= closure[b]
+                longest = max(longest, chain[b])
+                out &= ~row
+            for b in cluster:
+                closure[b] = row
+                chain[b] = longest + 1
+    return closure, max(chain, default=0)
 
 
 class _RowUnion:
@@ -127,9 +157,8 @@ class Frame:
 
     ``Frame(alphabet, n, relations)`` takes one iterable of ordered pairs per
     modality; ``Frame.from_rows`` takes the rows themselves. ``relations``,
-    the pair-set view (one frozenset of pairs per modality), the preimage
-    mappings and the cluster masks are built from the rows on first use and
-    cached.
+    the pair-set view (one frozenset of pairs per modality), and the
+    preimage mappings are built from the rows on first use and cached.
     """
 
     def __init__(self, alphabet: Alphabet, n: int, relations: Sequence[Iterable[Pair]]):
@@ -154,7 +183,6 @@ class Frame:
         self._rows = rows
         self._relations = None
         self._preimages = None
-        self._clusters = None
 
     @property
     def relations(self) -> tuple[frozenset[Pair], ...]:
@@ -229,7 +257,7 @@ def union_relation(frame: Frame) -> frozenset[Pair]:
 
 def rt_closure(rel: Iterable[Pair], n: int) -> frozenset[Pair]:
     """Reflexive transitive closure of a relation on {0..n-1}."""
-    return _rows_to_rel(_closure_rows(_rel_rows(rel, n), reflexive=True))
+    return _rows_to_rel(_closure(_rel_rows(rel, n))[0])
 
 
 def transitivity_index(frame: Frame) -> int:
@@ -264,27 +292,7 @@ def skeleton(frame: Frame) -> SkeletonPoset:
 
 def height(frame: Frame) -> int:
     """Size of the longest chain in the skeleton; 0 on the empty frame."""
-    # The longest path, counted in clusters, over the union edges between
-    # distinct clusters. A cluster's closure row properly contains the rows
-    # of the clusters above it, so ascending row sizes visit every cluster
-    # after the clusters its points see.
-    rows = union_rows(frame)
-    clusters = sorted(_cluster_masks(frame).items(), key=lambda rm: rm[0].bit_count())
-    home = [0] * frame.n  # point -> position of its cluster in that order
-    chain: list[int] = []
-    for i, (_, members) in enumerate(clusters):
-        seen = 0
-        for a in iter_bits(members):
-            home[a] = i
-            seen |= rows[a]
-        seen &= ~members
-        longest = 0
-        while seen:
-            j = home[(seen & -seen).bit_length() - 1]
-            longest = max(longest, chain[j])
-            seen &= ~clusters[j][1]
-        chain.append(1 + longest)
-    return max(chain, default=0)
+    return _closure(union_rows(frame))[1]
 
 
 def is_path_reducible(frame: Frame, m: int, budget: int = 10**6) -> bool:
@@ -346,25 +354,18 @@ def is_upset(frame: Frame, points: Iterable[int]) -> bool:
 def generated_upset(frame: Frame, points: Iterable[int]) -> frozenset[int]:
     """Closure of the set under reachability along the union relation."""
     mask = _checked_mask(frame.n, points)
-    acc = 0
-    for row, members in _cluster_masks(frame).items():
-        if members & mask:  # a cluster's points share their closure row
-            acc |= row
-    return points_of(acc)
+    return points_of(_RowUnion(_closure(union_rows(frame))[0])[mask])
 
 
 def _cluster_masks(frame: Frame) -> dict[int, int]:
     """The skeleton's clusters without its order: each cluster's member mask,
     keyed by the reflexive-transitive closure row its points share, in
-    order of least member. Built on first use and kept on the frame, so
-    callers must not change it."""
-    if frame._clusters is None:
-        # points share a cluster exactly when their closure rows agree
-        clusters: dict[int, int] = {}
-        for a, row in enumerate(_closure_rows(union_rows(frame), reflexive=True)):
-            clusters[row] = clusters.get(row, 0) | 1 << a
-        frame._clusters = clusters
-    return frame._clusters
+    order of least member."""
+    # points share a cluster exactly when their closure rows agree
+    clusters: dict[int, int] = {}
+    for a, row in enumerate(_closure(union_rows(frame))[0]):
+        clusters[row] = clusters.get(row, 0) | 1 << a
+    return clusters
 
 
 def min_part(frame: Frame) -> frozenset[int]:

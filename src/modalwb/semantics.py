@@ -72,7 +72,7 @@ def _compile(frame: Frame, *roots: Formula):
     depths, lows, outs, vars_)``: the instructions, the modal depth of each
     slot's subformula, the smallest variable index in it (``_NO_VAR`` when it
     has none), each root's slot, and the sorted variable indices. Rejects
-    modality ids outside the frame's alphabet.
+    modality ids outside the frame's alphabet and negative variable indices.
 
     The walk reads the top of an explicit stack: a node already compiled is
     popped, a node whose children all have slots is compiled and popped, and
@@ -131,7 +131,10 @@ def _compile(frame: Frame, *roots: Formula):
         lows.append(lo)
     if bad:
         raise ValueError(f"modality ids {sorted(bad)} outside alphabet of size {size}")
-    return prog, depths, lows, [index[id(f)] for f in roots], sorted(vars_)
+    vars_ = sorted(vars_)
+    if vars_ and vars_[0] < 0:
+        raise ValueError(f"variable indices {[v for v in vars_ if v < 0]} are negative")
+    return prog, depths, lows, [index[id(f)] for f in roots], vars_
 
 
 def _evaluate(prog, pre, var_masks, full: int, vals: list[int]) -> None:

@@ -396,6 +396,8 @@ def print_formula(f: Formula, alphabet: Alphabet | None = None) -> str:
             continue
         g, level = item
         if isinstance(g, Var):
+            if g.index < 0:
+                raise ValueError(f"variable index {g.index} is negative")
             out.append(f"p{g.index}")
         elif isinstance(g, Falsum):
             out.append("false")

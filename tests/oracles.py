@@ -290,6 +290,24 @@ def formula_count_oracle(frame, k):
         out |= extra
 
 
+def warshall_closure_rows(rows, reflexive):
+    """Transitive closure of successor bitmask rows by Warshall's algorithm
+    (J. ACM 1962), reflexive on request: the closure routine the library
+    used before its one Tarjan search, kept as that search's reference."""
+    n = len(rows)
+    rows = list(rows)
+    if reflexive:
+        for a in range(n):
+            rows[a] |= 1 << a
+    for k in range(n):
+        rk = rows[k]
+        bit = 1 << k
+        for a in range(n):
+            if rows[a] & bit:
+                rows[a] |= rk
+    return rows
+
+
 def reach_upto(frame, m):
     """R^{<=m} of the union relation, as a set of pairs, by path counting."""
     n = frame.n

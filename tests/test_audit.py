@@ -3,7 +3,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from modalwb import audit, cli, frames, partitions, semantics
 from modalwb.audit import (
     GenSpec,
@@ -14,6 +17,8 @@ from modalwb.audit import (
     run_suite,
     satisfies_structure,
 )
+from modalwb.frames import Frame
+from modalwb.syntax import default_alphabet
 
 
 def test_genspec_validation():
@@ -49,6 +54,40 @@ def test_random_frame_structures():
                 assert frames.transitivity_index(f) <= 1
             if structure == "bounded-height":
                 assert frames.height(f) <= 2
+
+
+def warshall_random_frame(spec, rng):
+    """``random_frame`` as it was when Warshall's algorithm closed its
+    transitive, preorder and wk4 draws: the reference for those draws."""
+    for _ in range(audit.REJECTION_BUDGET):
+        n = rng.randint(spec.n_min, spec.n_max)
+        rels = []
+        for _ in range(spec.alphabet_size):
+            rows = [0] * n
+            for a in range(n):
+                for b in range(n):
+                    if rng.random() < spec.density:
+                        rows[a] |= 1 << b
+            rows = oracles.warshall_closure_rows(rows, spec.structure == "preorder")
+            if spec.structure == "wk4":
+                pairs = frames._rows_to_rel(rows)
+                rows = [0] * n
+                for a, b in pairs:
+                    if a != b or rng.random() < 0.5:
+                        rows[a] |= 1 << b
+            rels.append(rows)
+        frame = Frame.from_rows(default_alphabet(spec.alphabet_size), n, rels)
+        if satisfies_structure(frame, spec.structure, spec.param):
+            return frame
+
+
+@pytest.mark.parametrize("structure", ["transitive", "preorder", "wk4"])
+def test_closed_draws_match_warshall_draws(structure):
+    for seed in range(10):
+        spec = GenSpec(n_max=12, alphabet_size=1 + seed % 2, structure=structure, seed=seed)
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert random_frame(spec, rng) == warshall_random_frame(spec, reference)
 
 
 def test_unknown_suite():
@@ -118,6 +157,60 @@ def test_empty_report_shape(tmp_path):
     emit_report(report, tmp_path / "r.json")
     data = json.loads((tmp_path / "r.json").read_text())
     assert data["failures"] == []
+
+
+def test_errored_trials_are_reported_not_fatal(tmp_path):
+    # frames past 12 points need more than the 2^24 valuations the cap allows
+    report = run_suite("rpp-correspondence", GenSpec(n_max=40, density=0.3, seed=1), 20)
+    assert report.errors and not report.ok()
+    assert report.passes + len(report.failures) + len(report.errors) == 20
+    assert all(e.detail.startswith("CapExceeded: ") for e in report.errors)
+    emit_report(report, tmp_path / "r.json")
+    data = json.loads((tmp_path / "r.json").read_text())
+    assert [e["trial"] for e in data["errors"]] == [e.trial for e in report.errors]
+
+
+OUTCOMES = {
+    "gen": audit.GenerationError("no frame"),
+    "cap": partitions.CapExceeded("too many valuations"),
+    "path": frames.PathBudgetExceeded("too many paths"),
+}
+
+
+def outcome_suite(outcomes):
+    """A suite whose trial t passes, fails or raises as ``outcomes[t]`` says;
+    ``gen`` raises in the draw, ``cap`` and ``path`` in the law."""
+
+    def draw(spec, rng, trial):
+        if outcomes[trial] == "gen":
+            raise OUTCOMES["gen"]
+
+        def law(pts):
+            if outcomes[trial] in OUTCOMES:
+                raise OUTCOMES[outcomes[trial]]
+            return outcomes[trial] == "pass", outcomes[trial]
+
+        return non_adjacent_frame(1), law
+
+    return audit.Suite(draw, GenSpec(), len(outcomes), 0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.sampled_from(["pass", "fail", "gen", "cap", "path"]), max_size=12))
+def test_every_trial_is_a_pass_a_failure_or_an_error(outcomes):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(audit.SUITES, "outcomes", outcome_suite(outcomes))
+        report = run_suite("outcomes", GenSpec(), len(outcomes))
+    assert report.passes + len(report.failures) + len(report.errors) == report.trials
+    assert report.passes == outcomes.count("pass")
+    assert [f.trial for f in report.failures] == [t for t, o in enumerate(outcomes) if o == "fail"]
+    assert [(e.trial, e.detail) for e in report.errors] == [
+        (t, f"{type(OUTCOMES[o]).__name__}: {OUTCOMES[o]}")
+        for t, o in enumerate(outcomes)
+        if o in OUTCOMES
+    ]
+    assert ("errors" in audit.report_to_dict(report)) == bool(report.errors)
+    assert report.ok() == (report.passes == report.trials)
 
 
 def test_failure_serializes_minimized_frame(monkeypatch):

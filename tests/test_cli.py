@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from modalwb import cli
+from modalwb import audit, cli
+from modalwb.audit import non_adjacent_frame
 from modalwb.frames import Frame, dump_frame, skeleton
 from modalwb.partitions import DEFAULT_PROFILE_CAP
 from modalwb.syntax import default_alphabet
@@ -176,6 +177,21 @@ def test_audit_runs_and_writes(tmp_path, capsys):
     assert data["passes"] == 5
     text = capsys.readouterr().out
     assert "passes: 5" in text
+
+
+def test_audit_with_errored_trials_exits_1(monkeypatch, capsys):
+    def draw(spec, rng, trial):
+        if trial == 1:
+            raise audit.GenerationError("no frame")
+        return non_adjacent_frame(1), lambda pts: (True, "")
+
+    monkeypatch.setitem(audit.SUITES, "flaky", audit.Suite(draw, audit.GenSpec(), 3, 0))
+    assert cli.main(["audit", "flaky", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["passes"] == 2 and data["failures"] == []
+    assert data["errors"] == [{"trial": 1, "detail": "GenerationError: no frame"}]
+    assert cli.main(["audit", "flaky"]) == 1
+    assert "errors: 1\n  trial 1: GenerationError: no frame\n" in capsys.readouterr().out
 
 
 def test_audit_unknown_suite(capsys):

@@ -10,6 +10,9 @@ from modalwb.frames import (
     POINT_LIMIT,
     Frame,
     PathBudgetExceeded,
+    _closure,
+    _cluster_masks,
+    _rows_to_rel,
     cluster_frames,
     disjoint_sum,
     expand,
@@ -31,6 +34,7 @@ from modalwb.frames import (
     to_dot,
     transitivity_index,
     union_relation,
+    union_rows,
 )
 from modalwb.syntax import Alphabet, default_alphabet
 
@@ -515,7 +519,7 @@ def test_rows_constructions_match_pair_references(data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_frames(AL2, max_n=6))
+@given(small_frames(AL2, max_n=12))
 def test_height_matches_pair_chain_reference(f):
     assert height(f) == oracles.longest_cluster_chain(f)
 
@@ -527,6 +531,45 @@ def row_frames(draw, mods=None, max_n=70):
     n = draw(st.integers(0, max_n))
     rows = st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
     return Frame.from_rows(default_alphabet(mods), n, [draw(rows) for _ in range(mods)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_frames())
+def test_closure_rows_match_warshall(f):
+    rows = union_rows(f)
+    assert _closure(rows)[0] == oracles.warshall_closure_rows(rows, reflexive=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_frames(max_n=16))
+def test_closure_rows_match_path_reference(f):
+    # reach_upto joins pair sets, so it is kept to 16 points
+    assert _rows_to_rel(_closure(union_rows(f))[0]) == oracles.reach_upto(f, f.n)
+
+
+def joined_cycles(n, k):
+    """Cycles of k points on 0..n-1 (the last one shorter when k does not
+    divide n), each cycle's last point seeing the next cycle's first: a
+    chain when k = 1, one cycle when k = n."""
+    rows = [0] * n
+    for a in range(n):
+        if a + 1 < n:
+            rows[a] |= 1 << a + 1
+        if k > 1 and (a % k == k - 1 or a == n - 1):
+            rows[a] |= 1 << a - a % k
+    return rows
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, POINT_LIMIT])
+def test_closure_of_joined_cycles_at_the_point_limit(k):
+    # one search as deep as the frame, without recursion
+    n = POINT_LIMIT
+    closure, h = _closure(joined_cycles(n, k))
+    full = (1 << n) - 1
+    assert closure == [full ^ ((1 << a - a % k) - 1) for a in range(n)]
+    assert h == -(-n // k)
+    f = Frame.from_rows(AL1, n, [joined_cycles(n, k)])
+    assert height(f) == h and len(_cluster_masks(f)) == h
 
 
 @settings(max_examples=200, deadline=None)

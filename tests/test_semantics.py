@@ -491,6 +491,16 @@ def test_compile_rejects_negative_modality_ids():
         validity_bruteforce(frame, Imp(Dia(-1, Var(0)), Dia(1, Var(0))))
 
 
+def test_compile_rejects_negative_variable_indices():
+    # -1 must not alias the last variable of the valuation
+    frame = Frame(AL1, 2, [{(0, 1)}])
+    m = Model(frame, 1, (frozenset({0}),))
+    with pytest.raises(ValueError, match=r"variable indices \[-1\] are negative"):
+        extent(m, Var(-1))
+    with pytest.raises(ValueError, match=r"variable indices \[-2, -1\] are negative"):
+        validity_bruteforce(frame, Or(Var(-1), Dia(0, And(Var(-2), Var(0)))))
+
+
 def scalar_validity_bruteforce(frame, f, cap=semantics.DEFAULT_VALUATION_CAP):
     """The scalar incremental enumeration that the bit-sliced chunks
     replaced, kept verbatim as the differential reference of

@@ -180,6 +180,13 @@ def test_print_rejects_modality_ids_outside_the_alphabet():
         print_formula(box(2, Var(0)), AL2)
 
 
+def test_print_rejects_negative_variable_indices():
+    # "p-1" would not parse back
+    for alphabet in (None, AL2):
+        with pytest.raises(ValueError, match="variable index -1 is negative"):
+            print_formula(Dia(0, Var(-1)), alphabet)
+
+
 def test_print_parse_identity_on_canonical_text():
     for text in ["p0 & p1 -> <d0>p2 | false", "[d0](p0 -> p1)", "~~p0", "(p0 | p1) & p2"]:
         assert print_formula(parse(text, AL2), AL2) == text

@@ -324,11 +324,13 @@ def _suite_md_sum(spec: GenSpec, rng: random.Random, trial: int):
 
 def _suite_top_down(spec: GenSpec, rng: random.Random, trial: int):
     frame = random_frame(spec, rng)
-    low = frames.min_part(frame)
+    low = frames.mask_of(frames.min_part(frame))
     # one draw per minimal cluster, in cluster order; dropping some leaves an upset
-    minimal = [c for c in frames.skeleton(frame).clusters if c <= low]
-    removed = frozenset().union(*(c for c in minimal if rng.random() < 0.5))
-    upset = [p for p in range(frame.n) if p not in removed]
+    removed = 0
+    for c in frames._cluster_masks(frame).values():
+        if c & low == c and rng.random() < 0.5:
+            removed |= c
+    upset = [p for p in range(frame.n) if not removed >> p & 1]
 
     def law(pts):
         sub = frames.restriction(frame, pts)

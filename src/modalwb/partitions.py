@@ -27,15 +27,14 @@ set partition of the points at once, one bit lane per partition
 (bit-slicing, Biham 1997, over the naive stage of Kanellakis & Smolka
 1990). ``eq[a][b]`` is one int whose bit s is set iff points a and b share
 a block in lane s. In one stage, bit s of ``hit_m[a][c]`` is set iff a has
-an m-successor in c's block, the OR of ``eq[t][c]`` over the m-successors
-t of a, and a and b stay together in a lane iff their hits agree for every
-modality and point there. Every modality reads the same ``eq``, and a lane
-that stops splitting stays fixed, so the frame's modal depth is the number
-of stages in which some lane splits. A pair apart in every lane drops out of
-later stages. The lane table is built per call, point by point, with lanes
-grouped by block count: the lanes with c blocks on i + 1 points are c
-copies of the c-block lanes on i points, point i joining block j in copy j,
-then the (c - 1)-block lanes, point i opening a block.
+an m-successor in c's block, the m-successors' ``eq`` rows folded by
+``map(or_, ...)``, and a and b stay together in a lane iff their hits agree
+there for every modality and point. A lane that stops splitting stays
+fixed, so the modal depth is the number of stages in which some lane
+splits; a pair apart in every lane drops out. The table is built per call
+from label bit-planes: bit s of plane k of a point is bit k of its block
+number in lane s, blocks numbered by least point (restricted growth, Knuth
+TAOCP 7.2.1.5), and ``eq[a][b]`` holds the lanes where all planes agree.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_, or_, xor
+from functools import partial, reduce
+from operator import or_, xor
 from typing import Iterable, Sequence
 
 from .frames import Frame, disjoint_sum, iter_bits, mask_of, points_of
@@ -241,30 +240,41 @@ def _random_partition_masks(rng: random.Random, n: int) -> list[int]:
 def _lane_table(n: int) -> list[list[int]]:
     """``eq[a][b]`` over one lane per set partition of the n points: bit s
     is set iff a and b share a block in lane s."""
-    zero = [0] * n
-    # group c: its lane count and rows[a][j], whose bit s is set iff point a
-    # lies in block j of the group's lane s, blocks numbered by least point
+    w = (n - 1).bit_length()  # bits of a block number, 0 .. n - 1
+    # group c: its lane count and planes[a * w + k], whose bit s is bit k of
+    # the number of point a's block in the group's lane s
     groups = [(1, [])]  # no points: one lane, the empty partition
     for i in range(n):
-        groups.append((0, [zero] * i))
-        grown = [(0, [zero] * (i + 1))]
+        groups.append((0, [0] * (i * w)))
+        grown = [(0, [0] * (i * w + w))]
         for c in range(1, i + 2):
             # c copies of group c, point i joining block j in copy j, then
             # group c - 1, point i opening block c - 1
             (same, kept), (opened, prev) = groups[c], groups[c - 1]
             width = c * same
             copies = sum(1 << k * same for k in range(c))
-            rows = [[x * copies | y << width for x, y in zip(r, p)] for r, p in zip(kept, prev)]
-            row = [((1 << same) - 1) << j * same for j in range(c)] + zero[c:]
-            row[c - 1] |= ((1 << opened) - 1) << width
-            grown.append((width + opened, rows + [row]))
+            point = [0] * w  # copy by copy; the last copy's lanes run on into the opened ones
+            for j in range(c):
+                lanes = ((1 << same + (j == c - 1) * opened) - 1) << j * same
+                for k in range(w):
+                    if j >> k & 1:
+                        point[k] |= lanes
+            planes = [x * copies | y << width for x, y in zip(kept, prev)]
+            grown.append((width + opened, planes + point))
         groups = grown
-    member = [zero] * n
+    planes = [0] * (n * w)
     offset = 0
-    for count, rows in groups:
-        member = [[m | x << offset for m, x in zip(ms, r)] for ms, r in zip(member, rows)]
+    for count, group in groups:
+        planes = [p | x << offset for p, x in zip(planes, group)]
         offset += count
-    return [[reduce(or_, map(and_, ma, mb)) for mb in member] for ma in member]
+    full = (1 << offset) - 1
+    # a and b share a block in exactly the lanes where all their planes agree
+    labels = [planes[a * w : a * w + w] for a in range(n)]
+    eq = [[full] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a):
+            eq[a][b] = eq[b][a] = full ^ reduce(or_, map(xor, labels[a], labels[b]))
+    return eq
 
 
 def _exact_depth(frame: Frame) -> int:
@@ -273,17 +283,17 @@ def _exact_depth(frame: Frame) -> int:
     """
     n = frame.n
     eq = _lane_table(n)
-    # per modality and point: a zero row, then the eq rows of its successors
-    seen = [
-        [[[0] * n] + [eq[t] for t in iter_bits(row)] for row in frame.rows(m)]
-        for m in range(len(frame.alphabet))
-    ]
+    rows = [frame.rows(m) for m in range(len(frame.alphabet))]
+    zero = [0] * n
+    # per point and modality: the eq rows of its successors, or one zero row
+    seen = [[[eq[t] for t in iter_bits(r[a])] or [zero] for r in rows] for a in range(n)]
+    fold = partial(map, or_)  # two rows ORed entry by entry
     pairs = [(a, b) for a in range(n) for b in range(a)]
     depth = 0
     while True:
         # bit s of hit[a][m * n + c] is set iff a has an m-successor in c's
         # block in lane s; every modality reads the same eq
-        hit = [[reduce(or_, col) for rows in seen for col in zip(*rows[a])] for a in range(n)]
+        hit = [[x for rs in per_mod for x in reduce(fold, rs)] for per_mod in seen]
         split = False
         live = []
         for a, b in pairs:

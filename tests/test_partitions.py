@@ -1,5 +1,7 @@
 import random
 from collections import Counter
+from functools import reduce
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings
@@ -554,11 +556,17 @@ def test_frame_modal_depth_matches_memoised_masks(n):
         assert frame_modal_depth(f) == memoised_exact_depth(f)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(9))
 def test_lane_table_holds_every_set_partition_once(n):
+    # 7 and 8 points hold Bell(7) = 877 and Bell(8) = 4140 lanes
     eq = _lane_table(n)
+    if n == 0:  # one lane, the empty partition, and no point to compare
+        assert eq == []
+        assert list(oracles.set_partitions(range(n))) == [[]]
+        return
     full = eq[0][0]
     assert all(eq[a][a] == full for a in range(n))
+    assert all(eq[a][b] == eq[b][a] for a in range(n) for b in range(a))
     lanes = [
         frozenset(frozenset(b for b in range(n) if eq[a][b] >> s & 1) for a in range(n))
         for s in range(full.bit_length())
@@ -566,6 +574,43 @@ def test_lane_table_holds_every_set_partition_once(n):
     expected = [frozenset(p) for p in oracles.set_partitions(range(n))]
     assert Counter(lanes) == Counter(expected)
     assert len(set(expected)) == len(expected)
+
+
+def grouped_lane_table(n):
+    """The lane table as built before label bit-planes: per-block membership
+    rows padded to n entries, ANDed pairwise. Kept verbatim as the reference
+    for ``_lane_table``."""
+    zero = [0] * n
+    # group c: its lane count and rows[a][j], whose bit s is set iff point a
+    # lies in block j of the group's lane s, blocks numbered by least point
+    groups = [(1, [])]  # no points: one lane, the empty partition
+    for i in range(n):
+        groups.append((0, [zero] * i))
+        grown = [(0, [zero] * (i + 1))]
+        for c in range(1, i + 2):
+            # c copies of group c, point i joining block j in copy j, then
+            # group c - 1, point i opening block c - 1
+            (same, kept), (opened, prev) = groups[c], groups[c - 1]
+            width = c * same
+            copies = sum(1 << k * same for k in range(c))
+            rows = [[x * copies | y << width for x, y in zip(r, p)] for r, p in zip(kept, prev)]
+            row = [((1 << same) - 1) << j * same for j in range(c)] + zero[c:]
+            row[c - 1] |= ((1 << opened) - 1) << width
+            grown.append((width + opened, rows + [row]))
+        groups = grown
+    member = [zero] * n
+    offset = 0
+    for count, rows in groups:
+        member = [[m | x << offset for m, x in zip(ms, r)] for ms, r in zip(member, rows)]
+        offset += count
+    return [[reduce(or_, map(and_, ma, mb)) for mb in member] for ma in member]
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_lane_table_matches_grouped_membership_rows(n):
+    # 9 points, Bell(9) = 21147 lanes, lie past the exact-depth limit; the
+    # plane count (n - 1).bit_length() changes at 2, 3, 5 and 9 points
+    assert _lane_table(n) == grouped_lane_table(n)
 
 
 def test_frame_modal_depth_matches_oracle_at_seven_points():

@@ -77,6 +77,10 @@ class GenSpec:
             raise ValueError(f"structure {self.structure!r} needs a parameter")
         if not 0 < self.n_min <= self.n_max:
             raise ValueError("need 0 < n_min <= n_max")
+        if self.alphabet_size < 0:
+            raise ValueError(f"alphabet_size must be non-negative, got {self.alphabet_size}")
+        if not 0 <= self.density <= 1:
+            raise ValueError(f"density must be in [0, 1], got {self.density}")
 
 
 @dataclass
@@ -115,21 +119,17 @@ def satisfies_structure(frame: Frame, structure: str, param: int | None) -> bool
         return frames.transitivity_index(frame) <= param
     if structure == "bounded-height":
         return frames.height(frame) <= param
+    # preorder: reflexive and transitive; transitive: two steps from a reach
+    # only a's successors; wk4: only a's successors and a itself
+    reflexive, wk4 = structure == "preorder", structure == "wk4"
     for mod in range(len(frame.alphabet)):
         rows = frame.rows(mod)
-        if structure == "preorder":
-            if any(not (rows[a] >> a) & 1 for a in range(frame.n)):
+        image = frames._RowUnion(rows)  # a mask's one-step successors
+        for a, row in enumerate(rows):
+            if reflexive and not row >> a & 1:
                 return False
-        if structure in ("preorder", "transitive"):
-            for a in range(frame.n):
-                for b in frames.iter_bits(rows[a]):
-                    if rows[b] & ~rows[a]:
-                        return False
-        if structure == "wk4":
-            for a in range(frame.n):
-                for b in frames.iter_bits(rows[a]):
-                    if rows[b] & ~rows[a] & ~(1 << a):
-                        return False
+            if image[row] & ~row & ~(wk4 << a):
+                return False
     return True
 
 
@@ -222,19 +222,13 @@ def _tuned_by_composition(frame: Frame, part: Partition) -> bool:
     return True
 
 
-def _project(sets, pts: list[int]) -> list[frozenset[int]]:
-    """Each set cut down to the sorted points ``pts`` and reindexed along them."""
-    pos = {p: i for i, p in enumerate(pts)}
-    return [frozenset(pos[p] for p in s if p in pos) for s in sets]
-
-
 def _suite_tuned_equivalences(spec: GenSpec, rng: random.Random, trial: int):
     frame = random_frame(spec, rng)
     part = random_partition(rng, frame.n)
 
     def law(pts):
         sub = frames.restriction(frame, pts)
-        pr = Partition.of(len(pts), [b for b in _project(part.blocks, pts) if b])
+        pr = Partition.of(len(pts), [b for b in frames._project(part.blocks, pts) if b])
         a = partitions.is_tuned(sub, pr)
         quot, proj = frames.quotient_filtration(sub, pr)
         c = frames.is_pmorphism(sub, quot, proj)
@@ -338,7 +332,7 @@ def _suite_top_down(spec: GenSpec, rng: random.Random, trial: int):
         # the bound needs an upset that leaves out minimal points only; the
         # non-minimal points form an upset, and a restriction can make a
         # dropped point non-minimal, so they are added back
-        (up,) = _project([upset], pts)
+        (up,) = frames._project([upset], pts)
         up |= frozenset(range(sub.n)) - low
         m = frames.transitivity_index(sub)
         c = partitions.frame_modal_depth(frames.restriction(sub, low))
@@ -367,7 +361,7 @@ def _suite_cluster_bound(spec: GenSpec, rng: random.Random, trial: int):
 
 
 def _suite_lex_phi(spec: GenSpec, rng: random.Random, trial: int):
-    n_index = rng.randint(spec.n_min, min(3, spec.n_max))
+    n_index = rng.randint(min(spec.n_min, 3), min(3, spec.n_max))
     v_size = 1 + (rng.random() < 0.3)
     h_size = 1 + (rng.random() < 0.3)
     v_alpha = Alphabet(tuple(f"a{i}" for i in range(v_size)))
@@ -434,7 +428,7 @@ def _suite_definability(spec: GenSpec, rng: random.Random, trial: int):
     upset = random_upset(rng, frame)
 
     def law(pts):
-        (up,) = _project([upset], pts)
+        (up,) = frames._project([upset], pts)
         if not up:
             return True, "empty upset, vacuous"
         sub = semantics.restrict_model(model, pts)

@@ -94,12 +94,10 @@ def _cmd_frame_md(args) -> int:
         )
         mode = "sampled"
     else:
-        if frame.n > partitions.EXACT_DEPTH_LIMIT:
-            raise _UsageError(
-                f"frame has {frame.n} points; exact mode needs at most "
-                f"{partitions.EXACT_DEPTH_LIMIT}, use --sample N"
-            )
-        md = partitions.frame_modal_depth(frame, mode="exact")
+        try:
+            md = partitions.frame_modal_depth(frame, mode="exact")
+        except ValueError as exc:
+            raise _UsageError(f"{exc}; use --sample N") from None
         mode = "exact"
     data = {"modal_depth": md, "mode": mode}
     note = "" if mode == "exact" else " (lower bound)"

@@ -3,21 +3,25 @@
 A frame is a point set {0..n-1} with one binary relation per modality of an
 alphabet. Each relation is stored as successor rows: one integer bitmask per
 point, bit b of row a set iff a sees b. The rows are the frame's only stored
-relational data. Two views are derived from them on first use and cached.
-The pair sets are ``Frame.relations``. The preimage mappings
-``Frame.preimages``, one per modality, hold the predecessor rows (the
-transposed rows, bit a of row b set iff a sees b) and OR one of them per
-point of their argument. Closure rows, clusters and height all come from
-one search over the union relation's rows, ``_closure``, which each call
-runs afresh. Frames are immutable after construction and safe to share;
-point sets are plain frozensets at the API surface while the algorithms
-work on integer bitmasks internally.
+relational data. The preimage mappings ``Frame.preimages``, one per
+modality, are the only view cached on the frame: built on first use, they
+hold the predecessor rows (the transposed rows, bit a of row b set iff a
+sees b) and OR one of them per point of their argument. The pair sets,
+``Frame.relations``, are derived from the rows on each access. Images of
+point masks (upsets, two-step successors, the fibers a lexicographic sum's
+index point sees) are one ``_RowUnion`` lookup over successor rows.
+Closure rows, clusters and height all come from one search over the union
+relation's rows, ``_closure``, which each call runs afresh. Frames are
+immutable after construction and safe to share; point sets are plain
+frozensets at the API surface while the algorithms work on integer
+bitmasks internally.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .syntax import Alphabet
@@ -95,6 +99,7 @@ def _closure(rows) -> tuple[list[int], int]:
     after the clusters it reaches, so its closure row is its members OR
     theirs (Purdom, BIT 1970) and its chain one more than their longest."""
     n = len(rows)
+    image = _RowUnion(rows)
     closure = [0] * n
     chain = [0] * n  # the chain of a point's cluster once finished, 0 before
     low = [0] * n + [1]  # least stack position, from 1, seen from a point; 0 unvisited
@@ -119,7 +124,7 @@ def _closure(rows) -> tuple[list[int], int]:
             cluster = stack[pos - 1 :]
             del stack[pos - 1 :]
             row = mask_of(cluster)
-            out = _RowUnion(rows)[row] & ~row  # all in finished clusters
+            out = image[row] & ~row  # all in finished clusters
             longest = 0
             while out:  # nothing b reaches has a longer chain than b
                 b = (out & -out).bit_length() - 1
@@ -135,7 +140,9 @@ def _closure(rows) -> tuple[list[int], int]:
 class _RowUnion:
     """Map from a point mask to the OR of the rows of its points, one row per
     point: preimages over predecessor rows (``Frame.preimages``), images
-    over successor rows (``transitivity_index``)."""
+    over successor rows (``_closure``, ``transitivity_index``, ``is_upset``,
+    ``generated_upset`` over closure rows, ``audit.satisfies_structure``),
+    and in ``lex_sum`` over the fibers' point sets, one per index point."""
 
     __slots__ = ("pred",)
 
@@ -156,9 +163,10 @@ class Frame:
     """Immutable frame; one tuple of successor rows per modality.
 
     ``Frame(alphabet, n, relations)`` takes one iterable of ordered pairs per
-    modality; ``Frame.from_rows`` takes the rows themselves. ``relations``,
-    the pair-set view (one frozenset of pairs per modality), and the
-    preimage mappings are built from the rows on first use and cached.
+    modality; ``Frame.from_rows`` takes the rows themselves. The preimage
+    mappings are built from the rows on first use and are the only cached
+    view; ``relations``, the pair sets (one frozenset of pairs per
+    modality), are derived from the rows on each access.
     """
 
     def __init__(self, alphabet: Alphabet, n: int, relations: Sequence[Iterable[Pair]]):
@@ -181,15 +189,13 @@ class Frame:
         self.alphabet = alphabet
         self.n = n
         self._rows = rows
-        self._relations = None
         self._preimages = None
 
     @property
     def relations(self) -> tuple[frozenset[Pair], ...]:
-        """One frozenset of ordered pairs per modality, derived from the rows."""
-        if self._relations is None:
-            self._relations = tuple(_rows_to_rel(r) for r in self._rows)
-        return self._relations
+        """One frozenset of ordered pairs per modality, derived from the rows
+        on each access."""
+        return tuple(map(_rows_to_rel, self._rows))
 
     def rows(self, mod: int) -> tuple[int, ...]:
         """Per-point successor bitmasks of one modality."""
@@ -340,15 +346,16 @@ def restriction(frame: Frame, points: Iterable[int]) -> Frame:
     return Frame.from_rows(frame.alphabet, len(pts), rows)
 
 
+def _project(sets, pts: list[int]) -> list[frozenset[int]]:
+    """Each set cut down to the sorted points ``pts`` and reindexed along them."""
+    pos = {p: i for i, p in enumerate(pts)}
+    return [frozenset(pos[p] for p in s if p in pos) for s in sets]
+
+
 def is_upset(frame: Frame, points: Iterable[int]) -> bool:
     """True iff the set is closed under every relation's successors."""
     mask = _checked_mask(frame.n, points)
-    for mod in range(len(frame.alphabet)):
-        rows = frame.rows(mod)
-        for p in iter_bits(mask):
-            if rows[p] & ~mask:
-                return False
-    return True
+    return not _RowUnion(union_rows(frame))[mask] & ~mask
 
 
 def generated_upset(frame: Frame, points: Iterable[int]) -> frozenset[int]:
@@ -419,28 +426,16 @@ def lex_sum(
             raise ValueError("fiber alphabets differ")
     if set(index_frame.alphabet.names) & set(fiber_alphabet.names):
         raise ValueError("vertical and horizontal alphabets overlap")
-    offs = []
-    total = 0
-    for f in fibers:
-        offs.append(total)
-        total += f.n
-    # fiber i as a point set of the sum
-    spans = [((1 << f.n) - 1) << off for f, off in zip(fibers, offs)]
-    vertical = []
-    for irows in index_frame._rows:
-        rows = []
-        for i, f in enumerate(fibers):
-            target = 0
-            for j in iter_bits(irows[i]):
-                target |= spans[j]
-            rows.extend([target] * f.n)
-        vertical.append(rows)
-    horizontal = [
-        [m << off for f, off in zip(fibers, offs) for m in f._rows[mi]]
-        for mi in range(len(fiber_alphabet))
+    horizontal = disjoint_sum(fibers, fiber_alphabet)
+    # fiber i as a point set of the sum: bits end - n .. end - 1
+    ends = accumulate(f.n for f in fibers)
+    spans = _RowUnion([(1 << e) - (1 << e - f.n) for f, e in zip(fibers, ends)])
+    vertical = [
+        [spans[r] for r, f in zip(irows, fibers) for _ in range(f.n)]
+        for irows in index_frame._rows
     ]
     alphabet = Alphabet(index_frame.alphabet.names + fiber_alphabet.names)
-    return Frame.from_rows(alphabet, total, vertical + horizontal)
+    return Frame.from_rows(alphabet, horizontal.n, vertical + list(horizontal._rows))
 
 
 def expand(frame: Frame, kind: str, name: str | None = None) -> Frame:
@@ -565,7 +560,8 @@ def to_dot(frame: Frame, name: str = "frame") -> str:
         lines.append("  }")
     for mi, nm in enumerate(frame.alphabet.names):
         color = _DOT_COLORS[mi % len(_DOT_COLORS)]
-        for a, b in sorted(frame.relations[mi]):
-            lines.append(f'  n{a} -> n{b} [color={color}, label="{nm}"];')
+        for a, row in enumerate(frame.rows(mi)):
+            for b in iter_bits(row):
+                lines.append(f'  n{a} -> n{b} [color={color}, label="{nm}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

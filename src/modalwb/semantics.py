@@ -15,12 +15,14 @@ the roots share are walked, measured and evaluated once; ``extent`` is its
 one-root case. ``validity_bruteforce`` counts valuations with an odometer
 and runs every instruction bit-sliced (Biham, FSE 1997): one int holds
 every point's lanes, so the evaluator runs a chunk of 2^c values of the
-fastest variable in one pass, with ``_Lanes`` as the preimage mappings
-(without variables c = 0: one lane, plain point masks and the frame's own
-mappings). After the first chunk an instruction re-runs only when its
-smallest variable changes (change propagation), so variable-free ones run
-once per call, and the odometer writes each changed variable's sliced
-extent straight into the slots of its occurrences.
+fastest variable in one pass, with ``_Lanes`` as the preimage mappings.
+A formula without variables is one chunk of one lane (c = 0) through the
+same ``_Lanes``: its values are plain point masks, and a one-bit lane
+makes ``_Lanes`` equal to the frame's preimage mapping. After the first
+chunk an instruction re-runs only when its smallest variable changes
+(change propagation), so variable-free ones run once per call, and the
+odometer writes each changed variable's sliced extent straight into the
+slots of its occurrences.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from . import partitions
-from .frames import Frame, iter_bits, mask_of, points_of, restriction
+from .frames import Frame, _project, iter_bits, mask_of, points_of, restriction
 from .partitions import CapExceeded, Partition
 from .syntax import And, Dia, Falsum, Formula, Imp, Neg, Or, Var
 
@@ -223,11 +225,12 @@ def validity_bruteforce(frame: Frame, f: Formula, cap: int = DEFAULT_VALUATION_C
     value are point a's lanes, lane l holds point a < c in the fastest
     variable iff bit a of l is set, and a point a >= c in any variable iff
     bit a of that variable's digit of the chunk's counter is set. ``_Lanes``
-    maps diamonds (with c = 0 a sliced value is a point mask, and the
-    frame's own preimage mappings do). The first chunk runs every
-    instruction; a later one writes the slots of the positions that changed
-    and re-runs only the instructions whose smallest variable sits at one
-    of them (change propagation), so variable-free ones run once per call.
+    maps diamonds; a formula without variables is one chunk of one lane
+    through the same ``_Lanes``, its sliced values plain point masks. The
+    first chunk runs every instruction; a later one writes the slots of the
+    positions that changed and re-runs only the instructions whose smallest
+    variable sits at one of them (change propagation), so variable-free
+    ones run once per call.
     The formula is valid iff its sliced value is all ones in every chunk."""
     prog, _, lows, outs, vars_ = _compile(frame, f)
     n, k = frame.n, len(vars_)
@@ -243,12 +246,11 @@ def validity_bruteforce(frame: Frame, f: Formula, cap: int = DEFAULT_VALUATION_C
     slots = [[i for i, op, x, _ in prog if op == _VAR and x == v] for v in vars_]
     prog = [ins for ins in prog if ins[1] != _VAR]
     suffixes = [prog[sum(lows[ins[0]] > v for ins in prog):] for v in vars_]
-    pre = [frame.preimages(mod) for mod in range(len(frame.alphabet))]
     full = (1 << n) - 1
     c = min(n, _LANE_POINTS) if vars_ else 0  # no variables: one lane, point masks
     width = 1 << c
     lane, ones = (1 << width) - 1, (1 << n * width) - 1
-    lanes = [_Lanes(p.pred, width) for p in pre] if c else pre
+    lanes = [_Lanes(frame.preimages(mod).pred, width) for mod in range(len(frame.alphabet))]
     # lane l of point a < c has bit a of l: runs of 2^a clear, 2^a set lanes
     low = sum((lane // ((1 << (1 << a)) + 1)) << (1 << a) << a * width for a in range(c))
     sliced, root = [0] * len(lows), outs[0]
@@ -278,9 +280,4 @@ def restrict_model(model: Model, points) -> Model:
     """Restriction of frame and valuation to a point subset, reindexed along
     sorted(points)."""
     pts = sorted(set(points))
-    sub = restriction(model.frame, pts)
-    pos = {p: i for i, p in enumerate(pts)}
-    val = tuple(
-        frozenset(pos[p] for p in ext if p in pos) for ext in model.valuation
-    )
-    return Model(sub, model.k, val)
+    return Model(restriction(model.frame, pts), model.k, _project(model.valuation, pts))

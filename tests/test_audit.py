@@ -30,6 +30,22 @@ def test_genspec_validation():
         GenSpec(n_min=3, n_max=2)
 
 
+@pytest.mark.parametrize(
+    "bad, field",
+    [
+        ({"alphabet_size": -1}, "alphabet_size"),
+        ({"density": -0.1}, "density"),
+        ({"density": 1.5}, "density"),
+        ({"density": float("nan")}, "density"),
+    ],
+)
+def test_genspec_rejects_negative_alphabet_size_and_density_outside_unit_range(bad, field):
+    with pytest.raises(ValueError, match=field):
+        GenSpec(**bad)
+    GenSpec(alphabet_size=0, density=0.0)
+    GenSpec(density=1.0)
+
+
 def test_random_frame_deterministic():
     spec = GenSpec(n_max=5, alphabet_size=2, seed=42)
     assert random_frame(spec) == random_frame(spec)
@@ -54,6 +70,34 @@ def test_random_frame_structures():
                 assert frames.transitivity_index(f) <= 1
             if structure == "bounded-height":
                 assert frames.height(f) <= 2
+
+
+def structure_by_pairs(frame, structure):
+    """``satisfies_structure`` for preorder, transitive and wk4 frames,
+    joining each relation's pairs with themselves."""
+    for rel in frame.relations:
+        if structure == "preorder" and any((a, a) not in rel for a in range(frame.n)):
+            return False
+        for a, b in rel:
+            for c in (c for b2, c in rel if b2 == b):
+                if (a, c) not in rel and not (structure == "wk4" and a == c):
+                    return False
+    return True
+
+
+def test_satisfies_structure_matches_pair_reference_on_any_frames():
+    """Frames drawn without structure, so each structure is met by some and
+    missed by others."""
+    verdicts = {"preorder": set(), "transitive": set(), "wk4": set()}
+    for seed in range(300):
+        density = (0.2, 0.5, 0.9)[seed % 3]
+        spec = GenSpec(n_max=5, alphabet_size=1 + seed % 2, density=density, seed=seed)
+        frame = random_frame(spec)
+        for structure, seen in verdicts.items():
+            verdict = satisfies_structure(frame, structure, None)
+            assert verdict == structure_by_pairs(frame, structure)
+            seen.add(verdict)
+    assert all(seen == {False, True} for seen in verdicts.values())
 
 
 def warshall_random_frame(spec, rng):
@@ -136,6 +180,11 @@ def test_suites_pass(suite, spec, trials):
     report = run_suite(suite, spec, trials)
     assert report.passes == trials, [f.detail for f in report.failures]
     assert report.passes + len(report.failures) == report.trials
+
+
+def test_lex_phi_draws_at_most_three_index_points_whatever_n_min():
+    report = run_suite("lex-phi", GenSpec(n_min=4, n_max=8), 3)
+    assert report.passes == 3 and report.ok()
 
 
 def test_report_roundtrip_and_determinism(tmp_path):

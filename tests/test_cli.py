@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from modalwb import audit, cli
+from modalwb import audit, cli, partitions
 from modalwb.audit import non_adjacent_frame
 from modalwb.frames import Frame, dump_frame, skeleton
 from modalwb.partitions import DEFAULT_PROFILE_CAP
@@ -80,6 +80,15 @@ def test_frame_md_too_large(tmp_path, capsys):
     dump_frame(Frame(default_alphabet(1), 9, [set()]), path)
     assert cli.main(["frame", "md", str(path)]) == 2
     assert "--sample" in capsys.readouterr().err
+
+
+def test_frame_md_too_large_reports_the_library_limit_with_one_hint(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    dump_frame(Frame(default_alphabet(1), 9, [set()]), path)
+    assert cli.main(["frame", "md", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"needs n <= {partitions.EXACT_DEPTH_LIMIT}, got 9" in err
+    assert err.count("--sample") == 1
 
 
 def test_check_valid(cluster2, capsys):

@@ -633,3 +633,38 @@ def test_preimage_rejects_points_out_of_range_on_both_sides_of_the_table_size(n)
     assert f.preimage(0, {n - 1}) == {n - 2}
     with pytest.raises(ValueError, match="out of range"):
         f.preimage(0, {n})
+
+
+def upset_by_pairs(f, pts):
+    """The least superset of ``pts`` that every relation's pairs leave
+    closed, grown one step at a time."""
+    up = set(pts)
+    while True:
+        more = {b for rel in f.relations for a, b in rel if a in up} - up
+        if not more:
+            return up
+        up |= more
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_is_upset_matches_pair_reference(data):
+    f = data.draw(small_frames(default_alphabet(data.draw(st.integers(1, 3))), max_n=9))
+    pts = data.draw(st.sets(st.integers(0, f.n - 1))) if f.n else set()
+    closed = all(b in pts for rel in f.relations for a, b in rel if a in pts)
+    assert is_upset(f, pts) == closed
+    up = upset_by_pairs(f, pts)
+    assert is_upset(f, up)
+    assert generated_upset(f, pts) == up
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lex_sum_matches_pair_reference_with_several_modalities(data):
+    v = Alphabet(tuple(f"v{i}" for i in range(data.draw(st.integers(1, 2)))))
+    h = Alphabet(tuple(f"h{i}" for i in range(data.draw(st.integers(1, 2)))))
+    index = data.draw(small_frames(v, max_n=3))
+    fibers = [data.draw(small_frames(h, max_n=3)) for _ in range(index.n)]
+    assert_same_frame(
+        lex_sum(index, fibers, fiber_alphabet=h), oracles.lex_sum_pairs(index, fibers, h)
+    )

@@ -684,6 +684,28 @@ def test_validity_without_variables_above_the_table_size_matches_scalar():
     assert verdicts == {False, True}
 
 
+def test_variable_free_validity_matches_extent_under_the_empty_valuation():
+    """A formula without variables is one chunk of one lane: valid iff it is
+    true at every point under the empty valuation, on 0 and 1 points and
+    on either side of the 8 lane points."""
+    rng = random.Random(46)
+    verdicts = set()
+    for n in (0, 1, 8, 9):
+        for _ in range(60):
+            mods = rng.randint(1, 2)
+            frame, f = random_frame_of(rng, n, mods), closed_formula(rng, mods, rng.randint(0, 8))
+            verdict = validity_bruteforce(frame, f)
+            assert verdict == (extent(Model(frame, 0, ()), f) == frozenset(range(n)))
+            verdicts.add(verdict)
+    assert verdicts == {False, True}
+    chain9 = uni(9, [(a, a + 1) for a in range(8)])
+    for steps in (8, 9):
+        f = Falsum()
+        for _ in range(steps):
+            f = Dia(0, f, boxed=True)
+        assert validity_bruteforce(chain9, f) == (steps == 9)
+
+
 def test_validity_on_frames_without_points():
     """Every formula is valid on the empty frame, with or without variables;
     the enumeration has the one valuation of empty extents."""

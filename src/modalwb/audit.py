@@ -73,8 +73,16 @@ class GenSpec:
     def __post_init__(self):
         if self.structure not in STRUCTURES:
             raise ValueError(f"unknown structure {self.structure!r}")
-        if self.structure in ("pretransitive", "bounded-height") and self.param is None:
+        # the least param a frame can meet: every drawn frame has a point,
+        # so its height is at least 1
+        least = {"pretransitive": 0, "bounded-height": 1}.get(self.structure)
+        if least is not None and self.param is None:
             raise ValueError(f"structure {self.structure!r} needs a parameter")
+        if least is not None and self.param < least:
+            raise ValueError(
+                f"param must be at least {least} for structure {self.structure!r}, "
+                f"got {self.param}"
+            )
         if not 0 < self.n_min <= self.n_max:
             raise ValueError("need 0 < n_min <= n_max")
         if self.alphabet_size < 0:

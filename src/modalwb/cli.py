@@ -202,10 +202,8 @@ def _cmd_audit(args) -> int:
 def _cmd_export_dot(args) -> int:
     frame = _load(args.path)
     dot = frames.to_dot(frame)
-    if args.json:
-        print(json.dumps({"dot": dot}, sort_keys=True))
-    else:
-        print(dot, end="")
+    # to_dot ends in a newline, which print puts back
+    _emit({"dot": dot}, args.json, [dot.removesuffix("\n")])
     return 0
 
 

@@ -7,9 +7,11 @@ for every block of the stabilized partition, a formula whose extent
 is exactly that block; a block born at stage s gets a formula of modal
 depth at most s. On top of these, ``build_jankov`` assembles a Jankov-Fine
 style formula: it encodes the minimal filtration table of an upset under a
-bounded box (a chain of union diamonds up to the frame's transitivity
-index), so that each point's equivalence class becomes definable in the
-whole model, not just inside the upset. ``verify_definability`` and
+bounded box (``syntax._box_upto`` over chains of union diamonds up to the
+frame's transitivity index), so that each point's equivalence class becomes
+definable in the whole model, not just inside the upset. Gamma is the
+conjunction of that box over each selected body of one ``{family: body}``
+table, read in ``ALL_GAMMA_FAMILIES`` order. ``verify_definability`` and
 ``stable_top`` model-check the resulting guarantees exhaustively. One
 construction builds each literal ``Var(l)`` and ``Neg(Var(l))`` once and
 each signed diamond ``Dia(mod, f)`` once (for the gamma, one preimage,
@@ -34,8 +36,8 @@ from .syntax import (
     Imp,
     Neg,
     Var,
+    _box_upto,
     conj,
-    diamond_upto,
     disj,
 )
 
@@ -60,10 +62,6 @@ class DefinableFamily:
     formulas: dict[frozenset[int], Formula]
     m: int
     depth_bound: int
-
-
-def _box_star(m: int, mods, f: Formula) -> Formula:
-    return Neg(diamond_upto(m, mods, Neg(f)))
 
 
 def _literal_profile(model: Model, block: int, memo: dict) -> list[Formula]:
@@ -208,14 +206,12 @@ def build_jankov(
                     forces.append(Imp(alpha, dia))
                 else:
                     forbids.append(Imp(alpha, neg))
-    parts = []
-    if GAMMA_FORCES in families:
-        parts.append(_box_star(m, all_mods, conj(forces)))
-    if GAMMA_FORBIDS in families:
-        parts.append(_box_star(m, all_mods, conj(forbids)))
-    if GAMMA_COVERS in families:
-        parts.append(_box_star(m, all_mods, disj([alphas[b] for b in blocks])))
-    gamma = conj(parts)
+    bodies = {
+        GAMMA_FORCES: conj(forces),
+        GAMMA_FORBIDS: conj(forbids),
+        GAMMA_COVERS: disj([alphas[b] for b in blocks]),
+    }
+    gamma = conj([_box_upto(m, all_mods, bodies[f]) for f in ALL_GAMMA_FAMILIES if f in families])
 
     beta = {p: And(alphas[_class_of(blocks, p)], gamma) for p in old}
     family = DefinableFamily(

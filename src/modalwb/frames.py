@@ -421,9 +421,6 @@ def lex_sum(
         if not fibers:
             raise ValueError("fiber alphabet required when the index frame is empty")
         fiber_alphabet = fibers[0].alphabet
-    for f in fibers:
-        if f.alphabet != fiber_alphabet:
-            raise ValueError("fiber alphabets differ")
     if set(index_frame.alphabet.names) & set(fiber_alphabet.names):
         raise ValueError("vertical and horizontal alphabets overlap")
     horizontal = disjoint_sum(fibers, fiber_alphabet)

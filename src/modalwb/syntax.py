@@ -8,14 +8,17 @@ re-parsing); its semantics is the usual dual, not-diamond-not.
 The builders at the bottom produce the formula schemas the rest of the
 workbench audits: bounded-height axioms, pretransitivity axioms,
 reducible-path axioms, lexicographic-sum axioms, and difference-modality
-axioms. Large schema instances share subtrees, so consumers should treat
-formulas as DAGs (every traversal here is sharing-aware).
+axioms. They share one left fold (``conj``/``disj``) and one bounded box,
+the dual of ``diamond_upto``. Large schema instances share subtrees, so
+consumers should treat formulas as DAGs (every traversal here is
+sharing-aware).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator
 
 VAR_LIMIT = 10**6
@@ -152,23 +155,13 @@ def box(mod: int, f: Formula) -> Formula:
 def conj(parts: Iterable[Formula]) -> Formula:
     """Left-folded conjunction; empty input gives the verum ~false."""
     parts = list(parts)
-    if not parts:
-        return top()
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return reduce(And, parts) if parts else top()
 
 
 def disj(parts: Iterable[Formula]) -> Formula:
     """Left-folded disjunction; empty input gives falsum."""
     parts = list(parts)
-    if not parts:
-        return Falsum()
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    return reduce(Or, parts) if parts else Falsum()
 
 
 def iter_nodes(*roots: Formula) -> Iterator[Formula]:
@@ -450,25 +443,17 @@ def star_translate(f: Formula, m: int, subset: Iterable[int]) -> Formula:
             r = g
         elif isinstance(g, Neg):
             r = Neg(out[id(g.child)])
-        elif isinstance(g, And):
-            r = And(out[id(g.left)], out[id(g.right)])
-        elif isinstance(g, Or):
-            r = Or(out[id(g.left)], out[id(g.right)])
-        elif isinstance(g, Imp):
-            r = Imp(out[id(g.left)], out[id(g.right)])
+        elif isinstance(g, Dia):
+            r = (_box_upto if g.boxed else diamond_upto)(m, subset, out[id(g.child)])
         else:
-            inner = out[id(g.child)]
-            if g.boxed:
-                r = Neg(diamond_upto(m, subset, Neg(inner)))
-            else:
-                r = diamond_upto(m, subset, inner)
+            r = type(g)(out[id(g.left)], out[id(g.right)])
         out[id(g)] = r
     return out[id(f)]
 
 
 def _union(subset: tuple[int, ...], f: Formula) -> Formula:
     """``diamond_union`` over a subset ``_norm_subset`` has already normalised."""
-    return disj([Dia(b, f) for b in subset]) if subset else Falsum()
+    return disj([Dia(b, f) for b in subset])
 
 
 def diamond_union(subset: Iterable[int], f: Formula) -> Formula:
@@ -492,6 +477,11 @@ def diamond_upto(m: int, subset: Iterable[int], f: Formula) -> Formula:
     for _ in range(m):
         parts.append(_union(subset, parts[-1]))
     return disj(parts)
+
+
+def _box_upto(m: int, subset: Iterable[int], f: Formula) -> Formula:
+    """Bounded box, the dual of ``diamond_upto``: f after every chain of 0..m."""
+    return Neg(diamond_upto(m, subset, Neg(f)))
 
 
 def pretransitivity_axiom(subset: Iterable[int], m: int) -> Formula:

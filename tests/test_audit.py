@@ -46,6 +46,14 @@ def test_genspec_rejects_negative_alphabet_size_and_density_outside_unit_range(b
     GenSpec(density=1.0)
 
 
+@pytest.mark.parametrize("structure, least", [("pretransitive", 0), ("bounded-height", 1)])
+def test_genspec_rejects_a_param_no_frame_meets(structure, least):
+    # no transitivity index is negative, and every drawn frame has height >= 1
+    with pytest.raises(ValueError, match="param must be at least"):
+        GenSpec(structure=structure, param=least - 1)
+    assert run_suite("atr-correspondence", GenSpec(structure=structure, param=least), 2).ok()
+
+
 def test_random_frame_deterministic():
     spec = GenSpec(n_max=5, alphabet_size=2, seed=42)
     assert random_frame(spec) == random_frame(spec)

@@ -122,6 +122,11 @@ def test_build_jankov_rejects_small_m():
         build_jankov(model, frozenset({0, 1, 2}), m=1)
 
 
+def test_build_jankov_rejects_an_unknown_gamma_family():
+    with pytest.raises(ValueError, match=r"unknown gamma families \['bogus'\]"):
+        build_jankov(Model(CHAIN3, 0, ()), [2], families=("bogus",))
+
+
 def test_alpha_formulas_carry_literal_profiles():
     rng = random.Random(1)
     for _ in range(100):

@@ -320,6 +320,34 @@ def test_lex_sum_rejects_mismatch():
         )
 
 
+def test_lex_sum_rejects_fibers_over_different_alphabets():
+    index = Frame(Alphabet(("v",)), 2, [set()])
+    fibers = [Frame(Alphabet(("h",)), 1, [set()]), Frame(Alphabet(("g",)), 1, [set()])]
+    with pytest.raises(ValueError, match="alphabet mismatch in disjoint sum"):
+        lex_sum(index, fibers)
+    with pytest.raises(ValueError, match="alphabet mismatch in disjoint sum"):
+        lex_sum(index, fibers, fiber_alphabet=Alphabet(("g",)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: is_pmorphism(CHAIN3, CHAIN3, [0, 1]), "mapping must be total"),
+        (
+            lambda: is_pmorphism(CHAIN3, Frame(AL2, 3, [set(), set()]), [0, 1, 2]),
+            "alphabet mismatch",
+        ),
+        (lambda: is_pmorphism(CHAIN3, CHAIN3, [0, 1, 3]), "mapping target out of range"),
+        (lambda: expand(CHAIN3, "bogus"), "unknown expansion kind 'bogus'"),
+        (lambda: is_path_reducible(CHAIN3, -1), "m must be non-negative"),
+    ],
+    ids=["short-mapping", "other-alphabet", "target-out-of-range", "bogus-kind", "negative-m"],
+)
+def test_frame_operations_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_expand():
     g = expand(uni(3, []), "difference")
     assert len(g.relations[1]) == 6

@@ -114,6 +114,13 @@ def test_is_tuned_rejects_bad_partition():
         is_tuned(CHAIN3, Partition(3, (frozenset({0}),)))
 
 
+def test_partitions_reject_points_outside_the_frame():
+    with pytest.raises(ValueError, match="point 5 out of range"):
+        Partition.of(3, [{0, 1}, {2, 5}])
+    with pytest.raises(ValueError, match="partition is over a different point count"):
+        is_tuned(CHAIN3, one_block(2))
+
+
 def test_refine_sequence_chain():
     trace, stab = refine_sequence(CHAIN3, [])
     assert stab == 2

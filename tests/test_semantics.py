@@ -136,6 +136,18 @@ def test_validity_cap():
         validity_bruteforce(big, f, cap=1000)
 
 
+@pytest.mark.parametrize(
+    "k, valuation, message",
+    [
+        (2, [{0}], "expected 2 extents, got 1"),
+        (1, [{0, 3}], "extent point 3 out of range"),
+    ],
+)
+def test_model_rejects_a_bad_valuation(k, valuation, message):
+    with pytest.raises(ValueError, match=message):
+        Model(CHAIN3, k, valuation)
+
+
 def test_model_depth_chain():
     depth, trace = model_depth(Model(CHAIN3, 0, ()))
     assert depth == 2

@@ -187,6 +187,22 @@ def test_print_rejects_negative_variable_indices():
             print_formula(Dia(0, Var(-1)), alphabet)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Alphabet(("0d",)), ValueError, "invalid modality name '0d'"),
+        (lambda: diamond_union([-1], Var(0)), ValueError, "negative modality id"),
+        (lambda: difference_axioms(1, [0, 1]), ValueError, "difference modality listed"),
+        (lambda: parse("(p0", AL1), ParseError, r"expected '\)' \(offset 4\)"),
+        (lambda: print_formula(Neg(object())), TypeError, "not a formula"),
+    ],
+    ids=["bad-name", "negative-mod", "diff-among-others", "unclosed-paren", "not-a-formula"],
+)
+def test_syntax_rejects_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_print_parse_identity_on_canonical_text():
     for text in ["p0 & p1 -> <d0>p2 | false", "[d0](p0 -> p1)", "~~p0", "(p0 | p1) & p2"]:
         assert print_formula(parse(text, AL2), AL2) == text

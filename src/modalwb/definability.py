@@ -116,11 +116,7 @@ def _stage_formulas(model: Model, memo: dict) -> tuple[list[list[int]], dict[int
             for pb in prev
         ]
         nxt: dict[int, Formula] = {}
-        kept = set(prev)
         for block in cur:
-            if block in kept:
-                nxt[block] = forms[block]
-                continue
             # a stage refines the one before, and every block of it lies
             # inside or outside each splitter
             parent = next(b for b in prev if block & b)

@@ -206,6 +206,8 @@ class Frame:
         point of it under one modality: a ``_RowUnion`` over the
         modality's predecessor rows (``pred``), built on first use and kept
         on the frame (callers must not change it)."""
+        if not 0 <= mod < len(self._rows):
+            raise ValueError(f"modality id {mod} outside alphabet of size {len(self._rows)}")
         if self._preimages is None:
             mappings = []
             for rows in self._rows:

@@ -16,15 +16,16 @@ sharing-aware).
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import Iterable, Iterator
 
 VAR_LIMIT = 10**6
-# Each parenthesis level costs the recursive-descent parser a few stack
-# frames; this keeps the deepest accepted text well inside Python's default
-# recursion limit.
+# The parser keeps its nesting on explicit stacks, so this bound is an input
+# limit, not a stack guard; it stays because README and ``modalwb check``
+# promise it.
 PAREN_LIMIT = 100
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -270,85 +271,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, alphabet):
-        self.toks = tokens
-        self.i = 0
-        self.alphabet = alphabet
-        self.nesting = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def take(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def formula(self) -> Formula:
-        # operator precedence on explicit stacks, so chain length costs no
-        # stack: a pending operator is applied once the next one may not sit
-        # in its right operand; the end of the formula applies them all
-        args = [self.unary()]
-        ops: list[type] = []
-        while True:
-            kind, val, _ = self.peek()
-            cls = _INFIX_OF_TEXT[val] if kind == "infix" else None
-            level = _INFIX[cls][1] if cls else _LEVEL_IMP - 1
-            while ops and level < _INFIX[ops[-1]][3]:
-                right = args.pop()
-                args.append(ops.pop()(args.pop(), right))
-            if cls is None:
-                return args[0]
-            self.take()
-            ops.append(cls)
-            args.append(self.unary())
-
-    def unary(self) -> Formula:
-        # prefix chains are read in a loop, so their length costs no stack
-        prefixes = []
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "not":
-                prefixes.append(None)
-            elif kind in ("dia", "box"):
-                try:
-                    prefixes.append((self.alphabet.index(val), kind == "box"))
-                except ValueError:
-                    raise ParseError(f"unknown modality name {val!r}", pos) from None
-            else:
-                break
-            self.take()
-        f = self.atom()
-        for prefix in reversed(prefixes):
-            f = Neg(f) if prefix is None else Dia(prefix[0], f, boxed=prefix[1])
-        return f
-
-    def atom(self) -> Formula:
-        kind, val, pos = self.take()
-        if kind == "var":
-            # the length test comes first: int() refuses very long digit strings
-            digits = val.lstrip("0") or "0"
-            if len(digits) > len(str(VAR_LIMIT)) or int(digits) >= VAR_LIMIT:
-                raise ParseError("variable index overflow", pos)
-            return Var(int(digits))
-        if kind == "false":
-            return Falsum()
-        if kind == "true":
-            return top()
-        if kind == "lparen":
-            if self.nesting == PAREN_LIMIT:
-                raise ParseError(f"parentheses nested deeper than {PAREN_LIMIT}", pos)
-            self.nesting += 1
-            f = self.formula()
-            self.nesting -= 1
-            k2, _, pos2 = self.take()
-            if k2 != "rparen":
-                raise ParseError("expected ')'", pos2)
-            return f
-        raise ParseError("expected formula", pos)
-
-
 def parse(text: str, alphabet: Alphabet) -> Formula:
     """Parse a formula; raises ParseError with a 1-based offset on bad input.
 
@@ -357,12 +279,67 @@ def parse(text: str, alphabet: Alphabet) -> Formula:
     unary > & > | > -> and right-associative ``->``. Names and digits are
     ASCII. Parentheses nest at most ``PAREN_LIMIT`` deep.
     """
-    p = _Parser(_tokenize(text), alphabet)
-    f = p.formula()
-    kind, _, pos = p.peek()
-    if kind != "eof":
-        raise ParseError("unexpected trailing input", pos)
-    return f
+    # One operator-precedence pass over the tokens (Dijkstra's shunting
+    # yard) on two explicit stacks, so no input costs Python stack: ``ops``
+    # holds prefix builders, "(" marks and infix classes. An atom or a ")"
+    # completes an operand, which takes the prefixes in front of it; an
+    # infix token first applies the pending infix operators it may not sit
+    # under; ")" applies them back to its "(", and "eof", the last token,
+    # applies them all.
+    args: list[Formula] = []
+    ops: list = []
+    operand = True  # whether the next token starts an operand
+    nesting = 0
+    for kind, val, pos in _tokenize(text):
+        if operand:
+            if kind == "not":
+                ops.append(Neg)
+                continue
+            if kind in ("dia", "box"):
+                try:
+                    mod = alphabet.index(val)
+                except ValueError:
+                    raise ParseError(f"unknown modality name {val!r}", pos) from None
+                ops.append(partial(Dia, mod, boxed=kind == "box"))
+                continue
+            if kind == "lparen":
+                if nesting == PAREN_LIMIT:
+                    raise ParseError(f"parentheses nested deeper than {PAREN_LIMIT}", pos)
+                nesting += 1
+                ops.append("(")
+                continue
+            if kind == "var":
+                # the length test comes first: int() refuses very long digit strings
+                digits = val.lstrip("0") or "0"
+                if len(digits) > len(str(VAR_LIMIT)) or int(digits) >= VAR_LIMIT:
+                    raise ParseError("variable index overflow", pos)
+                args.append(Var(int(digits)))
+            elif kind in ("true", "false"):
+                args.append(top() if kind == "true" else Falsum())
+            else:
+                raise ParseError("expected formula", pos)
+        else:
+            cls = _INFIX_OF_TEXT[val] if kind == "infix" else None
+            level = _INFIX[cls][1] if cls else _LEVEL_IMP - 1
+            while ops and ops[-1] in _INFIX and level < _INFIX[ops[-1]][3]:
+                right = args.pop()
+                args.append(ops.pop()(args.pop(), right))
+            if cls:
+                ops.append(cls)
+                operand = True
+                continue
+            if kind == "rparen" and nesting:
+                ops.pop()
+                nesting -= 1
+            elif nesting:
+                raise ParseError("expected ')'", pos)
+            elif kind == "eof":
+                return args[0]
+            else:
+                raise ParseError("unexpected trailing input", pos)
+        operand = False
+        while ops and ops[-1] != "(" and ops[-1] not in _INFIX:
+            args.append(ops.pop()(args.pop()))
 
 
 def print_formula(f: Formula, alphabet: Alphabet | None = None) -> str:
@@ -413,14 +390,14 @@ def print_formula(f: Formula, alphabet: Alphabet | None = None) -> str:
 
 
 def _norm_subset(subset) -> tuple[int, ...]:
-    out = tuple(sorted({int(b) for b in subset}))
+    out = tuple(sorted({operator.index(b) for b in subset}))
     if any(b < 0 for b in out):
         raise ValueError(f"negative modality id in {out!r}")
     return out
 
 
 def _nat(v, what="parameter") -> int:
-    v = int(v)
+    v = operator.index(v)
     if v < 0:
         raise ValueError(f"{what} must be non-negative, got {v}")
     return v

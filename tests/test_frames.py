@@ -624,6 +624,19 @@ def test_preimage_rejects_points_out_of_range():
         CHAIN3.preimage(0, {3})
 
 
+@pytest.mark.parametrize("mod", [-1, 1, 5])
+def test_preimages_reject_modality_ids_outside_the_alphabet(mod):
+    # a negative id must not alias the last modality, nor a large one end in
+    # an IndexError
+    for call in (
+        lambda: CHAIN3.preimages(mod),
+        lambda: CHAIN3.preimage_mask(mod, 0b010),
+        lambda: CHAIN3.preimage(mod, {1}),
+    ):
+        with pytest.raises(ValueError, match=f"modality id {mod} outside alphabet of size 1"):
+            call()
+
+
 def assert_preimages_match_pairs(f, masks):
     for mod in range(len(f.alphabet)):
         pre = f.preimages(mod)

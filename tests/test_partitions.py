@@ -114,6 +114,12 @@ def test_is_tuned_rejects_bad_partition():
         is_tuned(CHAIN3, Partition(3, (frozenset({0}),)))
 
 
+@pytest.mark.parametrize("mod", [-1, 5])
+def test_is_tuned_rejects_modality_ids_outside_the_alphabet(mod):
+    with pytest.raises(ValueError, match=f"modality id {mod} outside alphabet of size 1"):
+        is_tuned(CHAIN3, Partition.of(3, [{0}, {1, 2}]), modalities=[mod])
+
+
 def test_partitions_reject_points_outside_the_frame():
     with pytest.raises(ValueError, match="point 5 out of range"):
         Partition.of(3, [{0, 1}, {2, 5}])

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,11 @@ from hypothesis import strategies as st
 from modalwb import semantics
 from modalwb.frames import Frame
 from modalwb.syntax import (
+    _INFIX,
+    _INFIX_OF_TEXT,
+    _LEVEL_IMP,
     PAREN_LIMIT,
+    VAR_LIMIT,
     Alphabet,
     And,
     Dia,
@@ -15,6 +21,7 @@ from modalwb.syntax import (
     Or,
     ParseError,
     Var,
+    _tokenize,
     box,
     build_schema,
     default_alphabet,
@@ -236,6 +243,153 @@ def test_parse_print_round_trip(f):
     assert parse(print_formula(f, AL2), AL2) == f
 
 
+class _RecursiveParser:
+    """The recursive-descent parser that the one-pass ``parse`` replaced,
+    kept (less its comments and annotations) as its differential
+    reference: parentheses recurse through formula, unary and atom."""
+
+    def __init__(self, tokens, alphabet):
+        self.toks = tokens
+        self.i = 0
+        self.alphabet = alphabet
+        self.nesting = 0
+
+    def peek(self):
+        return self.toks[self.i]
+
+    def take(self):
+        t = self.toks[self.i]
+        self.i += 1
+        return t
+
+    def formula(self):
+        args = [self.unary()]
+        ops = []
+        while True:
+            kind, val, _ = self.peek()
+            cls = _INFIX_OF_TEXT[val] if kind == "infix" else None
+            level = _INFIX[cls][1] if cls else _LEVEL_IMP - 1
+            while ops and level < _INFIX[ops[-1]][3]:
+                right = args.pop()
+                args.append(ops.pop()(args.pop(), right))
+            if cls is None:
+                return args[0]
+            self.take()
+            ops.append(cls)
+            args.append(self.unary())
+
+    def unary(self):
+        prefixes = []
+        while True:
+            kind, val, pos = self.peek()
+            if kind == "not":
+                prefixes.append(None)
+            elif kind in ("dia", "box"):
+                try:
+                    prefixes.append((self.alphabet.index(val), kind == "box"))
+                except ValueError:
+                    raise ParseError(f"unknown modality name {val!r}", pos) from None
+            else:
+                break
+            self.take()
+        f = self.atom()
+        for prefix in reversed(prefixes):
+            f = Neg(f) if prefix is None else Dia(prefix[0], f, boxed=prefix[1])
+        return f
+
+    def atom(self):
+        kind, val, pos = self.take()
+        if kind == "var":
+            digits = val.lstrip("0") or "0"
+            if len(digits) > len(str(VAR_LIMIT)) or int(digits) >= VAR_LIMIT:
+                raise ParseError("variable index overflow", pos)
+            return Var(int(digits))
+        if kind == "false":
+            return Falsum()
+        if kind == "true":
+            return top()
+        if kind == "lparen":
+            if self.nesting == PAREN_LIMIT:
+                raise ParseError(f"parentheses nested deeper than {PAREN_LIMIT}", pos)
+            self.nesting += 1
+            f = self.formula()
+            self.nesting -= 1
+            k2, _, pos2 = self.take()
+            if k2 != "rparen":
+                raise ParseError("expected ')'", pos2)
+            return f
+        raise ParseError("expected formula", pos)
+
+
+def recursive_parse(text, alphabet):
+    p = _RecursiveParser(_tokenize(text), alphabet)
+    f = p.formula()
+    kind, _, pos = p.peek()
+    if kind != "eof":
+        raise ParseError("unexpected trailing input", pos)
+    return f
+
+
+def assert_parses_as_recursive(text):
+    def outcome(parser):
+        try:
+            return parser(text, AL2)
+        except ParseError as err:
+            return str(err), err.pos
+
+    got, want = outcome(parse), outcome(recursive_parse)
+    assert got == want, (text, got, want)
+
+
+# one text per token kind, with an index past VAR_LIMIT and a name unknown
+# to AL2; the tokenizer's own errors are shared by both parsers
+FRAGMENTS = [
+    "p0", "p1", "p007", "p1000000", "true", "false", "~", "<d0>", "[d1]", "<d9>",
+    "(", ")", "&", "|", "->",
+]
+TOKEN_TEXT = re.compile(r"p[0-9]+|true|false|->|<\w+>|\[\w+\]|[~&|()]")
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(st.sampled_from(FRAGMENTS), max_size=14), st.data())
+def test_parse_matches_recursive_parser_on_fragment_strings(fragments, data):
+    spaces = data.draw(st.lists(st.sampled_from(["", " ", "\t"]), min_size=len(fragments), max_size=len(fragments)))
+    assert_parses_as_recursive("".join(t + sp for t, sp in zip(fragments, spaces)))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(formulas(), st.data())
+def test_parse_matches_recursive_parser_on_edited_formulas(f, data):
+    # printed text with extra parentheses around a token span, free spacing,
+    # and at most one token dropped or inserted
+    tokens = TOKEN_TEXT.findall(print_formula(f, AL2))
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.integers(0, len(tokens)))
+        j = data.draw(st.integers(i, len(tokens)))
+        tokens = tokens[:i] + ["("] + tokens[i:j] + [")"] + tokens[j:]
+    edit = data.draw(st.sampled_from(["none", "drop", "insert"]))
+    if edit == "drop":
+        del tokens[data.draw(st.integers(0, len(tokens) - 1))]
+    elif edit == "insert":
+        tokens.insert(data.draw(st.integers(0, len(tokens))), data.draw(st.sampled_from(FRAGMENTS)))
+    spaces = data.draw(st.lists(st.sampled_from(["", " ", "  "]), min_size=len(tokens), max_size=len(tokens)))
+    assert_parses_as_recursive("".join(t + sp for t, sp in zip(tokens, spaces)))
+
+
+@pytest.mark.parametrize("depth_", [PAREN_LIMIT, PAREN_LIMIT + 1])
+@pytest.mark.parametrize(
+    "template",
+    ["({})", "~({})", "<d0>({} & p1)", "({}", "{})", "(p0 -> {}) | p1", "[d1]({} p0)"],
+)
+def test_parse_matches_recursive_parser_at_the_nesting_limit(depth_, template):
+    # "({})" gives the PAREN_LIMIT + 1 nested parentheses of
+    # test_parse_nesting_limits and the deepest text accepted below them
+    text = "p0"
+    for _ in range(depth_):
+        text = template.format(text)
+    assert_parses_as_recursive(text)
+
+
 def test_iter_nodes_walks_many_roots_once():
     shared = Dia(0, And(Var(0), Var(1)))
     f, g = And(shared, Var(2)), Or(Var(2), shared)
@@ -391,3 +545,29 @@ def test_build_schema_bad_params():
         build_schema("B", h=-1)
     with pytest.raises(ValueError):
         build_schema("atr", subset=(0,))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: finite_height_axiom(1.5),
+        lambda: diamond_union([0.5], Var(0)),
+        lambda: diamond_upto(2.0, (0,), Var(0)),
+        lambda: pretransitivity_axiom((0,), 2.9),
+        lambda: difference_axioms(1, ["0"]),
+    ],
+    ids=["height", "subset", "m", "atr", "others"],
+)
+def test_schema_builders_reject_non_integers(call):
+    # int() would truncate 1.5 to 1 and build a different schema
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_build_schema_rejects_non_integer_parameters():
+    with pytest.raises(ValueError, match="invalid parameters for schema 'atr'"):
+        build_schema("atr", subset=(0,), m=2.9)
+    with pytest.raises(ValueError, match="invalid parameters for schema 'B'"):
+        build_schema("B", h=1.5)
+    # ints, bools and ranges work as before
+    assert build_schema("atr", subset=range(2), m=True) == pretransitivity_axiom((0, 1), 1)

@@ -202,6 +202,7 @@ def non_adjacent_frame(n: int) -> Frame:
 
 def cluster_depth_bound(d: int, m: int, h: int) -> int:
     """The height-times-cluster-depth bound (d+m+1)*h - m - 1."""
+    d, m, h = syntax._nat(d, "d"), syntax._nat(m, "m"), syntax._nat(h, "h")
     return (d + m + 1) * h - m - 1
 
 

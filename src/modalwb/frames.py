@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .syntax import Alphabet
+from .syntax import Alphabet, _nat
 
 Pair = tuple[int, int]
 
@@ -199,6 +199,8 @@ class Frame:
 
     def rows(self, mod: int) -> tuple[int, ...]:
         """Per-point successor bitmasks of one modality."""
+        if not 0 <= mod < len(self._rows):
+            raise ValueError(f"modality id {mod} outside alphabet of size {len(self._rows)}")
         return self._rows[mod]
 
     def preimages(self, mod: int):
@@ -206,8 +208,7 @@ class Frame:
         point of it under one modality: a ``_RowUnion`` over the
         modality's predecessor rows (``pred``), built on first use and kept
         on the frame (callers must not change it)."""
-        if not 0 <= mod < len(self._rows):
-            raise ValueError(f"modality id {mod} outside alphabet of size {len(self._rows)}")
+        self.rows(mod)  # rejects an id outside the alphabet
         if self._preimages is None:
             mappings = []
             for rows in self._rows:
@@ -311,8 +312,7 @@ def is_path_reducible(frame: Frame, m: int, budget: int = 10**6) -> bool:
     property (simple, shortcut-free prefixes); raises PathBudgetExceeded
     after ``budget`` extension steps rather than guessing.
     """
-    if m < 0:
-        raise ValueError("m must be non-negative")
+    m = _nat(m, "m")
     if m + 2 > frame.n:  # a path of m+1 steps visits m+2 points, so one repeats
         return True
     rows = union_rows(frame)

@@ -47,6 +47,7 @@ from operator import or_, xor
 from typing import Iterable, Sequence
 
 from .frames import Frame, disjoint_sum, iter_bits, mask_of, points_of
+from .syntax import _nat
 
 
 class CapExceeded(RuntimeError):
@@ -146,6 +147,7 @@ def _family_masks(n: int, family: Iterable[Iterable[int]]) -> list[int]:
 
 def induced_partition(n: int, family: Iterable[Iterable[int]]) -> Partition:
     """Partition into classes of equal membership profile across the family."""
+    n = _nat(n, "n")
     blocks = tuple(points_of(m) for m in _induced_masks(n, _family_masks(n, family)))
     return Partition(n, blocks)
 

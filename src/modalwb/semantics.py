@@ -5,11 +5,11 @@ compiler and one evaluator. ``_compile`` turns the DAG below one or more
 root formulas into a flat instruction list, children first, in one
 explicit-stack walk that compiles a node once its children have slots
 (pushing only the children that lack one), measures each instruction's
-modal depth and smallest variable index and checks its modality ids;
-``_evaluate`` runs a list of instructions under one valuation with point
-sets as bitmasks, each instruction writing its own slot of a value list,
-and reads a diamond from ``pre``, the frame's ``preimages`` per modality
-(an OR of the predecessor rows of the argument's points).
+modal depth and checks its modality ids; ``_evaluate`` runs a list of
+instructions under one valuation with point sets as bitmasks, each
+instruction writing its own slot of a value list, and reads a diamond
+from ``pre``, the frame's ``preimages`` per modality (an OR of the
+predecessor rows of the argument's points).
 ``extents_and_depths`` compiles many roots into one program, so subformulas
 the roots share are walked, measured and evaluated once; ``extent`` is its
 one-root case. ``validity_bruteforce`` counts valuations with an odometer
@@ -19,10 +19,12 @@ fastest variable in one pass, with ``_Lanes`` as the preimage mappings.
 A formula without variables is one chunk of one lane (c = 0) through the
 same ``_Lanes``: its values are plain point masks, and a one-bit lane
 makes ``_Lanes`` equal to the frame's preimage mapping. After the first
-chunk an instruction re-runs only when its smallest variable changes
-(change propagation), so variable-free ones run once per call, and the
-odometer writes each changed variable's sliced extent straight into the
-slots of its occurrences.
+chunk an instruction re-runs only when a variable it reads changes
+(change propagation), so variable-free ones, and on at most 8 points
+those of the fastest variable alone, run once per call. The odometer
+keeps each variable's sliced extent, updates it with one XOR with a
+precomputed run of points, and writes it straight into the slots of
+its occurrences.
 """
 
 from __future__ import annotations
@@ -40,7 +42,10 @@ from .syntax import And, Dia, Falsum, Formula, Imp, Neg, Or, Var
 # 2-core x86-64 host whose speed varies, CPython 3.11).
 DEFAULT_VALUATION_CAP = 1 << 24
 # validity_bruteforce slices its fastest variable on at most this many
-# points: 2^8 lanes, so a sliced value takes 256 bits a point.
+# points: 2^8 lanes, so a sliced value takes 256 bits a point. Slicing
+# min(n*k, 8) counter bits instead, the slower variables too, measured 2.5x
+# the bench's validity ops/s but +20% peak RSS, which grows with the bench's
+# per-op records; it waits for a bench whose memory does not grow per op.
 _LANE_POINTS = 8
 
 
@@ -63,7 +68,7 @@ class Model:
 
 
 _VAR, _FALSE, _NEG, _AND, _OR, _IMP, _DIA, _BOX = range(8)
-_NO_VAR = math.inf  # the level of a variable-free instruction: above every variable
+_NO_VAR = math.inf  # the level of an instruction that no odometer step re-runs
 _BINARY = {And: _AND, Or: _OR, Imp: _IMP}
 
 
@@ -71,9 +76,8 @@ def _compile(frame: Frame, *roots: Formula):
     """One instruction list over the unique nodes below all roots, in the
     order of ``iter_nodes(*roots)``. Each instruction is ``(slot, op, x, y)``
     and writes ``vals[slot]``, its position in the list. Returns ``(prog,
-    depths, lows, outs, vars_)``: the instructions, the modal depth of each
-    slot's subformula, the smallest variable index in it (``_NO_VAR`` when it
-    has none), each root's slot, and the sorted variable indices. Rejects
+    depths, outs, vars_)``: the instructions, the modal depth of each slot's
+    subformula, each root's slot, and the sorted variable indices. Rejects
     modality ids outside the frame's alphabet and negative variable indices.
 
     The walk reads the top of an explicit stack: a node already compiled is
@@ -84,7 +88,6 @@ def _compile(frame: Frame, *roots: Formula):
     index: dict[int, int] = {}  # id -> slot
     prog: list[tuple[int, int, int, int]] = []
     depths: list[int] = []
-    lows: list[float] = []
     vars_, bad = set(), set()
     size = len(frame.alphabet)
     stack = list(reversed(roots))
@@ -105,8 +108,8 @@ def _compile(frame: Frame, *roots: Formula):
                 if x is None:
                     stack.append(g.left)
                 continue
-            dx, dy, lx, ly = depths[x], depths[y], lows[x], lows[y]
-            ins, d, lo = (i, op, x, y), dx if dx > dy else dy, lx if lx < ly else ly
+            dx, dy = depths[x], depths[y]
+            ins, d = (i, op, x, y), dx if dx > dy else dy
         elif t is Neg or t is Dia:
             x = index.get(id(g.child))
             if x is None:
@@ -118,25 +121,44 @@ def _compile(frame: Frame, *roots: Formula):
                 ins, d = (i, _BOX if g.boxed else _DIA, g.mod, x), 1 + depths[x]
                 if not 0 <= g.mod < size:
                     bad.add(g.mod)
-            lo = lows[x]
         elif t is Var:
-            ins, d, lo = (i, _VAR, g.index, 0), 0, g.index
-            vars_.add(lo)
+            ins, d = (i, _VAR, g.index, 0), 0
+            vars_.add(g.index)
         elif t is Falsum:
-            ins, d, lo = (i, _FALSE, 0, 0), 0, _NO_VAR
+            ins, d = (i, _FALSE, 0, 0), 0
         else:
             raise TypeError(f"not a formula: {g!r}")
         stack.pop()
         index[k] = i
         prog.append(ins)
         depths.append(d)
-        lows.append(lo)
     if bad:
         raise ValueError(f"modality ids {sorted(bad)} outside alphabet of size {size}")
     vars_ = sorted(vars_)
     if vars_ and vars_[0] < 0:
         raise ValueError(f"variable indices {[v for v in vars_ if v < 0]} are negative")
-    return prog, depths, lows, [index[id(f)] for f in roots], vars_
+    return prog, depths, [index[id(f)] for f in roots], vars_
+
+
+def _levels(prog, position) -> list[float]:
+    """The level of each instruction of a ``_compile`` program, in one
+    children-first pass: the smallest ``position[v]`` over the variables v
+    its subformula reads, ``_NO_VAR`` when it reads none."""
+    levels: list[float] = []
+    for _, op, x, y in prog:
+        if op == _VAR:
+            level = position[x]
+        elif op == _FALSE:
+            level = _NO_VAR
+        elif op == _NEG:
+            level = levels[x]
+        elif op == _DIA or op == _BOX:
+            level = levels[y]
+        else:
+            lx, ly = levels[x], levels[y]
+            level = lx if lx < ly else ly
+        levels.append(level)
+    return levels
 
 
 def _evaluate(prog, pre, var_masks, full: int, vals: list[int]) -> None:
@@ -193,7 +215,7 @@ def extents_and_depths(model: Model, roots) -> list[tuple[int, int]]:
 
     The roots are compiled into one program, so a subformula they share is
     walked, measured and evaluated once."""
-    prog, depths, _, outs, vars_ = _compile(model.frame, *roots)
+    prog, depths, outs, vars_ = _compile(model.frame, *roots)
     bad = [v for v in vars_ if v >= model.k]
     if bad:
         raise ValueError(f"variables {bad} outside the {model.k}-valuation")
@@ -226,43 +248,62 @@ def validity_bruteforce(frame: Frame, f: Formula, cap: int = DEFAULT_VALUATION_C
     variable iff bit a of l is set, and a point a >= c in any variable iff
     bit a of that variable's digit of the chunk's counter is set. ``_Lanes``
     maps diamonds; a formula without variables is one chunk of one lane
-    through the same ``_Lanes``, its sliced values plain point masks. The
-    first chunk runs every instruction; a later one writes the slots of the
-    positions that changed and re-runs only the instructions whose smallest
-    variable sits at one of them (change propagation), so variable-free
-    ones run once per call.
+    through the same ``_Lanes``, its sliced values plain point masks.
+
+    The odometer keeps each position's sliced digit. Stepping the counter
+    by 2^c flips counter bits c .. z, z its lowest set bit: in the digit of
+    position j = z // n that is a run of points, one XOR with a
+    precomputed mask of their lanes, and the positions below j reset. An instruction's
+    level is the smallest position it reads that can change (a digit wholly
+    in the lanes, position 0 when n <= 8, never does). The first chunk runs
+    every instruction; a later one writes the slots of the positions that
+    changed and re-runs only the instructions whose level is at most j
+    (change propagation), so an instruction that reads no changing position
+    runs once per call.
     The formula is valid iff its sliced value is all ones in every chunk."""
-    prog, _, lows, outs, vars_ = _compile(frame, f)
+    prog, _, outs, vars_ = _compile(frame, f)
     n, k = frame.n, len(vars_)
     bits = n * k
     if cap < 1 or bits >= cap.bit_length():  # exactly 2^bits > cap
         raise CapExceeded(f"{k} variables on {n} points need 2^{bits} assignments (cap {cap})")
+    c = min(n, _LANE_POINTS) if vars_ else 0  # no variables: one lane, point masks
+    # a position whose digit lies wholly in the lanes (0 when n <= c) never changes
+    levels = _levels(prog, {v: p if (p + 1) * n > c else _NO_VAR for p, v in enumerate(vars_)})
     # Highest level first, a stable sort: a child's level is at least its
     # parent's, so children still come first, and the instructions that
     # position j reaches form a suffix, suffixes[j].
-    prog.sort(key=lambda ins: lows[ins[0]], reverse=True)
+    prog.sort(key=lambda ins: levels[ins[0]], reverse=True)
     # the odometer writes the slots of each position's occurrences itself,
     # so the variable instructions go
     slots = [[i for i, op, x, _ in prog if op == _VAR and x == v] for v in vars_]
     prog = [ins for ins in prog if ins[1] != _VAR]
-    suffixes = [prog[sum(lows[ins[0]] > v for ins in prog):] for v in vars_]
-    full = (1 << n) - 1
-    c = min(n, _LANE_POINTS) if vars_ else 0  # no variables: one lane, point masks
+    suffixes = [prog[sum(levels[ins[0]] > j for ins in prog):] for j in range(k)]
     width = 1 << c
     lane, ones = (1 << width) - 1, (1 << n * width) - 1
     lanes = [_Lanes(frame.preimages(mod).pred, width) for mod in range(len(frame.alphabet))]
     # lane l of point a < c has bit a of l: runs of 2^a clear, 2^a set lanes
     low = sum((lane // ((1 << (1 << a)) + 1)) << (1 << a) << a * width for a in range(c))
-    sliced, root = [0] * len(lows), outs[0]
+    # a carry up to counter bit z flips every lane of points lo .. hi of
+    # digit j = z // n, lo = max(c - j*n, 0) and hi = z - j*n: bits
+    # lo*2^c .. (hi+1)*2^c - 1
+    flips = [(1 << (z % n + 1) * width) - (1 << max(c - z // n * n, 0) * width)
+             for z in range(bits)]
+    # each position's sliced digit under counter 0: position 0 holds its lane points
+    start = [low] + [0] * (k - 1) if k else []
+    cur = start[:]
+    sliced, root = [0] * len(levels), outs[0]
     run, j = prog, k - 1  # the first chunk writes every position and runs everything
     for t in range(0, 1 << bits, width):
         if t:
-            j = ((t & -t).bit_length() - 1) // n  # the slowest position that changed
+            z = (t & -t).bit_length() - 1
+            j = z // n  # the slowest position that changed
             run = suffixes[j]
-        for p in range(j + 1):  # position j and those its carry reset
-            value = _stride(t >> p * n & full, width) * lane
+            cur[:j] = start[:j]  # the positions its carry reset
+            cur[j] ^= flips[z]
+        for p in range(j + 1):
+            value = cur[p]
             for s in slots[p]:
-                sliced[s] = value if p else value | low
+                sliced[s] = value
         _evaluate(run, lanes, (), ones, sliced)
         if sliced[root] != ones:
             return False

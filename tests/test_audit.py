@@ -340,6 +340,13 @@ def test_cluster_depth_bound_arithmetic():
         assert cluster_depth_bound(2, 1, h) == 4 * h - 2
 
 
+@pytest.mark.parametrize("args", [(-1, 1, 1), (1, -1, 1), (1, 1, -1)])
+def test_cluster_depth_bound_rejects_negative_arguments(args):
+    # (-1 + 1 + 1) * 1 - 1 - 1 would be a bound of -1
+    with pytest.raises(ValueError, match="must be non-negative"):
+        cluster_depth_bound(*args)
+
+
 # sha256 of the report each suite writes at its CLI defaults and seed 0; a
 # change to a suite's draw, law, defaults or RNG use changes its digest, and
 # must say so where it re-records it

@@ -637,6 +637,21 @@ def test_preimages_reject_modality_ids_outside_the_alphabet(mod):
             call()
 
 
+@pytest.mark.parametrize("mod", [-1, 5])
+def test_rows_reject_modality_ids_outside_the_alphabet(mod):
+    # -1 must not return modality 0's rows, nor 5 end in an IndexError
+    assert CHAIN3.rows(0) == (0b010, 0b100, 0)
+    with pytest.raises(ValueError, match=f"modality id {mod} outside alphabet of size 1"):
+        CHAIN3.rows(mod)
+
+
+def test_path_reducibility_rejects_a_fractional_m():
+    # 1.5 + 2 > 3 would answer True without looking at a path
+    with pytest.raises(TypeError):
+        is_path_reducible(CHAIN3, 1.5)
+    assert is_path_reducible(CHAIN3, 1) is False
+
+
 def assert_preimages_match_pairs(f, masks):
     for mod in range(len(f.alphabet)):
         pre = f.preimages(mod)

@@ -99,6 +99,12 @@ def test_induced_partition_examples():
     )
 
 
+def test_induced_partition_rejects_a_negative_point_count():
+    # the message names the argument, not the shift that would fail on it
+    with pytest.raises(ValueError, match="n must be non-negative, got -1"):
+        induced_partition(-1, [])
+
+
 def test_is_tuned_examples():
     rng = random.Random(0)
     for _ in range(50):

@@ -1,9 +1,10 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modalwb import partitions, semantics
@@ -424,8 +425,9 @@ def test_validity_above_the_table_size_matches_naive(case):
 def assert_program_follows_iter_nodes(frame, roots):
     """``_compile`` against its reference: one instruction per node of
     ``iter_nodes(*roots)``, in that order, reading its children's slots,
-    with each node's own depth and smallest variable."""
-    prog, depths, lows, outs, vars_ = semantics._compile(frame, *roots)
+    with each node's own depth; and ``_levels`` over that program, each
+    node's smallest variable position, with and without position 0 fixed."""
+    prog, depths, outs, vars_ = semantics._compile(frame, *roots)
     nodes = list(iter_nodes(*roots))
     slot = {id(g): i for i, g in enumerate(nodes)}
     binary = {And: semantics._AND, Or: semantics._OR, Imp: semantics._IMP}
@@ -443,7 +445,11 @@ def assert_program_follows_iter_nodes(frame, roots):
         else:
             assert ins == (i, binary[type(g)], slot[id(g.left)], slot[id(g.right)])
         assert depths[i] == depth(g)
-        assert lows[i] == min(variables(g), default=math.inf)
+    for fixed in ({}, {0}):
+        position = {v: math.inf if p in fixed else p for p, v in enumerate(vars_)}
+        levels = semantics._levels(prog, position)
+        for g, level in zip(nodes, levels):
+            assert level == min((position[v] for v in variables(g)), default=math.inf)
     assert outs == [slot[id(f)] for f in roots]
     assert vars_ == sorted(set().union(*map(variables, roots)))
 
@@ -475,7 +481,7 @@ def test_compile_heavily_shared_dag_once_per_node():
     f = Var(0)
     for _ in range(200):
         f = And(f, f)
-    prog, _, _, outs, _ = semantics._compile(CHAIN3, f)
+    prog, _, outs, _ = semantics._compile(CHAIN3, f)
     assert len(prog) == 201 and outs == [200]
     assert_program_follows_iter_nodes(CHAIN3, [f])
     m = Model(CHAIN3, 1, (frozenset({2}),))
@@ -515,10 +521,13 @@ def test_compile_rejects_negative_variable_indices():
 
 def scalar_validity_bruteforce(frame, f, cap=semantics.DEFAULT_VALUATION_CAP):
     """The scalar incremental enumeration that the bit-sliced chunks
-    replaced, kept verbatim as the differential reference of
-    ``validity_bruteforce`` on inputs too large for ``naive_validity``."""
+    replaced, kept as the differential reference of ``validity_bruteforce``
+    on inputs too large for ``naive_validity``. It keys each instruction by
+    its node's smallest variable index, from ``variables``, not by the
+    levels ``validity_bruteforce`` computes."""
     _compile, _evaluate, _VAR = semantics._compile, semantics._evaluate, semantics._VAR
-    prog, _, lows, outs, vars_ = _compile(frame, f)
+    prog, _, outs, vars_ = _compile(frame, f)
+    lows = [min(variables(g), default=math.inf) for g in iter_nodes(f)]
     n = frame.n
     total = (1 << n) ** len(vars_)
     if total > cap:
@@ -661,6 +670,134 @@ def test_sliced_validity_resets_the_positions_below_a_carry():
         f = Or(Imp(Dia(0, Var(2)), Dia(0, Var(1))), And(Var(0), Neg(Var(0))))
         assert not validity_bruteforce(frame, f)
         assert validity_bruteforce(frame, Or(f, Dia(0, Neg(Var(1)), boxed=True)))
+
+
+@st.composite
+def frames_and_odometer_formulas(draw, sizes, counts):
+    """A frame of one of the sizes (1-2 modalities) and a formula over k
+    variables, k from ``counts``: a subformula of the fastest variable
+    alone joined to one over all k, so some instructions read position 0
+    only. Weakened half the time to an excluded middle, which is valid, so
+    the odometer runs to its end."""
+    n = draw(st.sampled_from(sizes))
+    mods = draw(st.integers(1, 2))
+    points = st.integers(0, n - 1) if n else st.nothing()
+    rels = [draw(st.sets(st.tuples(points, points), max_size=n * n)) for _ in range(mods)]
+    k = draw(st.sampled_from(counts))
+    indices = sorted(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k, unique=True)))
+    modality = st.integers(0, mods - 1)
+
+    def tree(names):
+        leaves = st.sampled_from(names).map(Var) | st.builds(Falsum)
+        return st.recursive(
+            leaves,
+            lambda sub: st.builds(Neg, sub)
+            | st.builds(Dia, modality, sub, boxed=st.booleans())
+            | st.builds(lambda op, a, b: op(a, b), st.sampled_from([And, Or, Imp]), sub, sub),
+            max_leaves=4,
+        )
+
+    fast, mixed = draw(tree(indices[:1])), draw(tree(indices))
+    for i in indices:
+        link = Dia(draw(modality), Var(i), boxed=draw(st.booleans()))
+        mixed = draw(st.sampled_from([And, Or, Imp]))(mixed, link)
+    f = draw(st.sampled_from([And, Or, Imp]))(Dia(draw(modality), fast), mixed)
+    if draw(st.booleans()):
+        f = Or(f, Neg(fresh_copy(f)))
+    return Frame(default_alphabet(mods), n, rels), f
+
+
+@settings(max_examples=100, deadline=None)
+@given(frames_and_odometer_formulas(range(7), [2, 3]))
+def test_validity_with_position_zero_in_the_lanes_matches_references(case):
+    """n <= 8: position 0's digit lies wholly in the lanes, so its
+    instructions run in the first chunk only. At most 2^12 valuations, so
+    n <= 6 here; 8 points are counted in the test below."""
+    frame, f = case
+    k = len(variables(f))
+    assume(frame.n * k <= 12)
+    verdict = validity_bruteforce(frame, f)
+    assert verdict == scalar_validity_bruteforce(frame, f)
+    if frame.n * k <= 8:
+        assert verdict == naive_validity(frame, f)
+
+
+@settings(max_examples=12, deadline=None)
+@given(frames_and_odometer_formulas([9, 10], [1, 2]))
+def test_validity_with_position_zero_past_the_lanes_matches_references(case):
+    """n > 8: position 0 carries from its lane bits into the counter, so
+    its instructions re-run every chunk. Two variables on 9 points only:
+    the scalar reference takes seconds over 2^20 valuations."""
+    frame, f = case
+    k = len(variables(f))
+    assume(k == 1 or frame.n == 9)
+    verdict = validity_bruteforce(frame, f)
+    assert verdict == scalar_validity_bruteforce(frame, f)
+    if k == 1:
+        assert verdict == naive_validity(frame, f)
+
+
+def test_validity_runs_a_position_zero_subformula_once_per_call(monkeypatch):
+    """Count the instructions ``_evaluate`` runs: on n <= 8 points the
+    subformula <d0><d0>p0 runs in the first chunk only, while the p1
+    conjunct above it re-runs in every chunk; on 9 points p0 carries past
+    the lanes, so both re-run."""
+    runs = Counter()
+
+    def counting(prog, *args):
+        runs.update(ins[0] for ins in prog)
+        return evaluate(prog, *args)
+
+    evaluate = semantics._evaluate
+    monkeypatch.setattr(semantics, "_evaluate", counting)
+    fast = Dia(0, Dia(0, Var(0)))
+    f = Imp(And(fast, Var(1)), Dia(0, Var(0)))  # transitivity under a p1 conjunct
+    nodes = list(iter_nodes(f))
+    slot = {id(g): i for i, g in enumerate(nodes)}
+    for n, chunks in [(1, 2), (4, 16), (8, 256), (9, 2 ** 10)]:
+        frame = uni(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+        runs.clear()
+        assert validity_bruteforce(frame, f)
+        assert runs[slot[id(f)]] == runs[slot[id(f.left)]] == chunks
+        assert runs[slot[id(fast)]] == runs[slot[id(fast.child)]] == (1 if n <= 8 else chunks)
+
+
+def test_odometer_gives_each_position_its_digit_of_the_counter(monkeypatch):
+    """The sliced extent each chunk reads: point a < c of position 0 holds
+    in lane l iff bit a of l is set, and point a of position p otherwise
+    in every lane iff bit p*n + a of the chunk's counter is set. A verdict
+    cannot see this, since XOR updates that skip a reset or touch the lane
+    points still meet every valuation, only in another order."""
+    seen = []
+
+    def recording(prog, pre, var_masks, full, vals):
+        seen.append([vals[i] for i in occurrences])
+        return evaluate(prog, pre, var_masks, full, vals)
+
+    evaluate = semantics._evaluate
+    monkeypatch.setattr(semantics, "_evaluate", recording)
+    p, q = Var(0), Var(3)
+    f = Imp(And(p, q), p)  # valid, so every chunk runs
+    occurrences = [i for i, g in enumerate(iter_nodes(f)) if g is p or g is q]
+    for n in (3, 9, 10):
+        seen.clear()
+        assert validity_bruteforce(uni(n, []), f)
+        c, width = min(n, 8), 1 << min(n, 8)
+        lane_points = [sum(1 << l for l in range(width) if l >> a & 1) for a in range(c)]
+        for chunk, values in enumerate(seen):
+            t = chunk * width
+            want = []
+            for pos in (0, 1):
+                value = 0
+                for a in range(n):
+                    if pos == 0 and a < c:
+                        lanes = lane_points[a]
+                    else:
+                        lanes = (1 << width) - 1 if t >> (pos * n + a) & 1 else 0
+                    value |= lanes << a * width
+                want.append(value)
+            assert values == want
+        assert len(seen) == 1 << (2 * n - c)
 
 
 def closed_formula(rng, mods, size):

@@ -39,6 +39,7 @@ Suite ids:
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
@@ -71,6 +72,13 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # a float or str count would pass the range checks and fail in the draw
+        for name in ("n_min", "n_max", "alphabet_size", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        if self.param is not None:
+            object.__setattr__(self, "param", operator.index(self.param))
+        if isinstance(self.density, bool):
+            raise TypeError("density must be a number, not a bool")
         if self.structure not in STRUCTURES:
             raise ValueError(f"unknown structure {self.structure!r}")
         # the least param a frame can meet: every drawn frame has a point,

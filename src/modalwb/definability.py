@@ -104,16 +104,20 @@ def _stage_formulas(model: Model, memo: dict) -> tuple[list[list[int]], dict[int
     Stage-0 blocks are defined by their literal profiles. A block that
     splits off at stage d is defined by its parent's formula together with
     signed splitters: diamonds of previous-stage block formulas, chosen
-    greedily until every sibling inside the parent is excluded.
+    greedily until every sibling inside the parent is excluded. Only blocks
+    new at the previous stage are candidates: the preimage of an older one
+    already split that stage, so it separates no siblings.
     """
     frame = model.frame
     stages = _stage_masks(model)
     forms = {b: conj(_literal_profile(model, b, memo)) for b in stages[0]}
-    for prev, cur in zip(stages, stages[1:]):
+    for before, prev, cur in zip([[]] + stages, stages, stages[1:]):
+        old = set(before)
         pool = [
             (mod, pb, frame.preimage_mask(mod, pb))
             for mod in range(len(frame.alphabet))
             for pb in prev
+            if pb not in old
         ]
         nxt: dict[int, Formula] = {}
         for block in cur:

@@ -5,22 +5,27 @@ counting.
 Refinement from a family of point sets runs through one staged loop,
 ``_stages`` (exact modal depth has its own, below): stage 0 is the
 partition induced by the family, and each later stage splits the previous
-one by the modal preimages of its blocks. Blocks only ever split, so a
-stage is the fixpoint exactly when its successor has as many blocks, and
-on an n-point frame the loop stops within n stages. The fixpoint is tuned,
-and it is the coarsest tuned refinement of the seed: every tuned
-refinement of the seed also refines it. The stabilization index (the
-number of the fixpoint stage) is the modal depth of the seeding data, and
-the maximum over all seed partitions is the modal depth of the frame.
-``is_tuned`` takes one step of that loop and checks that it splits
-nothing.
+one by the modal preimages of its blocks. Only the blocks the previous
+stage created need to split it: a block that survived from the stage
+before has already split it once, so every block lies inside or outside
+its preimage. Blocks only ever split, so a stage is the fixpoint exactly
+when its successor has as many blocks, and on an n-point frame the loop
+stops within n stages. The fixpoint is tuned, and it is the coarsest tuned
+refinement of the seed: every tuned refinement of the seed also refines it.
+The stabilization index (the number of the fixpoint stage) is the modal
+depth of the seeding data, and the maximum over all seed partitions is the
+modal depth of the frame. ``is_tuned`` has no stage before, so it splits a
+partition once by the preimages of all its blocks and checks that nothing
+splits.
 
 One stage is one call of ``_split_masks``, the only split loop: the
-blocks, split by the preimage of every block under every modality. A
+blocks, split by the preimage of every new block under every modality. A
 preimage is the OR of the frame's predecessor rows over the block's points
-(``Frame.preimages``), the standard step of partition refinement
-(Paige & Tarjan 1987). Many splitters repeat, or miss or cover every block;
-the split loop skips them, and returns the blocks in min-element order.
+(``Frame.preimages``), the standard step of partition refinement; taking
+only new blocks as splitters is the rule of Hopcroft (1971) and
+Paige & Tarjan (1987). Many splitters repeat, or miss or cover every block;
+the split loop skips them, stops each splitter at the block that holds the
+last of its points, and returns the blocks in min-element order.
 
 Exact frame modal depth does not run that loop either: it refines every
 set partition of the points at once, one bit lane per partition
@@ -109,19 +114,24 @@ def refines(fine: Partition, coarse: Partition) -> bool:
 def _split_masks(blocks: list[int], splitters: Iterable[int]) -> list[int]:
     """The blocks split by every splitter, in min-element order. A repeated
     splitter, or one that misses or covers every block, splits nothing and
-    is skipped."""
+    is skipped, and a splitter stops at the block that holds the last of
+    its points."""
     cover = 0
     for b in blocks:
         cover |= b
     out = list(blocks)
     for s in {s & cover for s in splitters} - {0, cover}:
+        left = s  # its points in no block seen yet
         # the part outside s, appended, is not split by s again
-        for i in range(len(out)):
-            b = out[i]
-            inside = b & s
-            if inside and inside != b:
-                out[i] = inside
-                out.append(b ^ inside)
+        for i, b in enumerate(out):
+            inside = b & left
+            if inside:
+                if inside != b:
+                    out[i] = inside
+                    out.append(b ^ inside)
+                left ^= inside
+                if not left:
+                    break
     out.sort(key=lambda m: m & -m)
     return out
 
@@ -158,21 +168,23 @@ def _check_partition(frame: Frame, partition: Partition) -> None:
     Partition.of(frame.n, partition.blocks)
 
 
-def _next_stage_masks(frame: Frame, blocks: list[int], mods: Iterable[int]) -> list[int]:
-    pres = [frame.preimages(mod) for mod in mods]
-    return _split_masks(blocks, [pre[b] for pre in pres for b in blocks])
-
-
 def _stages(frame: Frame, initial_masks: Iterable[int]):
     """Block masks of every refinement stage from the partition induced by
-    the masks, up to and including the first fixpoint."""
-    mods = range(len(frame.alphabet))
-    cur = _induced_masks(frame.n, initial_masks)
+    the masks, up to and including the first fixpoint.
+
+    A stage splits the previous one only by the preimages of the blocks
+    the previous stage created (at stage 0, every block): a block that
+    survived from the stage before already split it, so every block lies
+    inside or outside its preimage."""
+    pres = [frame.preimages(mod) for mod in range(len(frame.alphabet))]
+    cur = fresh = _induced_masks(frame.n, initial_masks)
     while True:
         yield cur
-        nxt = _next_stage_masks(frame, cur, mods)
+        nxt = _split_masks(cur, [pre[b] for pre in pres for b in fresh])
         if len(nxt) == len(cur):
             return
+        old = set(cur)
+        fresh = [b for b in nxt if b not in old]
         cur = nxt
 
 
@@ -182,8 +194,9 @@ def is_tuned(frame: Frame, partition: Partition, modalities: Sequence[int] | Non
     misses it entirely."""
     _check_partition(frame, partition)
     mods = range(len(frame.alphabet)) if modalities is None else modalities
+    pres = [frame.preimages(mod) for mod in mods]
     blocks = [mask_of(b) for b in partition.blocks]
-    return len(_next_stage_masks(frame, blocks, mods)) == len(blocks)
+    return len(_split_masks(blocks, [pre[b] for pre in pres for b in blocks])) == len(blocks)
 
 
 def refine_sequence(

@@ -78,7 +78,8 @@ def _compile(frame: Frame, *roots: Formula):
     and writes ``vals[slot]``, its position in the list. Returns ``(prog,
     depths, outs, vars_)``: the instructions, the modal depth of each slot's
     subformula, each root's slot, and the sorted variable indices. Rejects
-    modality ids outside the frame's alphabet and negative variable indices.
+    modality ids outside the frame's alphabet, negative variable indices and
+    ones that are not ints (a ``TypeError``).
 
     The walk reads the top of an explicit stack: a node already compiled is
     popped, a node whose children all have slots is compiled and popped, and
@@ -122,6 +123,8 @@ def _compile(frame: Frame, *roots: Formula):
                 if not 0 <= g.mod < size:
                     bad.add(g.mod)
         elif t is Var:
+            if type(g.index) is not int:  # a bool or float would alias or miss a digit
+                raise TypeError(f"variable index must be an int, got {g.index!r}")
             ins, d = (i, _VAR, g.index, 0), 0
             vars_.add(g.index)
         elif t is Falsum:

@@ -46,6 +46,27 @@ def test_genspec_rejects_negative_alphabet_size_and_density_outside_unit_range(b
     GenSpec(density=1.0)
 
 
+@pytest.mark.parametrize("field", ["n_min", "n_max", "alphabet_size", "param", "seed"])
+def test_genspec_takes_counts_through_operator_index(field):
+    # n_max=2.5 used to pass the range checks and fail in randrange
+    base = {"n_min": 1, "n_max": 3, "alphabet_size": 1, "structure": "pretransitive", "param": 1}
+    with pytest.raises(TypeError):
+        GenSpec(**{**base, field: 2.5})
+
+    class Two:
+        def __index__(self):
+            return 2
+
+    spec = GenSpec(**{**base, field: Two()})
+    assert type(getattr(spec, field)) is int and getattr(spec, field) == 2
+    assert 1 <= random_frame(spec).n <= spec.n_max
+
+
+def test_genspec_rejects_a_bool_density():
+    with pytest.raises(TypeError, match="density"):
+        GenSpec(density=True)
+
+
 @pytest.mark.parametrize("structure, least", [("pretransitive", 0), ("bounded-height", 1)])
 def test_genspec_rejects_a_param_no_frame_meets(structure, least):
     # no transitivity index is negative, and every drawn frame has height >= 1

@@ -26,6 +26,7 @@ from modalwb.syntax import (
     Neg,
     Var,
     box,
+    conj,
     default_alphabet,
     depth,
     disj,
@@ -282,6 +283,67 @@ def test_distinguishing_formulas_match_point_set_reference(model):
     assert set(forms) == set(reference)
     for block, formula in forms.items():
         assert print_formula(formula) == print_formula(reference[block])
+
+
+def all_blocks_stage_formulas(model):
+    """``definability._stage_formulas`` as written before new-block
+    splitters: the splitter pool holds every block of the previous stage.
+    Kept as the reference for the printed formulas."""
+    frame, memo = model.frame, {}
+    stages = definability._stage_masks(model)
+    forms = {b: conj(definability._literal_profile(model, b, memo)) for b in stages[0]}
+    for prev, cur in zip(stages, stages[1:]):
+        pool = [
+            (mod, pb, frame.preimage_mask(mod, pb))
+            for mod in range(len(frame.alphabet))
+            for pb in prev
+        ]
+        nxt = {}
+        for block in cur:
+            parent = next(b for b in prev if block & b)
+            remaining = [b for b in cur if b & parent and b != block]
+            conjuncts = [forms[parent]]
+            for mod, pb, pre in pool:
+                if not remaining:
+                    break
+                inside = bool(block & pre)
+                still = [s for s in remaining if bool(s & pre) == inside]
+                if len(still) < len(remaining):
+                    dia, neg = definability._signed_diamond(memo, mod, forms[pb])
+                    conjuncts.append(dia if inside else neg)
+                    remaining = still
+            assert not remaining
+            nxt[block] = conj(conjuncts)
+        forms = nxt
+    return stages, forms
+
+
+def assert_stage_formulas_match_all_blocks_pool(model):
+    stages, forms = definability._stage_formulas(model, {})
+    ref_stages, reference = all_blocks_stage_formulas(model)
+    assert stages == ref_stages
+    assert list(forms) == list(reference)
+    for block, formula in forms.items():
+        assert print_formula(formula) == print_formula(reference[block])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_models())
+def test_new_block_splitter_pool_prints_the_all_blocks_formulas(model):
+    assert_stage_formulas_match_all_blocks_pool(model)
+
+
+def test_new_block_splitter_pool_on_deep_models():
+    # chains and cycles seeded at one point split one block a stage, so
+    # most of the all-blocks pool is old; random models up to 9 points
+    for n in (3, 7, 12):
+        for pairs in ([(a, a + 1) for a in range(n - 1)], [(a, (a + 1) % n) for a in range(n)]):
+            frame = uni(n, pairs)
+            for p in (0, n // 2, n - 1):
+                assert_stage_formulas_match_all_blocks_pool(Model(frame, 1, (frozenset({p}),)))
+    rng = random.Random(27)
+    for _ in range(150):
+        assert_stage_formulas_match_all_blocks_pool(random_model(rng, n_max=9, k=rng.randint(0, 3)))
 
 
 @settings(max_examples=150, deadline=None)

@@ -23,6 +23,7 @@ from modalwb.partitions import (
     _lane_table,
     _random_partition_masks,
     _split_masks,
+    _stages,
     coarsest_tuned_refinement,
     count_k_formulas,
     frame_modal_depth,
@@ -443,6 +444,73 @@ def test_staged_refinement_matches_pair_reference(case, data):
         for masks in seeds
     )
     assert frame_modal_depth(frame, mode="sampled", trials=trials, seed=seed) == expected
+
+
+def all_blocks_stages(frame, masks):
+    """Block masks of every refinement stage as computed before new-block
+    splitters: each stage is the one before split by the preimage of every
+    one of its blocks, in one ``_split_masks`` call. Kept as the reference
+    for ``_stages``."""
+    pres = [frame.preimages(mod) for mod in range(len(frame.alphabet))]
+    full = (1 << frame.n) - 1
+    cur = _split_masks([full], masks) if full else []
+    stages = [cur]
+    while True:
+        nxt = _split_masks(cur, [pre[b] for pre in pres for b in cur])
+        if len(nxt) == len(cur):
+            return stages
+        stages.append(nxt)
+        cur = nxt
+
+
+def assert_stages_match_references(frame, family):
+    masks = [mask_of(s) for s in family]
+    stages = list(_stages(frame, masks))
+    assert stages == all_blocks_stages(frame, masks)
+    expected, index = oracles.staged_refinement(frame, family)
+    assert [{points_of(b) for b in stage} for stage in stages] == [set(e) for e in expected]
+    # birth stages: a block is born at the first stage that holds it
+    trace, stab = refine_sequence(frame, family)
+    assert stab == index == len(stages) - 1
+    births = {}
+    for d, stage in enumerate(stages):
+        births.update((b, d) for b in stage if b not in births)
+    for part, stage in zip(trace, stages):
+        assert part.birth == tuple(births[b] for b in stage)
+
+
+@st.composite
+def frame_and_seed_sets(draw):
+    n = draw(st.integers(0, 12))
+    rows = st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+    rels = [
+        {(a, b) for a, row in enumerate(draw(rows)) for b in iter_bits(row)}
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    points = st.integers(0, n - 1) if n else st.nothing()
+    family = draw(st.lists(st.sets(points), max_size=3))
+    return Frame(default_alphabet(len(rels)), n, rels), family
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame_and_seed_sets())
+def test_new_block_splitters_give_the_all_blocks_stages(case):
+    assert_stages_match_references(*case)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 40])
+def test_new_block_splitters_on_chains_and_cycles_with_one_point_seeds(n):
+    # one new block a stage on the chain seeded at its last point: the
+    # stage that splits nothing old must still split by the new one
+    chain = uni(n, [(a, a + 1) for a in range(n - 1)])
+    cycle = uni(n, [(a, (a + 1) % n) for a in range(n)])
+    for frame in (chain, cycle):
+        for p in sorted({0, n // 2, n - 1}):
+            assert_stages_match_references(frame, [{p}])
+    if n > 1:  # as on the 9-chain of the CI check: births n-2, n-2, n-3, ..., 0
+        trace, stab = refine_sequence(chain, [{n - 1}])
+        assert stab == n - 2
+        assert trace[-1].birth == (n - 2,) + tuple(range(n - 2, -1, -1))
 
 
 @st.composite

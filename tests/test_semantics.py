@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modalwb import partitions, semantics
-from modalwb.frames import Frame, expand, is_pmorphism, points_of, quotient_filtration
+from modalwb.frames import Frame, expand, is_pmorphism, mask_of, points_of, quotient_filtration
 from modalwb.partitions import CapExceeded, coarsest_tuned_refinement, is_tuned
 from modalwb.semantics import (
     Model,
@@ -519,6 +519,18 @@ def test_compile_rejects_negative_variable_indices():
         validity_bruteforce(frame, Or(Var(-1), Dia(0, And(Var(-2), Var(0)))))
 
 
+@pytest.mark.parametrize("index", [1.5, "a", True], ids=["float", "str", "bool"])
+def test_compile_rejects_variable_indices_that_are_not_ints(index):
+    # Var(1.5) used to read no valuation digit and make validity False; True
+    # would alias p1
+    frame = Frame(AL1, 2, [{(0, 1)}])
+    m = Model(frame, 2, (frozenset({0}), frozenset({1})))
+    with pytest.raises(TypeError, match="variable index must be an int"):
+        validity_bruteforce(frame, Var(index))
+    with pytest.raises(TypeError, match="variable index must be an int"):
+        extent(m, Or(Var(0), Dia(0, Var(index))))
+
+
 def scalar_validity_bruteforce(frame, f, cap=semantics.DEFAULT_VALUATION_CAP):
     """The scalar incremental enumeration that the bit-sliced chunks
     replaced, kept as the differential reference of ``validity_bruteforce``
@@ -570,12 +582,12 @@ def scalar_validity_bruteforce(frame, f, cap=semantics.DEFAULT_VALUATION_CAP):
     return True
 
 
-def random_formula(rng, indices, mods, size):
+def random_formula(rng, indices, mods, size, weaken=True):
     """A formula tree with about ``size`` inner nodes over the variables
     ``indices`` (each occurring), with boxes, falsum and variable-free
-    boxed or diamond subformulas. Half the time it is joined to a fresh
-    copy of itself as f | ~f' or f -> f', which is valid, so the
-    enumeration runs through every chunk."""
+    boxed or diamond subformulas. With ``weaken``, half the time it is
+    joined to a fresh copy of itself as f | ~f' or f -> f', which is valid,
+    so the enumeration runs through every chunk."""
     def grow(budget):
         if budget <= 0:
             r = rng.random()
@@ -596,6 +608,8 @@ def random_formula(rng, indices, mods, size):
     for i in indices:
         link = Dia(rng.randrange(mods), Var(i), boxed=rng.random() < 0.5)
         f = rng.choice([And, Or, Imp])(f, link)
+    if not weaken:
+        return f
     shape = rng.randrange(4)
     if shape == 0:
         return Or(f, Neg(fresh_copy(f)))
@@ -623,6 +637,63 @@ def test_sliced_validity_with_counter_fed_points_matches_scalar():
         assert verdict == scalar_validity_bruteforce(frame, f)
         verdicts.add(verdict)
     assert verdicts == {False, True}
+
+
+def falsifying_extents(frame, f):
+    """The extents of the one variable of f, as point masks in counter
+    order, under which f fails at some point; only ``[0]`` when the empty
+    extent falsifies it. Each runs the whole program on plain point masks."""
+    prog, _, [root], [v] = semantics._compile(frame, f)
+    full = (1 << frame.n) - 1
+    pre = [frame.preimages(mod) for mod in range(len(frame.alphabet))]
+    vals, masks = [0] * len(prog), [0] * (v + 1)
+    fails = []
+    for t in range(1 << frame.n):
+        masks[v] = t
+        semantics._evaluate(prog, pre, masks, full, vals)
+        if vals[root] != full:
+            if not t:
+                return [0]
+            fails.append(t)
+    return fails
+
+
+def test_sliced_validity_failing_after_the_first_chunk_matches_scalar():
+    """One variable on 9-11 points, each formula false under no valuation of
+    the first chunk's 2^8 but under a later one: the points are relabelled
+    so that at most n - 8 of them, numbered 8 and up, meet every falsifying
+    extent. Position 0 changes between chunks here, so a run that kept its
+    first-chunk values would call each formula valid."""
+    rng = random.Random(44)
+    chunks = []
+    while len(chunks) < 12:
+        n, mods = rng.randint(9, 11), rng.randint(1, 2)
+        frame = random_frame_of(rng, n, mods)
+        f = random_formula(rng, [rng.randint(0, 2)], mods, 6, weaken=False)
+        fails = falsifying_extents(frame, f)
+        if not fails:
+            continue
+        hitting = next(
+            (
+                h
+                for r in range(1, n - 7)
+                for h in itertools.combinations(range(n), r)
+                if all(mask_of(h) & v for v in fails)
+            ),
+            None,
+        )
+        if hitting is None:
+            continue
+        order = [p for p in range(n) if p not in hitting] + list(hitting)
+        label = {p: i for i, p in enumerate(order)}
+        rels = [{(label[a], label[b]) for a, b in rel} for rel in frame.relations]
+        moved = Frame(frame.alphabet, n, rels)
+        first = falsifying_extents(moved, f)[0]
+        assert first >= 1 << 8
+        assert not validity_bruteforce(moved, f)
+        assert not scalar_validity_bruteforce(moved, f)
+        chunks.append(first >> 8)
+    assert len(set(chunks)) > 2
 
 
 def test_sliced_validity_with_slow_variables_matches_scalar_and_naive():

@@ -506,9 +506,6 @@ SUITES = {
     "byrd-frame": Suite(_suite_byrd_frame, GenSpec(n_max=8), 5, 0),
 }
 
-# each suite's default frame shape, as the tests read it
-DEFAULT_AUDIT_SPECS = {name: suite.spec for name, suite in SUITES.items()}
-
 
 def _trial_seed(seed: int, trial: int) -> int:
     return ((seed + 1) * 0x9E3779B97F4A7C15 + trial * 0xBF58476D1CE4E5B9) & (2**63 - 1)

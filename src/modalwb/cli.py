@@ -6,8 +6,7 @@ subcommand it runs, or the full tree when the first argument names no
 subcommand, so help and error output are the same either way. Every
 subcommand accepts ``--json`` for machine-readable output. Exit codes: 0
 success, 1 property failure (invalid formula, audit failures or errored
-trials), 2 usage or input errors. The environment variable MODALWB_CAP
-overrides the default brute-force caps.
+trials), 2 usage or input errors.
 """
 
 from __future__ import annotations
@@ -15,23 +14,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from . import audit, frames, partitions, semantics, syntax
 
 class _UsageError(Exception):
     pass
-
-
-def _env_cap(default: int) -> int:
-    raw = os.environ.get("MODALWB_CAP")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(f"MODALWB_CAP must be an integer, got {raw!r}") from None
 
 
 def _load(path) -> frames.Frame:
@@ -111,9 +99,8 @@ def _cmd_check(args) -> int:
         formula = syntax.parse(args.formula, frame.alphabet)
     except syntax.ParseError as exc:
         raise _UsageError(f"bad formula: {exc}") from None
-    cap = args.cap if args.cap is not None else _env_cap(semantics.DEFAULT_VALUATION_CAP)
     try:
-        valid = semantics.validity_bruteforce(frame, formula, cap=cap)
+        valid = semantics.validity_bruteforce(frame, formula, cap=args.cap)
     except partitions.CapExceeded as exc:
         raise _UsageError(str(exc)) from None
     data = {"formula": args.formula, "valid": valid}
@@ -123,11 +110,14 @@ def _cmd_check(args) -> int:
 
 def _cmd_count(args) -> int:
     frame = _load(args.path)
-    cap = args.cap if args.cap is not None else _env_cap(partitions.DEFAULT_PROFILE_CAP)
     try:
-        count = partitions.count_k_formulas(frame, args.k, cap=cap)
+        count = partitions.count_k_formulas(frame, args.k, cap=args.cap)
     except (partitions.CapExceeded, ValueError) as exc:
         raise _UsageError(str(exc)) from None
+    try:
+        str(count)
+    except ValueError:  # more digits than sys.get_int_max_str_digits allows
+        raise _UsageError(f"the count 2^{count.bit_length() - 1} has too many digits to print") from None
     data = {"k": args.k, "count": count}
     _emit(data, args.json, [f"nonequivalent {args.k}-formulas: {count}"])
     return 0
@@ -226,7 +216,7 @@ def _add_check(sub) -> None:
     check_p = sub.add_parser("check", help="brute-force validity of a formula")
     check_p.add_argument("path")
     check_p.add_argument("formula")
-    check_p.add_argument("--cap", type=int)
+    check_p.add_argument("--cap", type=int, default=semantics.DEFAULT_VALUATION_CAP)
     check_p.add_argument("--json", action="store_true")
     check_p.set_defaults(fn=_cmd_check)
 
@@ -235,7 +225,7 @@ def _add_count(sub) -> None:
     count_p = sub.add_parser("count", help="count nonequivalent k-formulas")
     count_p.add_argument("path")
     count_p.add_argument("-k", type=int, required=True)
-    count_p.add_argument("--cap", type=int)
+    count_p.add_argument("--cap", type=int, default=partitions.DEFAULT_PROFILE_CAP)
     count_p.add_argument("--json", action="store_true")
     count_p.set_defaults(fn=_cmd_count)
 

@@ -20,6 +20,7 @@ bitmasks internally.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -73,7 +74,7 @@ def _rel_rows(rel, n: int) -> list[int]:
     raises ValueError."""
     rows = [0] * n
     for a, b in rel:
-        a, b = int(a), int(b)
+        a, b = operator.index(a), operator.index(b)
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"pair ({a},{b}) outside points 0..{n - 1}")
         rows[a] |= 1 << b
@@ -245,7 +246,7 @@ class Frame:
 
 @dataclass(frozen=True)
 class SkeletonPoset:
-    """Clusters of a frame with the strict order induced on cluster indices."""
+    """A frame's clusters, strictly ordered: the poset the height criterion is about."""
 
     clusters: tuple[frozenset[int], ...]
     order: frozenset[tuple[int, int]]
@@ -261,11 +262,12 @@ def union_rows(frame: Frame) -> list[int]:
 
 
 def union_relation(frame: Frame) -> frozenset[Pair]:
+    """All relations' union as pairs: the R of the height and transitivity index."""
     return _rows_to_rel(union_rows(frame))
 
 
 def rt_closure(rel: Iterable[Pair], n: int) -> frozenset[Pair]:
-    """Reflexive transitive closure of a relation on {0..n-1}."""
+    """Reflexive transitive closure on {0..n-1}: the R* pretransitivity bounds."""
     return _rows_to_rel(_closure(_rel_rows(rel, n))[0])
 
 
@@ -290,7 +292,7 @@ def transitivity_index(frame: Frame) -> int:
 
 def skeleton(frame: Frame) -> SkeletonPoset:
     """Clusters (mutual-reachability classes of the union relation, with the
-    diagonal counted) and the strict order between them."""
+    diagonal counted) and their strict order: the height criterion's poset."""
     clusters = _cluster_masks(frame)  # closure row -> members, least member first
     heads = [m & -m for m in clusters.values()]  # least member bits
     order = frozenset(
@@ -539,6 +541,7 @@ def load_frame(path) -> Frame:
 
 
 def dump_frame(frame: Frame, path) -> None:
+    """Write a frame file, the inverse of ``load_frame``."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(to_dict(frame), fh, indent=2, sort_keys=True)
         fh.write("\n")

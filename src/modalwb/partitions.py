@@ -45,6 +45,7 @@ TAOCP 7.2.1.5), and ``eq[a][b]`` holds the lanes where all planes agree.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from functools import partial, reduce
@@ -73,7 +74,7 @@ class Partition:
 
     @classmethod
     def of(cls, n: int, blocks: Iterable[Iterable[int]]) -> "Partition":
-        blocks = [frozenset(b) for b in blocks]
+        blocks = [frozenset(map(operator.index, b)) for b in blocks]
         seen: set[int] = set()
         for b in blocks:
             if not b:
@@ -88,26 +89,13 @@ class Partition:
             raise ValueError("blocks do not cover all points")
         return cls(n, tuple(sorted(blocks, key=min)))
 
-    def index_of(self, point: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if point in b:
-                return i
-        raise ValueError(f"point {point} not covered")
-
     def __len__(self):
         return len(self.blocks)
 
 
-def singletons(n: int) -> Partition:
-    return Partition.of(n, [{i} for i in range(n)])
-
-
-def one_block(n: int) -> Partition:
-    return Partition.of(n, [set(range(n))] if n else [])
-
-
 def refines(fine: Partition, coarse: Partition) -> bool:
-    """True iff every block of ``fine`` lies inside a block of ``coarse``."""
+    """True iff every block of ``fine`` lies inside a block of ``coarse``,
+    the order in which a coarsest tuned refinement is coarsest."""
     return all(any(b <= c for c in coarse.blocks) for b in fine.blocks)
 
 
@@ -363,17 +351,17 @@ def frame_modal_depth(
 def subalgebra_size(frame: Frame, generators: Iterable[Iterable[int]]) -> int:
     """Size of the subalgebra of the frame's powerset modal algebra generated
     by the given point sets: 2 to the number of blocks of the coarsest tuned
-    refinement of the induced partition."""
+    refinement of the induced partition (acceptance criterion 3)."""
     *_, fixed = _stages(frame, _family_masks(frame.n, generators))
     return 2 ** len(fixed)
 
 
-# count_k_formulas on random frames of density 0.35 (one modality, a 2-core
-# x86-64 host, CPython 3.11): 6 points with k = 2 (4096 profiles) took 79.5 s,
-# 12 points with k = 1 had not finished after 220 s, 9 or 10 points with
-# k = 1 at 512 or 1024 profiles took 21-26 s, and 8 points with k = 1 at 256
-# profiles at most 4.65 s over five frames. At this cap n * k <= 8, so for
-# k >= 1 the disjoint sum has at most 256 * 8 = 2048 points, frames.POINT_LIMIT.
+# count_k_formulas on n-point random frames of density 0.35 drawn from
+# random.Random(n) (one modality, a 2-core x86-64 Xeon host, CPython 3.11.7):
+# 8 points with k = 1 (256 profiles) took 0.05-0.28 s over five frames,
+# 9 points with k = 1 (512) 1.9-2.6 s over two, 10 points with k = 1 (1024)
+# 27-31 s over two, and 6 points with k = 2 (4096) 21 s. At this cap n * k <= 8,
+# so for k >= 1 the disjoint sum has at most 256 * 8 = 2048 points, frames.POINT_LIMIT.
 DEFAULT_PROFILE_CAP = 256
 
 

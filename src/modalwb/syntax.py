@@ -187,8 +187,14 @@ def iter_nodes(*roots: Formula) -> Iterator[Formula]:
             stack.append((g.left, False))
 
 
+def _var_index(v: Var) -> int:
+    if type(v.index) is not int:  # a bool or float would alias or miss a digit
+        raise TypeError(f"variable index must be an int, got {v.index!r}")
+    return v.index
+
+
 def variables(f: Formula) -> frozenset[int]:
-    return frozenset(g.index for g in iter_nodes(f) if isinstance(g, Var))
+    return frozenset(_var_index(g) for g in iter_nodes(f) if isinstance(g, Var))
 
 
 def modalities(f: Formula) -> frozenset[int]:
@@ -366,7 +372,7 @@ def print_formula(f: Formula, alphabet: Alphabet | None = None) -> str:
             continue
         g, level = item
         if isinstance(g, Var):
-            if g.index < 0:
+            if _var_index(g) < 0:
                 raise ValueError(f"variable index {g.index} is negative")
             out.append(f"p{g.index}")
         elif isinstance(g, Falsum):

@@ -328,7 +328,7 @@ def test_failure_serializes_minimized_frame(monkeypatch):
 def test_broken_law_minimizes_to_one_point(monkeypatch, suite, module, name, broken):
     # the law fails on every frame, so each failure shrinks to a single point
     monkeypatch.setattr(module, name, broken)
-    report = run_suite(suite, audit.DEFAULT_AUDIT_SPECS[suite], 20)
+    report = run_suite(suite, audit.SUITES[suite].spec, 20)
     assert len(report.failures) == report.trials
     assert all(frames.from_dict(f.frame).n <= 1 for f in report.failures)
 

@@ -135,14 +135,6 @@ def test_count_cap_on_a_huge_profile_count(chain3, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"count": 1, "k": 10**30}
 
 
-def test_check_env_cap(chain3, capsys, monkeypatch):
-    monkeypatch.setenv("MODALWB_CAP", "2")
-    assert cli.main(["check", chain3, "p0 & p1"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("MODALWB_CAP", "notanumber")
-    assert cli.main(["check", chain3, "p0"]) == 2
-
-
 def test_count(point_refl, capsys):
     assert cli.main(["count", point_refl, "-k", "1", "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"count": 4, "k": 1}
@@ -161,6 +153,19 @@ def test_count_default_cap_stops_before_a_slow_count(tmp_path, capsys):
     assert "2^9 valuation profiles exceed cap 256" in capsys.readouterr().err
     assert cli.main(["count", str(path), "-k", "1", "--cap", "512", "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"count": 4, "k": 1}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_count_too_long_to_print_exits_2(point_refl, capsys, monkeypatch, as_json):
+    # 2^20000 has 6021 digits, past the default int-to-text limit of 4300
+    monkeypatch.setattr(partitions, "count_k_formulas", lambda *a, **kw: 2**20000)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    argv = ["count", point_refl, "-k", "1"] + ["--json"] * as_json
+    if 0 < limit < 6021:
+        assert cli.main(argv) == 2
+        assert "2^20000" in capsys.readouterr().err
+    else:
+        assert cli.main(argv) == 0
 
 
 def test_tune(chain3, capsys):

@@ -10,10 +10,10 @@ from modalwb import audit
 from modalwb.definability import stable_top, verify_definability
 from modalwb.frames import Frame, height, lex_sum, skeleton, transitivity_index
 from modalwb.partitions import (
+    Partition,
     coarsest_tuned_refinement,
     frame_modal_depth,
     is_tuned,
-    one_block,
     refine_sequence,
 )
 from modalwb.semantics import Model, extent, model_depth, validity_bruteforce
@@ -34,6 +34,10 @@ from modalwb.syntax import (
 import oracles
 
 NO_MODS = Alphabet(())
+
+
+def one_block(n):
+    return Partition.of(n, [range(n)] if n else [])
 
 
 def test_zero_modality_frame_pipeline():

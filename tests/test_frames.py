@@ -88,6 +88,13 @@ def test_rt_closure_rejects_pairs_outside_the_points(pair):
         rt_closure({pair}, 2)
 
 
+@pytest.mark.parametrize("pair", [(0.9, 1), ("0", True), (0, 1.0)])
+def test_frame_rejects_pairs_that_are_not_ints(pair):
+    # int() would read each of these as the pair (0, 1)
+    with pytest.raises(TypeError):
+        Frame(default_alphabet(1), 2, [{pair}])
+
+
 def test_transitivity_index_examples():
     full2 = uni(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
     assert transitivity_index(full2) == 1

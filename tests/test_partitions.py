@@ -29,10 +29,8 @@ from modalwb.partitions import (
     frame_modal_depth,
     induced_partition,
     is_tuned,
-    one_block,
     refine_sequence,
     refines,
-    singletons,
     subalgebra_size,
 )
 from modalwb.syntax import default_alphabet
@@ -44,6 +42,14 @@ AL1 = default_alphabet(1)
 
 def uni(n, pairs):
     return Frame(AL1, n, [set(pairs)])
+
+
+def singletons(n):
+    return Partition.of(n, [{i} for i in range(n)])
+
+
+def one_block(n):
+    return Partition.of(n, [range(n)] if n else [])
 
 
 CHAIN3 = uni(3, [(0, 1), (1, 2)])
@@ -88,6 +94,13 @@ def test_partition_validation():
         Partition.of(2, [{0, 1}, {1}])
     with pytest.raises(ValueError):
         Partition.of(2, [{0, 1}, set()])
+
+
+@pytest.mark.parametrize("point", [1.0, "1", 1.5])
+def test_partition_rejects_points_that_are_not_ints(point):
+    # 1.0 would be accepted as point 1 and break is_tuned's masks later
+    with pytest.raises(TypeError):
+        Partition.of(2, [{0}, {point}])
 
 
 def test_induced_partition_examples():

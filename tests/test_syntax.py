@@ -194,6 +194,15 @@ def test_print_rejects_negative_variable_indices():
             print_formula(Dia(0, Var(-1)), alphabet)
 
 
+@pytest.mark.parametrize("index", [1.5, True, "1"])
+def test_variable_indices_that_are_not_ints_are_rejected(index):
+    # Var(1.5) would print as "p1.5" and Var(True) as "pTrue"
+    with pytest.raises(TypeError, match="variable index must be an int"):
+        print_formula(Dia(0, Var(index)))
+    with pytest.raises(TypeError, match="variable index must be an int"):
+        variables(Var(index))
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [

@@ -101,7 +101,7 @@ def _cmd_check(args) -> int:
         raise _UsageError(f"bad formula: {exc}") from None
     try:
         valid = semantics.validity_bruteforce(frame, formula, cap=args.cap)
-    except partitions.CapExceeded as exc:
+    except (partitions.CapExceeded, ValueError) as exc:
         raise _UsageError(str(exc)) from None
     data = {"formula": args.formula, "valid": valid}
     _emit(data, args.json, ["valid" if valid else "not valid"])
@@ -143,7 +143,7 @@ def _cmd_tune(args) -> int:
         raise _UsageError(str(exc)) from None
     data = {
         "blocks": [sorted(b) for b in refined.blocks],
-        "birth_stages": list(refined.birth) if refined.birth else [],
+        "birth_stages": list(refined.birth),
         "tuned": partitions.is_tuned(frame, refined),
     }
     _emit(

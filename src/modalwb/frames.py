@@ -14,18 +14,19 @@ Closure rows, clusters and height all come from one search over the union
 relation's rows, ``_closure``, which each call runs afresh. Frames are
 immutable after construction and safe to share; point sets are plain
 frozensets at the API surface while the algorithms work on integer
-bitmasks internally.
+bitmasks internally. Points given from outside (pairs, point sets, seed
+families, partitions, valuations) enter through one check,
+``_checked_mask``, which refuses a bool and a point outside 0..n-1.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .syntax import Alphabet, _nat
+from .syntax import Alphabet, _index, _nat
 
 Pair = tuple[int, int]
 
@@ -49,9 +50,12 @@ def mask_of(points: Iterable[int]) -> int:
 
 
 def _checked_mask(n: int, points: Iterable[int]) -> int:
-    """``mask_of(points)``, rejecting a point outside 0..n-1 by name."""
+    """``mask_of(points)`` for points given from outside, the one check they
+    pass: a point that is not an int, a bool included, raises TypeError and
+    one outside 0..n-1 ValueError."""
     m = 0
     for p in points:
+        p = _index(p, "point")
         if not 0 <= p < n:
             raise ValueError(f"point {p} out of range")
         m |= 1 << p
@@ -74,7 +78,7 @@ def _rel_rows(rel, n: int) -> list[int]:
     raises ValueError."""
     rows = [0] * n
     for a, b in rel:
-        a, b = operator.index(a), operator.index(b)
+        a, b = _index(a, "point"), _index(b, "point")
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"pair ({a},{b}) outside points 0..{n - 1}")
         rows[a] |= 1 << b
@@ -183,8 +187,7 @@ class Frame:
         return frame
 
     def _set(self, alphabet: Alphabet, n: int, rows: tuple[tuple[int, ...], ...]) -> None:
-        if n < 0:
-            raise ValueError("point count must be non-negative")
+        n = _nat(n, "point count")
         if len(rows) != len(alphabet):
             raise ValueError(f"{len(alphabet)} modalities but {len(rows)} relations given")
         self.alphabet = alphabet
@@ -200,6 +203,7 @@ class Frame:
 
     def rows(self, mod: int) -> tuple[int, ...]:
         """Per-point successor bitmasks of one modality."""
+        mod = _index(mod, "modality id")
         if not 0 <= mod < len(self._rows):
             raise ValueError(f"modality id {mod} outside alphabet of size {len(self._rows)}")
         return self._rows[mod]
@@ -314,7 +318,7 @@ def is_path_reducible(frame: Frame, m: int, budget: int = 10**6) -> bool:
     property (simple, shortcut-free prefixes); raises PathBudgetExceeded
     after ``budget`` extension steps rather than guessing.
     """
-    m = _nat(m, "m")
+    m, budget = _nat(m, "m"), _nat(budget, "budget")
     if m + 2 > frame.n:  # a path of m+1 steps visits m+2 points, so one repeats
         return True
     rows = union_rows(frame)
@@ -343,8 +347,8 @@ def is_path_reducible(frame: Frame, m: int, budget: int = 10**6) -> bool:
 
 def restriction(frame: Frame, points: Iterable[int]) -> Frame:
     """Restriction to a point subset, reindexed along sorted(points)."""
-    pts = sorted(set(points))
-    keep = _checked_mask(frame.n, pts)
+    keep = _checked_mask(frame.n, points)
+    pts = list(iter_bits(keep))
     pos = {p: i for i, p in enumerate(pts)}
     rows = [[_image(r[p] & keep, pos) for p in pts] for r in frame._rows]
     return Frame.from_rows(frame.alphabet, len(pts), rows)

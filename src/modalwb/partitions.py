@@ -45,14 +45,13 @@ TAOCP 7.2.1.5), and ``eq[a][b]`` holds the lanes where all planes agree.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from dataclasses import dataclass
 from functools import partial, reduce
 from operator import or_, xor
 from typing import Iterable, Sequence
 
-from .frames import Frame, disjoint_sum, iter_bits, mask_of, points_of
+from .frames import Frame, _checked_mask, disjoint_sum, iter_bits, mask_of, points_of
 from .syntax import _nat
 
 
@@ -74,20 +73,21 @@ class Partition:
 
     @classmethod
     def of(cls, n: int, blocks: Iterable[Iterable[int]]) -> "Partition":
-        blocks = [frozenset(map(operator.index, b)) for b in blocks]
-        seen: set[int] = set()
+        n = _nat(n, "n")
+        masks = []
+        seen = 0
         for b in blocks:
-            if not b:
+            m = _checked_mask(n, b)
+            if not m:
                 raise ValueError("empty block in partition")
-            for p in b:
-                if not 0 <= p < n:
-                    raise ValueError(f"point {p} out of range")
-                if p in seen:
-                    raise ValueError(f"point {p} occurs in two blocks")
-                seen.add(p)
-        if len(seen) != n:
+            twice = m & seen
+            if twice:
+                raise ValueError(f"point {(twice & -twice).bit_length() - 1} occurs in two blocks")
+            seen |= m
+            masks.append(m)
+        if seen != (1 << n) - 1:
             raise ValueError("blocks do not cover all points")
-        return cls(n, tuple(sorted(blocks, key=min)))
+        return cls(n, tuple(points_of(m) for m in sorted(masks, key=lambda m: m & -m)))
 
     def __len__(self):
         return len(self.blocks)
@@ -131,22 +131,10 @@ def _induced_masks(n: int, set_masks: Iterable[int]) -> list[int]:
     return _split_masks([full], set_masks)
 
 
-def _family_masks(n: int, family: Iterable[Iterable[int]]) -> list[int]:
-    masks = []
-    for s in family:
-        m = 0
-        for p in s:
-            if not 0 <= p < n:
-                raise ValueError(f"point {p} out of range for {n} points")
-            m |= 1 << p
-        masks.append(m)
-    return masks
-
-
 def induced_partition(n: int, family: Iterable[Iterable[int]]) -> Partition:
     """Partition into classes of equal membership profile across the family."""
     n = _nat(n, "n")
-    blocks = tuple(points_of(m) for m in _induced_masks(n, _family_masks(n, family)))
+    blocks = tuple(points_of(m) for m in _induced_masks(n, [_checked_mask(n, s) for s in family]))
     return Partition(n, blocks)
 
 
@@ -202,7 +190,7 @@ def refine_sequence(
     n = frame.n
     births: dict[int, int] = {}
     trace = []
-    for stage, blocks in enumerate(_stages(frame, _family_masks(n, initial))):
+    for stage, blocks in enumerate(_stages(frame, [_checked_mask(n, s) for s in initial])):
         births = {b: births.get(b, stage) for b in blocks}
         trace.append(
             Partition(
@@ -341,8 +329,7 @@ def frame_modal_depth(
         return _exact_depth(frame)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
-    if trials < 0:
-        raise ValueError(f"trials must be non-negative, got {trials}")
+    trials = _nat(trials, "trials")
     rng = random.Random(seed)
     seeds = (_random_partition_masks(rng, n) for _ in range(trials))
     return max((_stabilization_masks(frame, masks) for masks in seeds), default=0)
@@ -352,7 +339,7 @@ def subalgebra_size(frame: Frame, generators: Iterable[Iterable[int]]) -> int:
     """Size of the subalgebra of the frame's powerset modal algebra generated
     by the given point sets: 2 to the number of blocks of the coarsest tuned
     refinement of the induced partition (acceptance criterion 3)."""
-    *_, fixed = _stages(frame, _family_masks(frame.n, generators))
+    *_, fixed = _stages(frame, [_checked_mask(frame.n, s) for s in generators])
     return 2 ** len(fixed)
 
 
@@ -372,8 +359,7 @@ def count_k_formulas(frame: Frame, k: int, cap: int = DEFAULT_PROFILE_CAP) -> in
     one generator per variable (the union of its extents across copies), and
     counts the generated subalgebra.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    k, cap = _nat(k, "k"), _nat(cap, "cap")
     n = frame.n
     bits = n * k
     if cap < 1 or bits >= cap.bit_length():  # exactly 2^bits > cap

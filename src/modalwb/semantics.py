@@ -33,9 +33,9 @@ import math
 from dataclasses import dataclass
 
 from . import partitions
-from .frames import Frame, _project, iter_bits, mask_of, points_of, restriction
+from .frames import Frame, _checked_mask, _project, iter_bits, mask_of, points_of, restriction
 from .partitions import CapExceeded, Partition
-from .syntax import And, Dia, Falsum, Formula, Imp, Neg, Or, Var, _var_index
+from .syntax import And, Dia, Falsum, Formula, Imp, Neg, Or, Var, _index, _nat, _var_index
 
 # At this cap validity_bruteforce took 1.0-1.4 s for 3 variables on 8 points
 # and 4.6-8.3 s for 1 variable on 24 points (valid formulas, several runs on a
@@ -58,13 +58,10 @@ class Model:
     valuation: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "valuation", tuple(frozenset(v) for v in self.valuation))
-        if self.k < 0 or len(self.valuation) != self.k:
-            raise ValueError(f"expected {self.k} extents, got {len(self.valuation)}")
-        for ext in self.valuation:
-            for p in ext:
-                if not 0 <= p < self.frame.n:
-                    raise ValueError(f"extent point {p} out of range")
+        masks = [_checked_mask(self.frame.n, v) for v in self.valuation]
+        object.__setattr__(self, "valuation", tuple(map(points_of, masks)))
+        if self.k < 0 or len(masks) != self.k:
+            raise ValueError(f"expected {self.k} extents, got {len(masks)}")
 
 
 _VAR, _FALSE, _NEG, _AND, _OR, _IMP, _DIA, _BOX = range(8)
@@ -78,8 +75,8 @@ def _compile(frame: Frame, *roots: Formula):
     and writes ``vals[slot]``, its position in the list. Returns ``(prog,
     depths, outs, vars_)``: the instructions, the modal depth of each slot's
     subformula, each root's slot, and the sorted variable indices. Rejects
-    modality ids outside the frame's alphabet, negative variable indices and
-    ones that are not ints (a ``TypeError``).
+    modality ids outside the frame's alphabet, negative variable indices,
+    and ids and indices that are not ints (a ``TypeError``).
 
     The walk reads the top of an explicit stack: a node already compiled is
     popped, a node whose children all have slots is compiled and popped, and
@@ -119,9 +116,10 @@ def _compile(frame: Frame, *roots: Formula):
             if t is Neg:
                 ins, d = (i, _NEG, x, 0), depths[x]
             else:
-                ins, d = (i, _BOX if g.boxed else _DIA, g.mod, x), 1 + depths[x]
-                if not 0 <= g.mod < size:
-                    bad.add(g.mod)
+                mod = _index(g.mod, "modality id")
+                ins, d = (i, _BOX if g.boxed else _DIA, mod, x), 1 + depths[x]
+                if not 0 <= mod < size:
+                    bad.add(mod)
         elif t is Var:
             ins, d = (i, _VAR, _var_index(g), 0), 0
             vars_.add(g.index)
@@ -262,6 +260,7 @@ def validity_bruteforce(frame: Frame, f: Formula, cap: int = DEFAULT_VALUATION_C
     (change propagation), so an instruction that reads no changing position
     runs once per call.
     The formula is valid iff its sliced value is all ones in every chunk."""
+    cap = _nat(cap, "cap")
     prog, _, outs, vars_ = _compile(frame, f)
     n, k = frame.n, len(vars_)
     bits = n * k

@@ -187,10 +187,21 @@ def iter_nodes(*roots: Formula) -> Iterator[Formula]:
             stack.append((g.left, False))
 
 
+def _index(v, what: str) -> int:
+    """``operator.index(v)`` that also refuses a bool, which would alias 0
+    or 1; its ``TypeError`` names ``what``."""
+    if type(v) is int:
+        return v
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an int, got {v!r}")
+
+
 def _var_index(v: Var) -> int:
-    if type(v.index) is not int:  # a bool or float would alias or miss a digit
-        raise TypeError(f"variable index must be an int, got {v.index!r}")
-    return v.index
+    return _index(v.index, "variable index")
 
 
 def variables(f: Formula) -> frozenset[int]:
@@ -353,6 +364,7 @@ def print_formula(f: Formula, alphabet: Alphabet | None = None) -> str:
     names = None if alphabet is None else alphabet.names
 
     def name_of(mod):
+        mod = _index(mod, "modality id")
         if mod < 0:
             raise ValueError(f"modality id {mod} is negative")
         if names is None:
@@ -372,9 +384,10 @@ def print_formula(f: Formula, alphabet: Alphabet | None = None) -> str:
             continue
         g, level = item
         if isinstance(g, Var):
-            if _var_index(g) < 0:
-                raise ValueError(f"variable index {g.index} is negative")
-            out.append(f"p{g.index}")
+            v = _var_index(g)
+            if v < 0:
+                raise ValueError(f"variable index {v} is negative")
+            out.append(f"p{v}")
         elif isinstance(g, Falsum):
             out.append("false")
         elif isinstance(g, Neg):

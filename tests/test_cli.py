@@ -116,6 +116,13 @@ def test_check_cap_exceeded(chain3, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["check", "p0"], ["count", "-k", "1"]])
+def test_negative_cap_is_a_usage_error(chain3, capsys, command):
+    argv = [command[0], chain3] + command[1:] + ["--cap", "-1"]
+    assert cli.main(argv) == 2
+    assert "error: cap must be non-negative, got -1" in capsys.readouterr().err
+
+
 def test_check_cap_on_a_huge_assignment_space(tmp_path, capsys):
     # 8 variables on 2048 points: 2^16384 assignments, a number too long to
     # print in full, so the message names the power
@@ -288,8 +295,8 @@ def test_check_deeply_nested_formula(chain3, capsys, text, code):
 @pytest.mark.parametrize(
     "sets, message",
     [
-        ("[[-1]]", "point -1 out of range for 3 points"),
-        ("[[0], [3]]", "point 3 out of range for 3 points"),
+        ("[[-1]]", "point -1 out of range"),
+        ("[[0], [3]]", "point 3 out of range"),
         ("[[99999999999999999999]]", "out of range"),
         ("[[1e400]]", "bad --sets value"),
     ],

@@ -36,6 +36,8 @@ from modalwb.frames import (
     union_relation,
     union_rows,
 )
+from modalwb.partitions import Partition, induced_partition, refine_sequence, subalgebra_size
+from modalwb.semantics import Model
 from modalwb.syntax import Alphabet, default_alphabet
 
 AL1 = default_alphabet(1)
@@ -650,6 +652,47 @@ def test_rows_reject_modality_ids_outside_the_alphabet(mod):
     assert CHAIN3.rows(0) == (0b010, 0b100, 0)
     with pytest.raises(ValueError, match=f"modality id {mod} outside alphabet of size 1"):
         CHAIN3.rows(mod)
+
+
+@pytest.mark.parametrize("mod", [True, 1.0], ids=["bool", "float"])
+def test_rows_reject_modality_ids_that_are_not_ints(mod):
+    # True would return modality 1's rows
+    frame = Frame(AL2, 2, [{(0, 1)}, {(1, 0)}])
+    with pytest.raises(TypeError, match=rf"^modality id must be an int, got {mod!r}$"):
+        frame.rows(mod)
+
+
+# every public way in for points from outside, each given the one bad point
+POINT_ENTRIES = {
+    "frame pair": lambda p: Frame(AL1, 2, [{(0, p)}]),
+    "partition": lambda p: Partition.of(2, [{p}, {0}]),
+    "induced_partition": lambda p: induced_partition(3, [{p}]),
+    "refine_sequence": lambda p: refine_sequence(CHAIN3, [{p}]),
+    "subalgebra_size": lambda p: subalgebra_size(CHAIN3, [{p}]),
+    "model extent": lambda p: Model(CHAIN3, 1, [{p}]),
+    "restriction": lambda p: restriction(CHAIN3, [p, 0]),
+    "is_upset": lambda p: is_upset(CHAIN3, {p}),
+    "generated_upset": lambda p: generated_upset(CHAIN3, {p}),
+    "preimage": lambda p: CHAIN3.preimage(0, {p}),
+}
+
+
+@pytest.mark.parametrize("point", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("entry", list(POINT_ENTRIES))
+def test_points_from_outside_must_be_ints(entry, point):
+    # True would be read as point 1, and 1.0 either as point 1 or as a raw
+    # shift or index error
+    with pytest.raises(TypeError, match=rf"^point must be an int, got {point!r}$"):
+        POINT_ENTRIES[entry](point)
+
+
+@pytest.mark.parametrize(
+    "budget, error", [(None, TypeError), (1.5, TypeError), ("10", TypeError), (-1, ValueError)]
+)
+def test_path_reducibility_rejects_a_bad_budget(budget, error):
+    # m = 2 needs no path search on 3 points, so the budget was never read
+    with pytest.raises(error):
+        is_path_reducible(CHAIN3, 2, budget=budget)
 
 
 def test_path_reducibility_rejects_a_fractional_m():

@@ -141,11 +141,11 @@ def test_validity_cap():
     "k, valuation, message",
     [
         (2, [{0}], "expected 2 extents, got 1"),
-        (1, [{0, 3}], "extent point 3 out of range"),
+        (1, [{0, 3}], "point 3 out of range"),
     ],
 )
 def test_model_rejects_a_bad_valuation(k, valuation, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         Model(CHAIN3, k, valuation)
 
 
@@ -529,6 +529,24 @@ def test_compile_rejects_variable_indices_that_are_not_ints(index):
         validity_bruteforce(frame, Var(index))
     with pytest.raises(TypeError, match="variable index must be an int"):
         extent(m, Or(Var(0), Dia(0, Var(index))))
+
+
+@pytest.mark.parametrize("mod", [True, 1.0], ids=["bool", "float"])
+def test_compile_rejects_modality_ids_that_are_not_ints(mod):
+    # Dia(True, p0) would read modality 1
+    frame = Frame(AL2, 2, [{(0, 1)}, {(1, 0)}])
+    m = Model(frame, 1, (frozenset({0}),))
+    with pytest.raises(TypeError, match=rf"^modality id must be an int, got {mod!r}$"):
+        extent(m, Dia(mod, Var(0)))
+    with pytest.raises(TypeError, match=rf"^modality id must be an int, got {mod!r}$"):
+        validity_bruteforce(frame, Imp(Dia(mod, Var(0)), Dia(1, Var(0))))
+
+
+@pytest.mark.parametrize("cap, error", [(1.5, TypeError), (-1, ValueError)])
+def test_validity_rejects_a_bad_cap(cap, error):
+    # a float cap used to end in a raw AttributeError from cap.bit_length
+    with pytest.raises(error):
+        validity_bruteforce(CHAIN3, Var(0), cap=cap)
 
 
 def scalar_validity_bruteforce(frame, f, cap=semantics.DEFAULT_VALUATION_CAP):

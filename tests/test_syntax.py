@@ -194,6 +194,15 @@ def test_print_rejects_negative_variable_indices():
             print_formula(Dia(0, Var(-1)), alphabet)
 
 
+@pytest.mark.parametrize("mod", [True, 0.5], ids=["bool", "float"])
+def test_print_rejects_modality_ids_that_are_not_ints(mod):
+    # Dia(True, p0) would print as "<dTrue>p0" and Dia(0.5, p0) as
+    # "<d0.5>p0", neither of which parses back
+    for alphabet in (None, AL2):
+        with pytest.raises(TypeError, match=rf"^modality id must be an int, got {mod!r}$"):
+            print_formula(Dia(mod, Var(0)), alphabet)
+
+
 @pytest.mark.parametrize("index", [1.5, True, "1"])
 def test_variable_indices_that_are_not_ints_are_rejected(index):
     # Var(1.5) would print as "p1.5" and Var(True) as "pTrue"

@@ -175,11 +175,13 @@ class Frame:
     """
 
     def __init__(self, alphabet: Alphabet, n: int, relations: Sequence[Iterable[Pair]]):
+        n = _nat(n, "point count")  # before the rows, which take it as a length
         self._set(alphabet, n, tuple(tuple(_rel_rows(rel, n)) for rel in relations))
 
     @classmethod
     def from_rows(cls, alphabet: Alphabet, n: int, rows: Sequence[Sequence[int]]) -> "Frame":
         """Frame from per-modality successor rows (n bitmasks per modality)."""
+        n = _nat(n, "point count")
         frame = cls.__new__(cls)
         frame._set(alphabet, n, tuple(tuple(r) for r in rows))
         if any(len(r) != n or any(m < 0 or m >> n for m in r) for r in frame._rows):
@@ -187,7 +189,6 @@ class Frame:
         return frame
 
     def _set(self, alphabet: Alphabet, n: int, rows: tuple[tuple[int, ...], ...]) -> None:
-        n = _nat(n, "point count")
         if len(rows) != len(alphabet):
             raise ValueError(f"{len(alphabet)} modalities but {len(rows)} relations given")
         self.alphabet = alphabet
@@ -485,7 +486,7 @@ def quotient_filtration(frame: Frame, partition) -> tuple[Frame, tuple[int, ...]
 
 def is_pmorphism(frame: Frame, image: Frame, mapping: Sequence[int]) -> bool:
     """Check the forth and back conditions of a p-morphism, per modality."""
-    mapping = tuple(mapping)
+    mapping = tuple(_index(v, "mapping target") for v in mapping)
     if len(mapping) != frame.n:
         raise ValueError("mapping must be total on the source frame")
     if frame.alphabet != image.alphabet:

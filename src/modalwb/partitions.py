@@ -40,6 +40,15 @@ splits; a pair apart in every lane drops out. The table is built per call
 from label bit-planes: bit s of plane k of a point is bit k of its block
 number in lane s, blocks numbered by least point (restricted growth, Knuth
 TAOCP 7.2.1.5), and ``eq[a][b]`` holds the lanes where all planes agree.
+Point a needs a.bit_length() planes, as its block number is at most a.
+The lanes are grouped by block count and grown point by point: group c
+for i + 1 points is c copies of group c for i points, point i joining
+block j in copy j, then group c - 1 with point i opening block c - 1. A
+kept plane is copied by one multiplication; plane k of point i is
+stamped from its runs, the copies with bit k set coming in runs of 2^k
+every 2^(k + 1), by two shifts of the period marks and a subtraction, the
+marks doubling from plane to plane down to the copies themselves. The
+last point's groups go straight into the merged planes.
 """
 
 from __future__ import annotations
@@ -231,36 +240,51 @@ def _random_partition_masks(rng: random.Random, n: int) -> list[int]:
 def _lane_table(n: int) -> list[list[int]]:
     """``eq[a][b]`` over one lane per set partition of the n points: bit s
     is set iff a and b share a block in lane s."""
-    w = (n - 1).bit_length()  # bits of a block number, 0 .. n - 1
-    # group c: its lane count and planes[a * w + k], whose bit s is bit k of
-    # the number of point a's block in the group's lane s
+    # group c: its lane count and planes, point by point: point a has
+    # a.bit_length() of them, its block number being at most a, and bit s of
+    # its plane k is bit k of that number in the group's lane s
     groups = [(1, [])]  # no points: one lane, the empty partition
+    planes, offset = [], 0  # the last point's groups, merged side by side
     for i in range(n):
-        groups.append((0, [0] * (i * w)))
-        grown = [(0, [0] * (i * w + w))]
+        held = len(groups[0][1])  # planes of the points before i
+        groups.append((0, [0] * held))
+        grown = [(0, [0] * (held + i.bit_length()))]
+        if i == n - 1:  # the merged planes start as that group's zeros
+            planes = grown[0][1]
         for c in range(1, i + 2):
             # c copies of group c, point i joining block j in copy j, then
             # group c - 1, point i opening block c - 1
             (same, kept), (opened, prev) = groups[c], groups[c - 1]
-            width = c * same
-            copies = sum(1 << k * same for k in range(c))
-            point = [0] * w  # copy by copy; the last copy's lanes run on into the opened ones
-            for j in range(c):
-                lanes = ((1 << same + (j == c - 1) * opened) - 1) << j * same
-                for k in range(w):
-                    if j >> k & 1:
-                        point[k] |= lanes
-            planes = [x * copies | y << width for x, y in zip(kept, prev)]
-            grown.append((width + opened, planes + point))
+            top = c - 1
+            cut = top * same  # the last copy's lanes run on into the opened ones
+            low = (1 << cut) - 1
+            tail = (1 << cut + same + opened) - 1 ^ low
+            # the copies with bit k set come in runs of 2^k every 2^(k + 1),
+            # from copy 2^k; starts marks where each period begins
+            point = [0] * i.bit_length()
+            starts = 1
+            for k in reversed(range(top.bit_length())):
+                run = same << k  # lanes of 2^k copies
+                point[k] = (starts << 2 * run) - (starts << run) & low | tail * (top >> k & 1)
+                starts |= starts << run
+            width = cut + same
+            copies = starts & (1 << width) - 1  # bit j * same for each copy j
+            group = [x * copies | y << width for x, y in zip(kept, prev)] + point
+            if i < n - 1:
+                grown.append((width + opened, group))
+            else:
+                planes = [p | x << offset for p, x in zip(planes, group)]
+                offset += width + opened
         groups = grown
-    planes = [0] * (n * w)
-    offset = 0
-    for count, group in groups:
-        planes = [p | x << offset for p, x in zip(planes, group)]
-        offset += count
     full = (1 << offset) - 1
-    # a and b share a block in exactly the lanes where all their planes agree
-    labels = [planes[a * w : a * w + w] for a in range(n)]
+    # a and b share a block in exactly the lanes where all their planes
+    # agree, the missing high planes of the lower point read as zero
+    w = (n - 1).bit_length()
+    labels, at = [], 0
+    for a in range(n):
+        d = a.bit_length()
+        labels.append(planes[at : at + d] + [0] * (w - d))
+        at += d
     eq = [[full] * n for _ in range(n)]
     for a in range(n):
         for b in range(a):
@@ -302,7 +326,7 @@ def _exact_depth(frame: Frame) -> int:
         pairs = live
 
 
-EXACT_DEPTH_LIMIT = 8
+EXACT_DEPTH_LIMIT = 10
 
 
 def frame_modal_depth(
@@ -315,7 +339,7 @@ def frame_modal_depth(
     refinement sequence over seed partitions of the points.
 
     Exact mode covers every set partition (Bell-number many, so the point
-    count is capped at 8); the sequence depends only on the partition
+    count is capped at 10); the sequence depends only on the partition
     induced by a seeding family, which is why set partitions suffice. It
     refines all of them at once, one bit lane each. Sampled mode maximizes
     over random seed partitions and is only a lower bound.

@@ -60,6 +60,7 @@ class Model:
     def __post_init__(self):
         masks = [_checked_mask(self.frame.n, v) for v in self.valuation]
         object.__setattr__(self, "valuation", tuple(map(points_of, masks)))
+        object.__setattr__(self, "k", _index(self.k, "k"))
         if self.k < 0 or len(masks) != self.k:
             raise ValueError(f"expected {self.k} extents, got {len(masks)}")
 

@@ -409,14 +409,19 @@ def print_formula(f: Formula, alphabet: Alphabet | None = None) -> str:
 
 
 def _norm_subset(subset) -> tuple[int, ...]:
-    out = tuple(sorted({operator.index(b) for b in subset}))
+    out = tuple(sorted({_index(b, "modality id") for b in subset}))
     if any(b < 0 for b in out):
         raise ValueError(f"negative modality id in {out!r}")
     return out
 
 
 def _nat(v, what="parameter") -> int:
-    v = operator.index(v)
+    """A non-negative ``operator.index(v)``, bools included; its errors
+    name ``what``."""
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise TypeError(f"{what} must be an int, got {v!r}") from None
     if v < 0:
         raise ValueError(f"{what} must be non-negative, got {v}")
     return v

@@ -413,6 +413,20 @@ def test_is_pmorphism_examples():
     assert not is_pmorphism(two_chain, loop, (0, 0))
 
 
+@pytest.mark.parametrize("target", [True, 1.0, "1"])
+def test_is_pmorphism_rejects_targets_that_are_not_ints(target):
+    # True used to read as point 1, and 1.0 ended in a raw shift error
+    with pytest.raises(TypeError, match=rf"^mapping target must be an int, got {target!r}$"):
+        is_pmorphism(CHAIN3, uni(2, [(0, 1)]), [0, target, target])
+
+
+@pytest.mark.parametrize("build", [Frame, Frame.from_rows])
+def test_frames_check_the_point_count_before_the_relations(build):
+    # a float count used to reach the rows as a list length
+    with pytest.raises(TypeError, match=r"^point count must be an int, got 2\.0$"):
+        build(AL1, 2.0, [[]])
+
+
 def test_json_round_trip():
     f = Frame(AL2, 3, [{(0, 1), (1, 2)}, set()])
     d = to_dict(f)

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from functools import reduce
-from operator import and_, or_
+from operator import and_, or_, xor
 
 import pytest
 from hypothesis import given, settings
@@ -283,7 +283,7 @@ def test_frame_modal_depth_only_coarse_seed_reaches_max():
 def test_frame_modal_depth_modes():
     assert frame_modal_depth(CHAIN3, mode="sampled", trials=50, seed=1) <= 2
     with pytest.raises(ValueError, match="exact"):
-        frame_modal_depth(uni(9, []), mode="exact")
+        frame_modal_depth(uni(11, []), mode="exact")
     with pytest.raises(ValueError, match="mode"):
         frame_modal_depth(CHAIN3, mode="nope")
 
@@ -713,11 +713,75 @@ def grouped_lane_table(n):
     return [[reduce(or_, map(and_, ma, mb)) for mb in member] for ma in member]
 
 
-@pytest.mark.parametrize("n", range(10))
+@pytest.mark.parametrize("n", range(11))
 def test_lane_table_matches_grouped_membership_rows(n):
-    # 9 points, Bell(9) = 21147 lanes, lie past the exact-depth limit; the
+    # 10 points, Bell(10) = 115975 lanes, are the exact-depth limit; the
     # plane count (n - 1).bit_length() changes at 2, 3, 5 and 9 points
     assert _lane_table(n) == grouped_lane_table(n)
+
+
+def planes_lane_table(n: int) -> list[list[int]]:
+    """The lane table as built before runs stamped the new point's planes:
+    w planes a point, the new point's planes set copy by copy, and the
+    groups merged after the last point. Kept verbatim as the reference for
+    ``_lane_table``."""
+    w = (n - 1).bit_length()  # bits of a block number, 0 .. n - 1
+    # group c: its lane count and planes[a * w + k], whose bit s is bit k of
+    # the number of point a's block in the group's lane s
+    groups = [(1, [])]  # no points: one lane, the empty partition
+    for i in range(n):
+        groups.append((0, [0] * (i * w)))
+        grown = [(0, [0] * (i * w + w))]
+        for c in range(1, i + 2):
+            # c copies of group c, point i joining block j in copy j, then
+            # group c - 1, point i opening block c - 1
+            (same, kept), (opened, prev) = groups[c], groups[c - 1]
+            width = c * same
+            copies = sum(1 << k * same for k in range(c))
+            point = [0] * w  # copy by copy; the last copy's lanes run on into the opened ones
+            for j in range(c):
+                lanes = ((1 << same + (j == c - 1) * opened) - 1) << j * same
+                for k in range(w):
+                    if j >> k & 1:
+                        point[k] |= lanes
+            planes = [x * copies | y << width for x, y in zip(kept, prev)]
+            grown.append((width + opened, planes + point))
+        groups = grown
+    planes = [0] * (n * w)
+    offset = 0
+    for count, group in groups:
+        planes = [p | x << offset for p, x in zip(planes, group)]
+        offset += count
+    full = (1 << offset) - 1
+    # a and b share a block in exactly the lanes where all their planes agree
+    labels = [planes[a * w : a * w + w] for a in range(n)]
+    eq = [[full] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a):
+            eq[a][b] = eq[b][a] = full ^ reduce(or_, map(xor, labels[a], labels[b]))
+    return eq
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_lane_table_matches_copy_by_copy_planes(n):
+    assert _lane_table(n) == planes_lane_table(n)
+
+
+def test_frame_modal_depth_at_the_exact_depth_limit():
+    # 10 points, Bell(10) = 115975 lanes: the 10-chain splits one point a
+    # stage, and random frames match the memoised seeds (about 2 s, most
+    # of it the reference on two modalities, which a low depth slows)
+    assert frame_modal_depth(uni(10, [(a, a + 1) for a in range(9)])) == 9
+    rng = random.Random(430)
+    frames = [
+        random_frame(rng, 10, mods=mods, density=density)
+        for mods, density in ((1, 0.2), (1, 0.3), (2, 0.2), (1, 0.4))
+    ]
+    # a cycle over three modalities, the widest fields
+    d0, d1 = {(a, a + 1) for a in range(0, 9, 2)}, {(a, a + 1) for a in range(1, 9, 2)}
+    frames.append(Frame(default_alphabet(3), 10, [d0, d1, {(9, 0)}]))
+    for f in frames:
+        assert frame_modal_depth(f) == memoised_exact_depth(f)
 
 
 def test_frame_modal_depth_matches_oracle_at_seven_points():

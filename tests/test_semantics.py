@@ -149,6 +149,19 @@ def test_model_rejects_a_bad_valuation(k, valuation, message):
         Model(CHAIN3, k, valuation)
 
 
+@pytest.mark.parametrize("k", [True, 1.0])
+def test_model_rejects_a_variable_count_that_is_not_an_int(k):
+    # Model(f, True, [{0}]).k used to be True
+    with pytest.raises(TypeError, match=rf"^k must be an int, got {k!r}$"):
+        Model(CHAIN3, k, [{0}])
+
+
+def test_validity_cap_errors_name_the_cap():
+    # operator.index alone said "'float' object cannot be interpreted as an integer"
+    with pytest.raises(TypeError, match=r"^cap must be an int, got 1\.5$"):
+        validity_bruteforce(CHAIN3, Var(0), cap=1.5)
+
+
 def test_model_depth_chain():
     depth, trace = model_depth(Model(CHAIN3, 0, ()))
     assert depth == 2

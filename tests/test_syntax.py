@@ -582,6 +582,14 @@ def test_schema_builders_reject_non_integers(call):
         call()
 
 
+def test_modality_subsets_reject_bools():
+    # diamond_union([True], p0) used to print as <d1>p0
+    with pytest.raises(TypeError, match=r"^modality id must be an int, got True$"):
+        diamond_union([True], Var(0))
+    with pytest.raises(ValueError, match="invalid parameters for schema 'atr'"):
+        build_schema("atr", subset=(False,), m=1)
+
+
 def test_build_schema_rejects_non_integer_parameters():
     with pytest.raises(ValueError, match="invalid parameters for schema 'atr'"):
         build_schema("atr", subset=(0,), m=2.9)

@@ -37,6 +37,7 @@ from .syntax import (
     Neg,
     Var,
     _box_upto,
+    _index,
     conj,
     disj,
 )
@@ -163,18 +164,18 @@ def build_jankov(
     beta = alpha(point's class) & gamma. ``m`` defaults to the frame's
     transitivity index and may be overridden upward for audits; ``families``
     selects which gamma conjunct families are emitted (exposed so the
-    mutation audits can drop one).
+    mutation tests in ``tests/test_definability.py`` and
+    ``tests/test_acceptance.py`` can drop one).
     """
     frame = model.frame
-    y = frozenset(upset)
+    y = points_of(frames._checked_mask(frame.n, upset))
     if not y:
         raise ValueError("upset must be non-empty")
     if not frames.is_upset(frame, y):
         raise ValueError("target set is not an upset")
     index = frames.transitivity_index(frame)
-    if m is None:
-        m = index
-    elif m < index:
+    m = index if m is None else _index(m, "m")
+    if m < index:
         raise ValueError(f"m={m} is below the transitivity index {index}")
     unknown = set(families) - set(ALL_GAMMA_FAMILIES)
     if unknown:

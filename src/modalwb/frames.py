@@ -273,7 +273,7 @@ def union_relation(frame: Frame) -> frozenset[Pair]:
 
 def rt_closure(rel: Iterable[Pair], n: int) -> frozenset[Pair]:
     """Reflexive transitive closure on {0..n-1}: the R* pretransitivity bounds."""
-    return _rows_to_rel(_closure(_rel_rows(rel, n))[0])
+    return _rows_to_rel(_closure(_rel_rows(rel, _nat(n, "n")))[0])
 
 
 def transitivity_index(frame: Frame) -> int:

@@ -61,7 +61,7 @@ from operator import or_, xor
 from typing import Iterable, Sequence
 
 from .frames import Frame, _checked_mask, disjoint_sum, iter_bits, mask_of, points_of
-from .syntax import _nat
+from .syntax import _index, _nat
 
 
 class CapExceeded(RuntimeError):
@@ -344,6 +344,7 @@ def frame_modal_depth(
     refines all of them at once, one bit lane each. Sampled mode maximizes
     over random seed partitions and is only a lower bound.
     """
+    trials, seed = _nat(trials, "trials"), _index(seed, "seed")
     n = frame.n
     if mode == "exact":
         if n > EXACT_DEPTH_LIMIT:
@@ -353,7 +354,6 @@ def frame_modal_depth(
         return _exact_depth(frame)
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
-    trials = _nat(trials, "trials")
     rng = random.Random(seed)
     seeds = (_random_partition_masks(rng, n) for _ in range(trials))
     return max((_stabilization_masks(frame, masks) for masks in seeds), default=0)

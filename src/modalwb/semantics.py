@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from . import partitions
 from .frames import Frame, _checked_mask, _project, iter_bits, mask_of, points_of, restriction
 from .partitions import CapExceeded, Partition
-from .syntax import And, Dia, Falsum, Formula, Imp, Neg, Or, Var, _index, _nat, _var_index
+from .syntax import And, Dia, Falsum, Formula, Imp, Neg, Or, Var, _index, _nat
 
 # At this cap validity_bruteforce took 1.0-1.4 s for 3 variables on 8 points
 # and 4.6-8.3 s for 1 variable on 24 points (valid formulas, several runs on a
@@ -60,8 +60,8 @@ class Model:
     def __post_init__(self):
         masks = [_checked_mask(self.frame.n, v) for v in self.valuation]
         object.__setattr__(self, "valuation", tuple(map(points_of, masks)))
-        object.__setattr__(self, "k", _index(self.k, "k"))
-        if self.k < 0 or len(masks) != self.k:
+        object.__setattr__(self, "k", _nat(self.k, "k"))
+        if len(masks) != self.k:
             raise ValueError(f"expected {self.k} extents, got {len(masks)}")
 
 
@@ -122,7 +122,7 @@ def _compile(frame: Frame, *roots: Formula):
                 if not 0 <= mod < size:
                     bad.add(mod)
         elif t is Var:
-            ins, d = (i, _VAR, _var_index(g), 0), 0
+            ins, d = (i, _VAR, _index(g.index, "variable index"), 0), 0
             vars_.add(g.index)
         elif t is Falsum:
             ins, d = (i, _FALSE, 0, 0), 0
@@ -321,5 +321,5 @@ def model_depth(model: Model) -> tuple[int, list[Partition]]:
 def restrict_model(model: Model, points) -> Model:
     """Restriction of frame and valuation to a point subset, reindexed along
     sorted(points)."""
-    pts = sorted(set(points))
+    pts = list(iter_bits(_checked_mask(model.frame.n, points)))
     return Model(restriction(model.frame, pts), model.k, _project(model.valuation, pts))

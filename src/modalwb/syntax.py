@@ -60,7 +60,7 @@ class Alphabet:
 
 def default_alphabet(size: int) -> Alphabet:
     """Canonical alphabet d0, d1, ... used when no names are given."""
-    return Alphabet(tuple(f"d{i}" for i in range(size)))
+    return Alphabet(tuple(f"d{i}" for i in range(_nat(size, "size"))))
 
 
 class Formula:
@@ -188,8 +188,9 @@ def iter_nodes(*roots: Formula) -> Iterator[Formula]:
 
 
 def _index(v, what: str) -> int:
-    """``operator.index(v)`` that also refuses a bool, which would alias 0
-    or 1; its ``TypeError`` names ``what``."""
+    """The one rule for an int from outside (a count, an id, a cap or a
+    seed): ``operator.index(v)`` that also refuses a bool, which would alias
+    0 or 1; its ``TypeError`` names ``what``."""
     if type(v) is int:
         return v
     if not isinstance(v, bool):
@@ -200,12 +201,8 @@ def _index(v, what: str) -> int:
     raise TypeError(f"{what} must be an int, got {v!r}")
 
 
-def _var_index(v: Var) -> int:
-    return _index(v.index, "variable index")
-
-
 def variables(f: Formula) -> frozenset[int]:
-    return frozenset(_var_index(g) for g in iter_nodes(f) if isinstance(g, Var))
+    return frozenset(_index(g.index, "variable index") for g in iter_nodes(f) if isinstance(g, Var))
 
 
 def modalities(f: Formula) -> frozenset[int]:
@@ -384,7 +381,7 @@ def print_formula(f: Formula, alphabet: Alphabet | None = None) -> str:
             continue
         g, level = item
         if isinstance(g, Var):
-            v = _var_index(g)
+            v = _index(g.index, "variable index")
             if v < 0:
                 raise ValueError(f"variable index {v} is negative")
             out.append(f"p{v}")
@@ -415,13 +412,10 @@ def _norm_subset(subset) -> tuple[int, ...]:
     return out
 
 
-def _nat(v, what="parameter") -> int:
-    """A non-negative ``operator.index(v)``, bools included; its errors
-    name ``what``."""
-    try:
-        v = operator.index(v)
-    except TypeError:
-        raise TypeError(f"{what} must be an int, got {v!r}") from None
+def _nat(v, what: str) -> int:
+    """``_index(v, what)`` for a count, which must also be non-negative; its
+    ``ValueError`` names ``what`` too."""
+    v = _index(v, what)
     if v < 0:
         raise ValueError(f"{what} must be non-negative, got {v}")
     return v

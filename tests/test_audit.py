@@ -368,6 +368,12 @@ def test_cluster_depth_bound_rejects_negative_arguments(args):
         cluster_depth_bound(*args)
 
 
+def test_cluster_bound_law_passes_vacuously_on_no_points():
+    # max() over the clusters of no points used to raise ValueError
+    _, law = audit.SUITES["cluster-bound"].draw(GenSpec(), random.Random(0), 0)
+    assert law([]) == (True, "no points, vacuous")
+
+
 # sha256 of the report each suite writes at its CLI defaults and seed 0; a
 # change to a suite's draw, law, defaults or RNG use changes its digest, and
 # must say so where it re-records it

@@ -294,6 +294,15 @@ def test_sampled_depth_rejects_negative_trials():
     assert frame_modal_depth(CHAIN3, mode="sampled", trials=0) == 0
 
 
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("bad", [{"trials": True}, {"seed": 1.5}, {"seed": True}, {"seed": "x"}])
+def test_modal_depth_checks_trials_and_seed_in_either_mode(mode, bad):
+    # random.Random takes any hashable seed, so 1.5 and "x" used to seed it
+    with pytest.raises(TypeError, match=f"^{next(iter(bad))} must be an int"):
+        frame_modal_depth(CHAIN3, mode=mode, **bad)
+    assert frame_modal_depth(CHAIN3, mode=mode, trials=3, seed=-1) == 2
+
+
 def test_frame_modal_depth_generated_subframe():
     rng = random.Random(6)
     for _ in range(60):

@@ -156,6 +156,14 @@ def test_model_rejects_a_variable_count_that_is_not_an_int(k):
         Model(CHAIN3, k, [{0}])
 
 
+@pytest.mark.parametrize("points", [[1, True], [0, False]])
+def test_restrict_model_checks_points_before_removing_duplicates(points):
+    # set([1, True]) is {1}, so the bool used to vanish as a duplicate
+    model = Model(CHAIN3, 1, [{0}])
+    with pytest.raises(TypeError, match=r"^point must be an int, got (True|False)$"):
+        restrict_model(model, points)
+
+
 def test_validity_cap_errors_name_the_cap():
     # operator.index alone said "'float' object cannot be interpreted as an integer"
     with pytest.raises(TypeError, match=r"^cap must be an int, got 1\.5$"):

@@ -595,5 +595,7 @@ def test_build_schema_rejects_non_integer_parameters():
         build_schema("atr", subset=(0,), m=2.9)
     with pytest.raises(ValueError, match="invalid parameters for schema 'B'"):
         build_schema("B", h=1.5)
-    # ints, bools and ranges work as before
-    assert build_schema("atr", subset=range(2), m=True) == pretransitivity_axiom((0, 1), 1)
+    # a bool count is refused like any other non-int; ints and ranges work
+    with pytest.raises(ValueError, match="invalid parameters for schema 'atr'"):
+        build_schema("atr", subset=(0,), m=True)
+    assert build_schema("atr", subset=range(2), m=1) == pretransitivity_axiom((0, 1), 1)

@@ -77,8 +77,8 @@ class GenSpec:
         object.__setattr__(self, "alphabet_size", syntax._nat(self.alphabet_size, "alphabet_size"))
         if self.param is not None:
             object.__setattr__(self, "param", syntax._index(self.param, "param"))
-        if isinstance(self.density, bool):
-            raise TypeError("density must be a number, not a bool")
+        if isinstance(self.density, bool) or not isinstance(self.density, (int, float)):
+            raise TypeError(f"density must be an int or float, got {self.density!r}")
         if self.structure not in STRUCTURES:
             raise ValueError(f"unknown structure {self.structure!r}")
         # the least param a frame can meet: every drawn frame has a point,
@@ -530,7 +530,7 @@ def run_suite(suite: str, spec: GenSpec, trials: int) -> AuditReport:
     """Run one property suite; deterministic for a fixed spec seed."""
     try:
         record = SUITES[suite]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable suite
         raise ValueError(f"unknown suite {suite!r}") from None
     scale = record.depth_scale
     if scale and spec.n_max * scale > partitions.EXACT_DEPTH_LIMIT:

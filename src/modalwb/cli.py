@@ -6,7 +6,8 @@ subcommand it runs, or the full tree when the first argument names no
 subcommand, so help and error output are the same either way. Every
 subcommand accepts ``--json`` for machine-readable output. Exit codes: 0
 success, 1 property failure (invalid formula, audit failures or errored
-trials), 2 usage or input errors.
+trials), 2 usage or input errors: every ``ValueError``, ``CapExceeded`` or
+``PathBudgetExceeded`` that reaches ``main`` prints ``error: <message>``.
 """
 
 from __future__ import annotations
@@ -18,20 +19,17 @@ import sys
 
 from . import audit, frames, partitions, semantics, syntax
 
-class _UsageError(Exception):
-    pass
-
 
 def _load(path) -> frames.Frame:
     try:
         return frames.load_frame(path)
     except FileNotFoundError:
-        raise _UsageError(f"frame file not found: {path}") from None
+        raise ValueError(f"frame file not found: {path}") from None
     except OSError as exc:
-        raise _UsageError(f"cannot read frame file {path}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot read frame file {path}: {exc.strerror or exc}") from None
     except (ValueError, RecursionError) as exc:
         # RecursionError: json gives up on deeply nested arrays or objects
-        raise _UsageError(f"bad frame file {path}: {exc}") from None
+        raise ValueError(f"bad frame file {path}: {exc}") from None
 
 
 def _emit(data: dict, as_json: bool, lines) -> None:
@@ -76,7 +74,7 @@ def _cmd_frame_md(args) -> int:
     frame = _load(args.path)
     if args.sample is not None:
         if args.sample < 1:
-            raise _UsageError(f"--sample needs at least 1 trial, got {args.sample}")
+            raise ValueError(f"--sample needs at least 1 trial, got {args.sample}")
         md = partitions.frame_modal_depth(
             frame, mode="sampled", trials=args.sample, seed=args.seed
         )
@@ -85,7 +83,7 @@ def _cmd_frame_md(args) -> int:
         try:
             md = partitions.frame_modal_depth(frame, mode="exact")
         except ValueError as exc:
-            raise _UsageError(f"{exc}; use --sample N") from None
+            raise ValueError(f"{exc}; use --sample N") from None
         mode = "exact"
     data = {"modal_depth": md, "mode": mode}
     note = "" if mode == "exact" else " (lower bound)"
@@ -98,11 +96,8 @@ def _cmd_check(args) -> int:
     try:
         formula = syntax.parse(args.formula, frame.alphabet)
     except syntax.ParseError as exc:
-        raise _UsageError(f"bad formula: {exc}") from None
-    try:
-        valid = semantics.validity_bruteforce(frame, formula, cap=args.cap)
-    except (partitions.CapExceeded, ValueError) as exc:
-        raise _UsageError(str(exc)) from None
+        raise ValueError(f"bad formula: {exc}") from None
+    valid = semantics.validity_bruteforce(frame, formula, cap=args.cap)
     data = {"formula": args.formula, "valid": valid}
     _emit(data, args.json, ["valid" if valid else "not valid"])
     return 0 if valid else 1
@@ -110,14 +105,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_count(args) -> int:
     frame = _load(args.path)
-    try:
-        count = partitions.count_k_formulas(frame, args.k, cap=args.cap)
-    except (partitions.CapExceeded, ValueError) as exc:
-        raise _UsageError(str(exc)) from None
+    count = partitions.count_k_formulas(frame, args.k, cap=args.cap)
     try:
         str(count)
     except ValueError:  # more digits than sys.get_int_max_str_digits allows
-        raise _UsageError(f"the count 2^{count.bit_length() - 1} has too many digits to print") from None
+        raise ValueError(f"the count 2^{count.bit_length() - 1} has too many digits to print") from None
     data = {"k": args.k, "count": count}
     _emit(data, args.json, [f"nonequivalent {args.k}-formulas: {count}"])
     return 0
@@ -129,18 +121,15 @@ def _cmd_tune(args) -> int:
         sets = json.loads(args.sets)
     except (ValueError, RecursionError) as exc:
         # RecursionError: json gives up on deeply nested arrays or objects
-        raise _UsageError(f"bad --sets value: {exc}") from None
+        raise ValueError(f"bad --sets value: {exc}") from None
     # the integer rule of frame files: no floats, booleans or strings
     if not isinstance(sets, list) or not all(
         isinstance(s, list) and all(map(frames._is_int, s)) for s in sets
     ):
-        raise _UsageError("bad --sets value: expected a JSON list of lists of integers")
+        raise ValueError("bad --sets value: expected a JSON list of lists of integers")
     family = [frozenset(s) for s in sets]
-    try:
-        base = partitions.induced_partition(frame.n, family)
-        refined = partitions.coarsest_tuned_refinement(frame, base)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    base = partitions.induced_partition(frame.n, family)
+    refined = partitions.coarsest_tuned_refinement(frame, base)
     data = {
         "blocks": [sorted(b) for b in refined.blocks],
         "birth_stages": list(refined.birth),
@@ -158,20 +147,17 @@ def _cmd_audit(args) -> int:
     try:
         record = audit.SUITES[args.suite]
     except KeyError:
-        raise _UsageError(
+        raise ValueError(
             f"unknown suite {args.suite!r}; known: {', '.join(sorted(audit.SUITES))}"
         ) from None
     spec = record.spec if args.seed is None else dataclasses.replace(record.spec, seed=args.seed)
     trials = record.trials if args.trials is None else args.trials
-    try:
-        report = audit.run_suite(args.suite, spec, trials)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    report = audit.run_suite(args.suite, spec, trials)
     if args.out:
         try:
             audit.emit_report(report, args.out)
         except OSError as exc:
-            raise _UsageError(f"cannot write report {args.out}: {exc.strerror or exc}") from None
+            raise ValueError(f"cannot write report {args.out}: {exc.strerror or exc}") from None
     data = audit.report_to_dict(report)
     _emit(
         data,
@@ -299,7 +285,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except (_UsageError, frames.PathBudgetExceeded) as exc:
+    except (ValueError, partitions.CapExceeded, frames.PathBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

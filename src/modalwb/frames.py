@@ -555,10 +555,10 @@ def dump_frame(frame: Frame, path) -> None:
 _DOT_COLORS = ("black", "red3", "blue3", "green4", "orange3", "purple3")
 
 
-def to_dot(frame: Frame, name: str = "frame") -> str:
+def to_dot(frame: Frame) -> str:
     """Graphviz rendering: one styled edge set per modality, clusters drawn
     as subgraph boxes."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph frame {"]
     for ci, cluster in enumerate(_cluster_masks(frame).values()):
         lines.append(f"  subgraph cluster_{ci} {{")
         lines.append("    style=rounded;")

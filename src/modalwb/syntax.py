@@ -38,7 +38,12 @@ class Alphabet:
     names: tuple[str, ...]
 
     def __post_init__(self):
+        if isinstance(self.names, str):
+            raise TypeError(f"names must be a collection of names, not the str {self.names!r}")
         object.__setattr__(self, "names", tuple(self.names))
+        for nm in self.names:
+            if not isinstance(nm, str):
+                raise TypeError(f"a modality name must be a str, got {nm!r}")
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate modality names: {self.names!r}")
         for nm in self.names:
@@ -575,7 +580,7 @@ def build_schema(kind: str, **params):
     structurally equal output."""
     try:
         builder = _SCHEMAS[kind]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
         raise ValueError(f"unknown schema kind {kind!r}") from None
     try:
         return builder(**params)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from modalwb import audit, cli, partitions
+from modalwb import audit, cli, frames, partitions, semantics
 from modalwb.audit import non_adjacent_frame
 from modalwb.frames import Frame, dump_frame, skeleton
 from modalwb.partitions import DEFAULT_PROFILE_CAP
@@ -248,6 +248,43 @@ def test_audit_out_path_that_cannot_be_written(tmp_path, capsys, where):
     out = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
     assert cli.main(["audit", "md-sum", "--trials", "1", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write report {out}: ")
+
+
+# each subcommand and the library call it makes
+LIBRARY_CALLS = {
+    "frame-info": (["frame", "info", "FRAME"], frames, "transitivity_index"),
+    "frame-md": (["frame", "md", "FRAME"], partitions, "frame_modal_depth"),
+    "frame-md-sample": (["frame", "md", "FRAME", "--sample", "1"], partitions, "frame_modal_depth"),
+    "check": (["check", "FRAME", "p0"], semantics, "validity_bruteforce"),
+    "count": (["count", "FRAME", "-k", "1"], partitions, "count_k_formulas"),
+    "tune": (["tune", "FRAME", "--sets", "[[0]]"], partitions, "coarsest_tuned_refinement"),
+    "audit": (["audit", "md-sum"], audit, "run_suite"),
+    "export-dot": (["export", "dot", "FRAME"], frames, "to_dot"),
+}
+
+
+@pytest.mark.parametrize(
+    "error",
+    [ValueError, partitions.CapExceeded, frames.PathBudgetExceeded],
+    ids=lambda error: error.__name__,
+)
+@pytest.mark.parametrize("command", LIBRARY_CALLS)
+def test_every_subcommand_exits_2_on_a_declared_library_error(
+    chain3, capsys, monkeypatch, command, error
+):
+    argv, module, name = LIBRARY_CALLS[command]
+
+    def boom(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(module, name, boom)
+    argv = [chain3 if token == "FRAME" else token for token in argv]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    # exact frame md adds its hint to a ValueError
+    hint = "; use --sample N" if command == "frame-md" and error is ValueError else ""
+    assert err == f"error: boom{hint}\n"
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,6 +1,6 @@
-"""The int half of the public contract: each callable that ``modalwb``
-exports takes its int parameters (counts, caps, seeds, and ids such as
-points and modality ids) through one rule.
+"""The public contract: each callable that ``modalwb`` exports takes its
+int parameters (counts, caps, seeds, and ids such as points and modality
+ids) through one rule, and its name parameters through another.
 
 ``ROWS`` holds one row per exported callable. A row maps each int parameter
 to its kind and to a cheap call, on frames of at most 3 points, that takes
@@ -25,6 +25,11 @@ Out of scope:
   is the checked way in) and the error classes the library raises.
 
 These names get an empty row, as does every name with no int parameter.
+
+``NAMES`` holds the parameters that pick one of a fixed set of names (a
+mode, a kind, a suite, a structure). Any value outside that set, whatever
+its type, raises ValueError. ``GenSpec``'s ``density`` is the one float
+parameter: a value that is not an int or a float raises TypeError naming it.
 """
 
 from typing import NamedTuple
@@ -46,6 +51,7 @@ from modalwb import (
     diamond_union,
     diamond_upto,
     difference_axioms,
+    expand,
     finite_height_axiom,
     finite_height_axiom_star,
     frame_modal_depth,
@@ -291,3 +297,26 @@ def test_int_parameter_takes_an_int_in_range(name, call, value, expected):
     else:
         with pytest.raises(expected):
             call(value)
+
+
+# parameter -> call taking the value
+NAMES = {
+    "build_schema-kind": lambda v: build_schema(v, h=1),
+    "expand-kind": lambda v: expand(CHAIN, v),
+    "frame_modal_depth-mode": lambda v: frame_modal_depth(CHAIN, v),
+    "GenSpec-structure": lambda v: GenSpec(structure=v),
+    "run_suite-suite": lambda v: run_suite(v, GenSpec(), 1),
+}
+
+
+@pytest.mark.parametrize("value", [[], None, 1, True, "bogus"], ids=repr)
+@pytest.mark.parametrize("call", list(NAMES.values()), ids=list(NAMES))
+def test_name_parameter_refuses_any_other_value(call, value):
+    with pytest.raises(ValueError):
+        call(value)
+
+
+@pytest.mark.parametrize("value", ["x", None, []], ids=repr)
+def test_density_must_be_an_int_or_float(value):
+    with pytest.raises(TypeError, match="^density "):
+        GenSpec(density=value)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modalwb import semantics
-from modalwb.frames import Frame
+from modalwb.frames import Frame, expand
 from modalwb.syntax import (
     _INFIX,
     _INFIX_OF_TEXT,
@@ -225,6 +225,22 @@ def test_variable_indices_that_are_not_ints_are_rejected(index):
 )
 def test_syntax_rejects_bad_input(call, error, message):
     with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # a str is a sequence of one-letter names, so "ab" would be a and b
+        (lambda: Alphabet("ab"), "not the str 'ab'"),
+        (lambda: Alphabet([5]), "modality name must be a str, got 5$"),
+        (lambda: Alphabet(["d0", None]), "modality name must be a str, got None$"),
+        (lambda: expand(Frame(AL1, 1, [[]]), "universal", name=5), "got 5$"),
+    ],
+    ids=["str-names", "int-name", "none-name", "expand-int-name"],
+)
+def test_modality_names_are_a_collection_of_str(call, message):
+    with pytest.raises(TypeError, match=message):
         call()
 
 

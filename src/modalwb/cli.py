@@ -3,11 +3,14 @@
 Subcommands: ``frame info``, ``frame md``, ``check``, ``count``, ``tune``,
 ``audit``, ``export dot``. Each call builds the parser of only the
 subcommand it runs, or the full tree when the first argument names no
-subcommand, so help and error output are the same either way. Every
-subcommand accepts ``--json`` for machine-readable output. Exit codes: 0
-success, 1 property failure (invalid formula, audit failures or errored
-trials), 2 usage or input errors: every ``ValueError``, ``CapExceeded`` or
-``PathBudgetExceeded`` that reaches ``main`` prints ``error: <message>``.
+subcommand, so help and error output are the same either way. ``main``
+loads the frame file, maps errors to exit 2 and prints the result: each
+``_cmd_*(args, frame)`` returns ``(data, exit code, text lines)``, and
+``--json``, which every subcommand accepts, prints ``data`` as one JSON
+line in place of the lines. Exit codes: 0 success, 1 property failure
+(invalid formula, audit failures or errored trials), 2 usage or input
+errors: every ``ValueError``, ``CapExceeded`` or ``PathBudgetExceeded``
+that reaches ``main`` prints ``error: <message>``.
 """
 
 from __future__ import annotations
@@ -32,16 +35,7 @@ def _load(path) -> frames.Frame:
         raise ValueError(f"bad frame file {path}: {exc}") from None
 
 
-def _emit(data: dict, as_json: bool, lines) -> None:
-    if as_json:
-        print(json.dumps(data, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _cmd_frame_info(args) -> int:
-    frame = _load(args.path)
+def _cmd_frame_info(args, frame):
     index = frames.transitivity_index(frame)
     try:
         reducible = frames.is_path_reducible(frame, index)
@@ -55,23 +49,17 @@ def _cmd_frame_info(args) -> int:
         "clusters": len(frames._cluster_masks(frame)),
         "path_reducible_at_index": reducible,
     }
-    _emit(
-        data,
-        args.json,
-        [
-            f"points: {data['points']}",
-            f"alphabet: {', '.join(data['alphabet'])}",
-            f"transitivity index: {data['transitivity_index']}",
-            f"height: {data['height']}",
-            f"clusters: {data['clusters']}",
-            f"path reducible at index: {data['path_reducible_at_index']}",
-        ],
-    )
-    return 0
+    return data, 0, [
+        f"points: {data['points']}",
+        f"alphabet: {', '.join(data['alphabet'])}",
+        f"transitivity index: {data['transitivity_index']}",
+        f"height: {data['height']}",
+        f"clusters: {data['clusters']}",
+        f"path reducible at index: {data['path_reducible_at_index']}",
+    ]
 
 
-def _cmd_frame_md(args) -> int:
-    frame = _load(args.path)
+def _cmd_frame_md(args, frame):
     if args.sample is not None:
         if args.sample < 1:
             raise ValueError(f"--sample needs at least 1 trial, got {args.sample}")
@@ -85,38 +73,32 @@ def _cmd_frame_md(args) -> int:
         except ValueError as exc:
             raise ValueError(f"{exc}; use --sample N") from None
         mode = "exact"
-    data = {"modal_depth": md, "mode": mode}
     note = "" if mode == "exact" else " (lower bound)"
-    _emit(data, args.json, [f"modal depth: {md} [{mode}{note}]"])
-    return 0
+    return {"modal_depth": md, "mode": mode}, 0, [f"modal depth: {md} [{mode}{note}]"]
 
 
-def _cmd_check(args) -> int:
-    frame = _load(args.path)
+def _cmd_check(args, frame):
     try:
         formula = syntax.parse(args.formula, frame.alphabet)
     except syntax.ParseError as exc:
         raise ValueError(f"bad formula: {exc}") from None
     valid = semantics.validity_bruteforce(frame, formula, cap=args.cap)
     data = {"formula": args.formula, "valid": valid}
-    _emit(data, args.json, ["valid" if valid else "not valid"])
-    return 0 if valid else 1
+    return data, 0 if valid else 1, ["valid" if valid else "not valid"]
 
 
-def _cmd_count(args) -> int:
-    frame = _load(args.path)
+def _cmd_count(args, frame):
     count = partitions.count_k_formulas(frame, args.k, cap=args.cap)
     try:
-        str(count)
+        text = str(count)
     except ValueError:  # more digits than sys.get_int_max_str_digits allows
-        raise ValueError(f"the count 2^{count.bit_length() - 1} has too many digits to print") from None
-    data = {"k": args.k, "count": count}
-    _emit(data, args.json, [f"nonequivalent {args.k}-formulas: {count}"])
-    return 0
+        raise ValueError(
+            f"the count 2^{count.bit_length() - 1} has too many digits to print"
+        ) from None
+    return {"k": args.k, "count": count}, 0, [f"nonequivalent {args.k}-formulas: {text}"]
 
 
-def _cmd_tune(args) -> int:
-    frame = _load(args.path)
+def _cmd_tune(args, frame):
     try:
         sets = json.loads(args.sets)
     except (ValueError, RecursionError) as exc:
@@ -135,15 +117,10 @@ def _cmd_tune(args) -> int:
         "birth_stages": list(refined.birth),
         "tuned": partitions.is_tuned(frame, refined),
     }
-    _emit(
-        data,
-        args.json,
-        [f"blocks: {data['blocks']}", f"tuned: {data['tuned']}"],
-    )
-    return 0
+    return data, 0, [f"blocks: {data['blocks']}", f"tuned: {data['tuned']}"]
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args, frame):
     try:
         record = audit.SUITES[args.suite]
     except KeyError:
@@ -158,29 +135,23 @@ def _cmd_audit(args) -> int:
             audit.emit_report(report, args.out)
         except OSError as exc:
             raise ValueError(f"cannot write report {args.out}: {exc.strerror or exc}") from None
-    data = audit.report_to_dict(report)
-    _emit(
-        data,
-        args.json,
-        [
-            f"suite: {report.suite}",
-            f"trials: {report.trials}",
-            f"passes: {report.passes}",
-            f"failures: {len(report.failures)}",
-        ]
-        + [f"  trial {f.trial}: {f.detail}" for f in report.failures]
-        + ([f"errors: {len(report.errors)}"] if report.errors else [])
-        + [f"  trial {e.trial}: {e.detail}" for e in report.errors],
-    )
-    return 0 if report.ok() else 1
+    lines = [
+        f"suite: {report.suite}",
+        f"trials: {report.trials}",
+        f"passes: {report.passes}",
+        f"failures: {len(report.failures)}",
+    ]
+    lines += [f"  trial {f.trial}: {f.detail}" for f in report.failures]
+    if report.errors:
+        lines.append(f"errors: {len(report.errors)}")
+        lines += [f"  trial {e.trial}: {e.detail}" for e in report.errors]
+    return audit.report_to_dict(report), 0 if report.ok() else 1, lines
 
 
-def _cmd_export_dot(args) -> int:
-    frame = _load(args.path)
+def _cmd_export_dot(args, frame):
     dot = frames.to_dot(frame)
-    # to_dot ends in a newline, which print puts back
-    _emit({"dot": dot}, args.json, [dot.removesuffix("\n")])
-    return 0
+    # to_dot ends in a newline, which main's print puts back
+    return {"dot": dot}, 0, [dot.removesuffix("\n")]
 
 
 def _add_frame(sub) -> None:
@@ -284,10 +255,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.fn(args)
+        # every command but audit reads a frame file
+        frame = _load(args.path) if hasattr(args, "path") else None
+        data, code, lines = args.fn(args, frame)
+        print(json.dumps(data, sort_keys=True) if args.json else "\n".join(lines))
     except (ValueError, partitions.CapExceeded, frames.PathBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

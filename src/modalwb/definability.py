@@ -162,9 +162,9 @@ def build_jankov(
     Returns ``(family, gamma, beta)``: the per-class formulas, the boxed
     filtration-table formula gamma, and per point of the upset the formula
     beta = alpha(point's class) & gamma. ``m`` defaults to the frame's
-    transitivity index and may be overridden upward for audits; ``families``
-    selects which gamma conjunct families are emitted (exposed so the
-    mutation tests in ``tests/test_definability.py`` and
+    transitivity index; a larger ``m`` lets tests check the lemma above the
+    index. ``families`` selects which gamma conjunct families are emitted
+    (exposed so the mutation tests in ``tests/test_definability.py`` and
     ``tests/test_acceptance.py`` can drop one).
     """
     frame = model.frame
@@ -177,9 +177,14 @@ def build_jankov(
     m = index if m is None else _index(m, "m")
     if m < index:
         raise ValueError(f"m={m} is below the transitivity index {index}")
-    unknown = set(families) - set(ALL_GAMMA_FAMILIES)
+    # Alphabet's rule for its names: a str or a non-collection is a
+    # TypeError, and any member outside the names a ValueError
+    if isinstance(families, str) or not hasattr(families, "__iter__"):
+        raise TypeError(f"families must be a collection of names, got {families!r}")
+    families = tuple(families)
+    unknown = [f for f in families if f not in ALL_GAMMA_FAMILIES]
     if unknown:
-        raise ValueError(f"unknown gamma families {sorted(unknown)}")
+        raise ValueError(f"unknown gamma families {unknown}")
 
     old = sorted(y)
     sub = semantics.restrict_model(model, y)

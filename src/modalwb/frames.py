@@ -183,7 +183,7 @@ class Frame:
         """Frame from per-modality successor rows (n bitmasks per modality)."""
         n = _nat(n, "point count")
         frame = cls.__new__(cls)
-        frame._set(alphabet, n, tuple(tuple(r) for r in rows))
+        frame._set(alphabet, n, tuple(tuple(_index(m, "row") for m in r) for r in rows))
         if any(len(r) != n or any(m < 0 or m >> n for m in r) for r in frame._rows):
             raise ValueError(f"rows must be {n} bitmasks over points 0..{n - 1}")
         return frame
@@ -449,10 +449,10 @@ def expand(frame: Frame, kind: str, name: str | None = None) -> Frame:
     (everything sees everything else) modality."""
     full = (1 << frame.n) - 1
     if kind == "universal":
-        name = name or "u"
+        name = "u" if name is None else name
         rows = [full] * frame.n
     elif kind == "difference":
-        name = name or "neq"
+        name = "neq" if name is None else name
         rows = [full ^ (1 << a) for a in range(frame.n)]
     else:
         raise ValueError(f"unknown expansion kind {kind!r}")

@@ -67,6 +67,17 @@ def test_frame_info_clusters_match_skeleton(tmp_path, capsys):
         assert out["clusters"] == len(skeleton(frame).clusters)
 
 
+def test_frame_info_past_the_path_budget(chain3, capsys, monkeypatch):
+    def over_budget(*args, **kwargs):
+        raise frames.PathBudgetExceeded("budget")
+
+    monkeypatch.setattr(frames, "is_path_reducible", over_budget)
+    assert cli.main(["frame", "info", chain3]) == 0
+    assert capsys.readouterr().out.endswith("\npath reducible at index: None\n")
+    assert cli.main(["frame", "info", chain3, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["path_reducible_at_index"] is None
+
+
 def test_frame_md(chain3, capsys):
     assert cli.main(["frame", "md", chain3, "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == {"modal_depth": 2, "mode": "exact"}

@@ -28,8 +28,12 @@ These names get an empty row, as does every name with no int parameter.
 
 ``NAMES`` holds the parameters that pick one of a fixed set of names (a
 mode, a kind, a suite, a structure). Any value outside that set, whatever
-its type, raises ValueError. ``GenSpec``'s ``density`` is the one float
-parameter: a value that is not an int or a float raises TypeError naming it.
+its type, raises ValueError. ``NAME_COLLECTIONS`` holds the parameters
+that take a collection of such names (the gamma ``families``): a str or a
+value that is not iterable raises TypeError naming the parameter, and a
+member outside the names, whatever its type, ValueError. ``GenSpec``'s
+``density`` is the one float parameter: a value that is not an int or a
+float raises TypeError naming it.
 """
 
 from typing import NamedTuple
@@ -164,6 +168,7 @@ ROWS = {
     "Frame": {
         "n": (COUNT, 3, lambda v: Frame(AL, v, [[(0, 1)]])),
         "relations": (ID(3), 1, lambda v: Frame(AL, 3, [[(0, v)]])),
+        "rows": (ID(8), 2, lambda v: Frame.from_rows(AL, 3, [[v, 0, 0]])),
     },
     "PathBudgetExceeded": NO_ROW,
     "SkeletonPoset": NO_ROW,
@@ -313,6 +318,27 @@ NAMES = {
 @pytest.mark.parametrize("call", list(NAMES.values()), ids=list(NAMES))
 def test_name_parameter_refuses_any_other_value(call, value):
     with pytest.raises(ValueError):
+        call(value)
+
+
+# collection parameter -> call taking the collection
+NAME_COLLECTIONS = {
+    "build_jankov-families": lambda v: build_jankov(MODEL, [2], families=v),
+    "verify_definability-families": lambda v: verify_definability(MODEL, [2], families=v),
+}
+
+
+@pytest.mark.parametrize("value", ["forces", None, 5, True], ids=repr)
+@pytest.mark.parametrize("call", list(NAME_COLLECTIONS.values()), ids=list(NAME_COLLECTIONS))
+def test_name_collection_must_be_a_collection(call, value):
+    with pytest.raises(TypeError, match="^families "):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [[[]], [1, "x"], [None], ["forces", "bogus"]], ids=repr)
+@pytest.mark.parametrize("call", list(NAME_COLLECTIONS.values()), ids=list(NAME_COLLECTIONS))
+def test_name_collection_refuses_any_other_member(call, value):
+    with pytest.raises(ValueError, match="^unknown gamma families "):
         call(value)
 
 

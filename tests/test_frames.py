@@ -366,6 +366,13 @@ def test_expand():
         expand(uni(1, []), "universal", name="d0")
 
 
+@pytest.mark.parametrize("kind", ["universal", "difference"])
+def test_expand_takes_an_empty_name_as_a_name(kind):
+    # "" used to fall back to the default name, like None
+    with pytest.raises(ValueError, match=r"^invalid modality name ''$"):
+        expand(uni(1, []), kind, name="")
+
+
 def test_every_partition_tuned_for_universal_and_difference():
     from modalwb.partitions import is_tuned
 
@@ -460,6 +467,22 @@ def test_from_rows_validation():
         Frame.from_rows(AL2, 1, [[0]])
     with pytest.raises(ValueError, match="non-negative"):
         Frame.from_rows(AL1, -1, [[]])
+
+
+@pytest.mark.parametrize("entry", [True, False, 0.5, 2.0, "1", None], ids=repr)
+def test_from_rows_takes_each_row_entry_as_an_int(entry):
+    # a bool used to be stored as a row mask, and 0.5, "1" or None ended in
+    # a raw shift or comparison error
+    with pytest.raises(TypeError, match=rf"^row must be an int, got {entry!r}$"):
+        Frame.from_rows(AL1, 2, [[entry, 0]])
+
+
+def test_from_rows_stores_plain_int_masks():
+    class Mask(int):
+        pass
+
+    f = Frame.from_rows(AL1, 2, [[Mask(2), Mask(0)]])
+    assert f.rows(0) == (2, 0) and all(type(m) is int for m in f.rows(0))
 
 
 def test_height_descending_chain_beyond_recursion_limit():

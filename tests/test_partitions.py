@@ -475,6 +475,12 @@ def test_staged_refinement_matches_pair_reference(case, data):
     assert frame_modal_depth(frame, mode="sampled", trials=trials, seed=seed) == expected
 
 
+def test_sampled_depth_of_the_empty_frame():
+    # no points, no blocks: a seed of one empty block [0] would be wrong
+    assert _random_partition_masks(random.Random(0), 0) == []
+    assert frame_modal_depth(uni(0, []), mode="sampled", trials=3) == 0
+
+
 def all_blocks_stages(frame, masks):
     """Block masks of every refinement stage as computed before new-block
     splitters: each stage is the one before split by the preimage of every

@@ -36,19 +36,30 @@ an m-successor in c's block, the m-successors' ``eq`` rows folded by
 ``map(or_, ...)``, and a and b stay together in a lane iff their hits agree
 there for every modality and point. A lane that stops splitting stays
 fixed, so the modal depth is the number of stages in which some lane
-splits; a pair apart in every lane drops out. The table is built per call
-from label bit-planes: bit s of plane k of a point is bit k of its block
-number in lane s, blocks numbered by least point (restricted growth, Knuth
-TAOCP 7.2.1.5), and ``eq[a][b]`` holds the lanes where all planes agree.
-Point a needs a.bit_length() planes, as its block number is at most a.
-The lanes are grouped by block count and grown point by point: group c
-for i + 1 points is c copies of group c for i points, point i joining
-block j in copy j, then group c - 1 with point i opening block c - 1. A
-kept plane is copied by one multiplication; plane k of point i is
-stamped from its runs, the copies with bit k set coming in runs of 2^k
-every 2^(k + 1), by two shifts of the period marks and a subtraction, the
-marks doubling from plane to plane down to the copies themselves. The
-last point's groups go straight into the merged planes.
+splits. Only the live lanes, those that split at the stage before, can
+split again: each stage ANDs a pair's ``eq`` with them before it cuts,
+and a pair drops out once no live lane holds it together.
+
+The lanes come in chunks of at most ``_CHUNK_LANES``, enough for every
+set partition up to 10 points, so memory is n^2 ints of that many bits at
+most. A chunk fixes the block numbers of the first points, blocks
+numbered by least point (restricted growth, Knuth TAOCP 7.2.1.5), and
+holds every partition that extends that prefix; a prefix with more
+extensions than a chunk holds is split by the next point's block. The
+depth is the max over chunks, and a prefix of c blocks is skipped once
+the depth reaches n - c, the most any seed of c blocks reaches. A chunk's
+table is built per call from label bit-planes: bit s of plane k of a
+point is bit k of its block number in lane s, and ``eq[a][b]`` holds the
+lanes where all planes agree. Point a needs a.bit_length() planes, as its
+block number is at most a. The lanes are grouped by block count and
+grown point by point from the prefix's one lane: group c for i + 1 points
+is c copies of group c for i points, point i joining block j in copy j,
+then group c - 1 with point i opening block c - 1. A kept plane is copied
+by one multiplication; plane k of point i is stamped from its runs, the
+copies with bit k set coming in runs of 2^k every 2^(k + 1), by two
+shifts of the period marks and a subtraction, the marks doubling from
+plane to plane down to the copies themselves. The last point's groups go
+straight into the merged planes.
 """
 
 from __future__ import annotations
@@ -237,20 +248,24 @@ def _random_partition_masks(rng: random.Random, n: int) -> list[int]:
     return out
 
 
-def _lane_table(n: int) -> list[list[int]]:
-    """``eq[a][b]`` over one lane per set partition of the n points: bit s
-    is set iff a and b share a block in lane s."""
+def _lane_table(n: int, prefix: Sequence[int] = ()) -> list[list[int]]:
+    """``eq[a][b]`` over one lane per set partition of the n points whose
+    first points have the restricted-growth block numbers ``prefix`` (by
+    default every set partition): bit s is set iff a and b share a block in
+    lane s."""
     # group c: its lane count and planes, point by point: point a has
     # a.bit_length() of them, its block number being at most a, and bit s of
     # its plane k is bit k of that number in the group's lane s
-    groups = [(1, [])]  # no points: one lane, the empty partition
-    planes, offset = [], 0  # the last point's groups, merged side by side
-    for i in range(n):
+    start = [l >> k & 1 for a, l in enumerate(prefix) for k in range(a.bit_length())]
+    groups = [(0, [0] * len(start))] * (len(prefix) + 1)
+    groups[max(prefix, default=-1) + 1] = (1, start)  # the prefix's one lane
+    planes, offset = start, 1  # the last point's groups, merged side by side
+    for i in range(len(prefix), n):
         held = len(groups[0][1])  # planes of the points before i
         groups.append((0, [0] * held))
         grown = [(0, [0] * (held + i.bit_length()))]
         if i == n - 1:  # the merged planes start as that group's zeros
-            planes = grown[0][1]
+            planes, offset = grown[0][1], 0
         for c in range(1, i + 2):
             # c copies of group c, point i joining block j in copy j, then
             # group c - 1, point i opening block c - 1
@@ -292,41 +307,84 @@ def _lane_table(n: int) -> list[list[int]]:
     return eq
 
 
-def _exact_depth(frame: Frame) -> int:
-    """Largest stabilization index over every set partition of the points,
-    one lane per partition, all refined at once (see the module docstring).
-    """
-    n = frame.n
-    eq = _lane_table(n)
-    rows = [frame.rows(m) for m in range(len(frame.alphabet))]
+def _lane_depth(eq: list[list[int]], rows: list[tuple[int, ...]]) -> int:
+    """Largest stabilization index over the lanes of ``eq``, all refined at
+    once under the successor rows (see the module docstring); ``eq`` is
+    refined in place."""
+    n = len(eq)
     zero = [0] * n
     # per point and modality: the eq rows of its successors, or one zero row
     seen = [[[eq[t] for t in iter_bits(r[a])] or [zero] for r in rows] for a in range(n)]
     fold = partial(map, or_)  # two rows ORed entry by entry
     pairs = [(a, b) for a in range(n) for b in range(a)]
+    moved = -1  # the lanes that split at the last stage: at first, all
     depth = 0
     while True:
         # bit s of hit[a][m * n + c] is set iff a has an m-successor in c's
         # block in lane s; every modality reads the same eq
         hit = [[x for rs in per_mod for x in reduce(fold, rs)] for per_mod in seen]
-        split = False
+        cuts = 0
         live = []
         for a, b in pairs:
-            e = eq[a][b]
-            cut = e & reduce(or_, map(xor, hit[a], hit[b]), 0)
-            if cut:
-                split = True
-                e ^= cut
-                eq[a][b] = eq[b][a] = e
+            # a lane that did not split at the last stage never splits again
+            e = eq[a][b] & moved
             if e:
-                live.append((a, b))
-        if not split:
+                cut = e & reduce(or_, map(xor, hit[a], hit[b]), 0)
+                if cut:
+                    cuts |= cut
+                    eq[a][b] = eq[b][a] = eq[a][b] ^ cut
+                    e ^= cut
+                if e:
+                    live.append((a, b))
+        if not cuts:
             return depth
         depth += 1
-        pairs = live
+        pairs, moved = live, cuts
 
 
-EXACT_DEPTH_LIMIT = 10
+EXACT_DEPTH_LIMIT = 12
+
+
+def _placements(n: int) -> list[list[int]]:
+    """``ways[r][c]``: the ways to place r more points after c blocks, each
+    point joining a block or opening the next; ``ways[n][0]`` is Bell(n)."""
+    ways = [[1] * (n + 1)]
+    for _ in range(n):
+        last = ways[-1]
+        ways.append([c * last[c] + last[c + 1] for c in range(len(last) - 1)])
+    return ways
+
+
+_PLACEMENTS = _placements(EXACT_DEPTH_LIMIT)
+
+# Lanes per chunk of the exact-depth table: up to 10 points, Bell(10) =
+# 115975 lanes, every set partition fits in one. On a dense 12-point frame
+# with three modalities, 2^16 lanes took 1.26 times as long and 2^18 lanes
+# 1.09 times as long, with 1.6 times the memory
+_CHUNK_LANES = 1 << 17
+
+
+def _exact_depth(frame: Frame, chunk_lanes: int = _CHUNK_LANES) -> int:
+    """Largest stabilization index over every set partition of the points,
+    one lane per partition, refined in chunks of at most ``chunk_lanes``
+    lanes (see the module docstring). Tests pass a small ``chunk_lanes`` to
+    run the chunked path on frames small enough for the references.
+    """
+    n = frame.n
+    rows = [frame.rows(m) for m in range(len(frame.alphabet))]
+    depth = 0
+    prefixes = [()]  # restricted-growth block numbers of the first points
+    while prefixes:
+        prefix = prefixes.pop()
+        c = max(prefix, default=-1) + 1
+        if n - c <= depth:  # a seed of c blocks has index at most n - c
+            continue
+        if _PLACEMENTS[n - len(prefix)][c] > chunk_lanes:
+            # the next point joins each block or opens one, block 0 first
+            prefixes += [prefix + (l,) for l in reversed(range(c + 1))]
+        else:
+            depth = max(depth, _lane_depth(_lane_table(n, prefix), rows))
+    return depth
 
 
 def frame_modal_depth(
@@ -339,10 +397,10 @@ def frame_modal_depth(
     refinement sequence over seed partitions of the points.
 
     Exact mode covers every set partition (Bell-number many, so the point
-    count is capped at 10); the sequence depends only on the partition
-    induced by a seeding family, which is why set partitions suffice. It
-    refines all of them at once, one bit lane each. Sampled mode maximizes
-    over random seed partitions and is only a lower bound.
+    count is capped at ``EXACT_DEPTH_LIMIT``); the sequence depends only on
+    the partition induced by a seeding family, which is why set partitions
+    suffice. It refines them in chunks, one bit lane each. Sampled mode
+    maximizes over random seed partitions and is only a lower bound.
     """
     trials, seed = _nat(trials, "trials"), _index(seed, "seed")
     n = frame.n

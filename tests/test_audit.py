@@ -170,7 +170,7 @@ def test_unknown_suite():
 
 def test_exact_depth_suites_reject_large_frames():
     with pytest.raises(ValueError, match="exact"):
-        run_suite("top-down", GenSpec(n_max=11), 1)
+        run_suite("top-down", GenSpec(n_max=partitions.EXACT_DEPTH_LIMIT + 1), 1)
     with pytest.raises(ValueError, match="md-sum"):
         run_suite("md-sum", GenSpec(n_max=8), 1)
 
@@ -178,7 +178,7 @@ def test_exact_depth_suites_reject_large_frames():
 def test_exact_depth_bound_scales_with_the_suite():
     # md-sum takes the depth of a sum of two frames, top-down of one frame
     with pytest.raises(ValueError, match="md-sum.*exact modal depth"):
-        run_suite("md-sum", GenSpec(n_max=6), 1)
+        run_suite("md-sum", GenSpec(n_max=partitions.EXACT_DEPTH_LIMIT // 2 + 1), 1)
     assert run_suite("md-sum", GenSpec(n_max=4), 0).ok()
     assert run_suite("top-down", GenSpec(n_max=8), 0).ok()
 

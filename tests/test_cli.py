@@ -88,17 +88,18 @@ def test_frame_md(chain3, capsys):
 
 def test_frame_md_too_large(tmp_path, capsys):
     path = tmp_path / "big.json"
-    dump_frame(Frame(default_alphabet(1), 11, [set()]), path)
+    dump_frame(Frame(default_alphabet(1), partitions.EXACT_DEPTH_LIMIT + 1, [set()]), path)
     assert cli.main(["frame", "md", str(path)]) == 2
     assert "--sample" in capsys.readouterr().err
 
 
 def test_frame_md_too_large_reports_the_library_limit_with_one_hint(tmp_path, capsys):
     path = tmp_path / "big.json"
-    dump_frame(Frame(default_alphabet(1), 11, [set()]), path)
+    dump_frame(Frame(default_alphabet(1), partitions.EXACT_DEPTH_LIMIT + 1, [set()]), path)
     assert cli.main(["frame", "md", str(path)]) == 2
     err = capsys.readouterr().err
-    assert f"needs n <= {partitions.EXACT_DEPTH_LIMIT}, got 11" in err
+    limit = partitions.EXACT_DEPTH_LIMIT
+    assert f"needs n <= {limit}, got {limit + 1}" in err
     assert err.count("--sample") == 1
 
 

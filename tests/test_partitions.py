@@ -18,8 +18,13 @@ from modalwb.frames import (
     transitivity_index,
 )
 from modalwb.partitions import (
+    _CHUNK_LANES,
+    _PLACEMENTS,
+    EXACT_DEPTH_LIMIT,
     CapExceeded,
     Partition,
+    _exact_depth,
+    _lane_depth,
     _lane_table,
     _random_partition_masks,
     _split_masks,
@@ -283,7 +288,7 @@ def test_frame_modal_depth_only_coarse_seed_reaches_max():
 def test_frame_modal_depth_modes():
     assert frame_modal_depth(CHAIN3, mode="sampled", trials=50, seed=1) <= 2
     with pytest.raises(ValueError, match="exact"):
-        frame_modal_depth(uni(11, []), mode="exact")
+        frame_modal_depth(uni(EXACT_DEPTH_LIMIT + 1, []), mode="exact")
     with pytest.raises(ValueError, match="mode"):
         frame_modal_depth(CHAIN3, mode="nope")
 
@@ -730,7 +735,7 @@ def grouped_lane_table(n):
 
 @pytest.mark.parametrize("n", range(11))
 def test_lane_table_matches_grouped_membership_rows(n):
-    # 10 points, Bell(10) = 115975 lanes, are the exact-depth limit; the
+    # 10 points, Bell(10) = 115975 lanes, are the largest one-chunk table; the
     # plane count (n - 1).bit_length() changes at 2, 3, 5 and 9 points
     assert _lane_table(n) == grouped_lane_table(n)
 
@@ -818,3 +823,98 @@ def test_frame_modal_depth_small_and_extreme_frames():
     assert frame_modal_depth(uni(8, [(a, a + 1) for a in range(7)])) == 7
     assert frame_modal_depth(uni(8, [])) == 0
     assert frame_modal_depth(uni(8, [(a, b) for a in range(8) for b in range(8)])) == 0
+
+
+def table_lanes(n, eq):
+    """The partition each lane of a lane table holds, lane by lane."""
+    return [
+        frozenset(frozenset(b for b in range(n) if eq[a][b] >> s & 1) for a in range(n))
+        for s in range(eq[0][0].bit_length())
+    ]
+
+
+def growth_prefixes(j):
+    """Every restricted-growth sequence of j block numbers."""
+    out = [()]
+    for _ in range(j):
+        out = [p + (l,) for p in out for l in range(max(p, default=-1) + 2)]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lane_table_chunks_hold_the_extensions_of_their_prefix(n):
+    expected = [frozenset(p) for p in oracles.set_partitions(range(n))]
+    for j in range(min(n, 3) + 1):
+        held = Counter()
+        for prefix in growth_prefixes(j):
+            lanes = table_lanes(n, _lane_table(n, prefix))
+            # the partitions whose first j points are apart or together as
+            # the prefix's block numbers say
+            extending = [
+                p
+                for p in expected
+                if all(
+                    any({a, b} <= block for block in p) == (prefix[a] == prefix[b])
+                    for a in range(j)
+                    for b in range(a)
+                )
+            ]
+            assert Counter(lanes) == Counter(extending)
+            assert len(lanes) == _PLACEMENTS[n - j][max(prefix, default=-1) + 1]
+            held.update(lanes)
+        assert held == Counter(expected)  # every partition in exactly one chunk
+
+
+def test_one_table_up_to_ten_points():
+    assert [_PLACEMENTS[n][0] for n in range(13)] == [
+        1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597
+    ]
+    assert _PLACEMENTS[10][0] <= _CHUNK_LANES < _PLACEMENTS[11][0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_chunked_depth_matches_one_table_and_memoised_seeds(data):
+    n = data.draw(st.integers(0, 8))
+    rows = st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+    rels = [
+        {(a, b) for a, row in enumerate(data.draw(rows)) for b in range(n) if row >> b & 1}
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    frame = Frame(default_alphabet(len(rels)), n, rels)
+    chunk = data.draw(st.integers(1, 64))
+    assert _exact_depth(frame, chunk) == _exact_depth(frame) == memoised_exact_depth(frame)
+
+
+@pytest.mark.parametrize("mods", [1, 3])
+def test_lanes_that_settle_early_keep_their_fixpoint(mods):
+    # a 4-chain beside a 2-chain: seeds settle at every stage from 0 to 3,
+    # and each lane must end at its own seed's coarsest tuned refinement
+    n = 6
+    pairs = [(0, 1), (1, 2), (2, 3), (4, 5)]
+    frame = Frame(default_alphabet(mods), n, [set(pairs[m::mods]) for m in range(mods)])
+    seeds = table_lanes(n, _lane_table(n))
+    eq = _lane_table(n)
+    depth = _lane_depth(eq, [frame.rows(m) for m in range(mods)])
+    indices = Counter(refine_sequence(frame, seed)[1] for seed in seeds)
+    assert depth == max(indices) == memoised_exact_depth(frame)
+    assert len(indices) == depth + 1  # some lane settles at every stage
+    for seed, fixed in zip(seeds, table_lanes(n, eq)):
+        assert fixed == frozenset(coarsest_tuned_refinement(frame, Partition.of(n, seed)).blocks)
+
+
+def test_chunked_depth_matches_one_table_at_eleven_points():
+    # Bell(11) = 678570 lanes take several chunks; one table of them all
+    # is about 0.1 s and 20 MB
+    rng = random.Random(1100)
+    frames = [
+        uni(11, [(a, a + 1) for a in range(10)]),
+        uni(11, [(a, (a + 1) % 11) for a in range(11)]),
+        random_frame(rng, 11, mods=2, density=0.25),
+    ]
+    for f in frames:
+        assert _exact_depth(f) == _exact_depth(f, _PLACEMENTS[11][0])
+
+
+def test_frame_modal_depth_at_twelve_points():
+    assert frame_modal_depth(uni(12, [(a, a + 1) for a in range(11)])) == 11

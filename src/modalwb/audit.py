@@ -256,19 +256,19 @@ def _suite_tuned_equivalences(spec: GenSpec, rng: random.Random, trial: int):
     return frame, law
 
 
-def _pick_correspondence_frame(spec, rng, max_index=3, max_height=None):
+def _pick_correspondence_frame(spec, rng):
+    # both bounds are the 3 of the suite's rng.randint(..., 3) draws:
+    # m = randint(index, 3) needs an index of at most 3, and h = randint(0, 3)
+    # then spans every height the frame and its restrictions can have
     for _ in range(REJECTION_BUDGET):
         frame = random_frame(spec, rng)
-        if frames.transitivity_index(frame) > max_index:
-            continue
-        if max_height is not None and frames.height(frame) > max_height:
-            continue
-        return frame
+        if frames.transitivity_index(frame) <= 3 and frames.height(frame) <= 3:
+            return frame
     raise GenerationError("rejection budget exhausted for correspondence frame")
 
 
 def _suite_height_correspondence(spec: GenSpec, rng: random.Random, trial: int):
-    frame = _pick_correspondence_frame(spec, rng, max_index=3, max_height=3)
+    frame = _pick_correspondence_frame(spec, rng)
     h = rng.randint(0, 3)
     m = rng.randint(frames.transitivity_index(frame), 3)
     mods = tuple(range(len(frame.alphabet)))

@@ -1,16 +1,17 @@
 """Command-line surface.
 
 Subcommands: ``frame info``, ``frame md``, ``check``, ``count``, ``tune``,
-``audit``, ``export dot``. Each call builds the parser of only the
-subcommand it runs, or the full tree when the first argument names no
-subcommand, so help and error output are the same either way. ``main``
-loads the frame file, maps errors to exit 2 and prints the result: each
-``_cmd_*(args, frame)`` returns ``(data, exit code, text lines)``, and
-``--json``, which every subcommand accepts, prints ``data`` as one JSON
-line in place of the lines. Exit codes: 0 success, 1 property failure
-(invalid formula, audit failures or errored trials), 2 usage or input
-errors: every ``ValueError``, ``CapExceeded`` or ``PathBudgetExceeded``
-that reaches ``main`` prints ``error: <message>``.
+``audit``, ``export dot``, each declared once as a row of ``_LEAVES``;
+``_build_parser``'s one loop makes their parsers and adds ``--json`` to
+every leaf. Each call builds the parser of only the subcommand it runs, or
+the full tree when the first argument names no subcommand, so help and
+error output are the same either way. ``main`` loads the frame file, maps
+errors to exit 2 and prints the result: each ``_cmd_*(args, frame)``
+returns ``(data, exit code, text lines)``, and ``--json`` prints ``data``
+as one JSON line in place of the lines. Exit codes: 0 success, 1 property
+failure (invalid formula, audit failures or errored trials), 2 usage or
+input errors: every ``ValueError``, ``CapExceeded`` or
+``PathBudgetExceeded`` that reaches ``main`` prints ``error: <message>``.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def _cmd_audit(args, frame):
     spec = record.spec if args.seed is None else dataclasses.replace(record.spec, seed=args.seed)
     trials = record.trials if args.trials is None else args.trials
     report = audit.run_suite(args.suite, spec, trials)
-    if args.out:
+    if args.out is not None:
         try:
             audit.emit_report(report, args.out)
         except OSError as exc:
@@ -154,75 +155,40 @@ def _cmd_export_dot(args, frame):
     return {"dot": dot}, 0, [dot.removesuffix("\n")]
 
 
-def _add_frame(sub) -> None:
-    frame_p = sub.add_parser("frame", help="frame inspection")
-    frame_sub = frame_p.add_subparsers(dest="frame_command", required=True)
-    info_p = frame_sub.add_parser("info", help="relational invariants of a frame")
-    info_p.add_argument("path")
-    info_p.add_argument("--json", action="store_true")
-    info_p.set_defaults(fn=_cmd_frame_info)
-    md_p = frame_sub.add_parser("md", help="modal depth of a frame")
-    md_p.add_argument("path")
-    md_p.add_argument("--sample", type=int, metavar="N")
-    md_p.add_argument("--seed", type=int, default=0)
-    md_p.add_argument("--json", action="store_true")
-    md_p.set_defaults(fn=_cmd_frame_md)
-
-
-def _add_check(sub) -> None:
-    check_p = sub.add_parser("check", help="brute-force validity of a formula")
-    check_p.add_argument("path")
-    check_p.add_argument("formula")
-    check_p.add_argument("--cap", type=int, default=semantics.DEFAULT_VALUATION_CAP)
-    check_p.add_argument("--json", action="store_true")
-    check_p.set_defaults(fn=_cmd_check)
-
-
-def _add_count(sub) -> None:
-    count_p = sub.add_parser("count", help="count nonequivalent k-formulas")
-    count_p.add_argument("path")
-    count_p.add_argument("-k", type=int, required=True)
-    count_p.add_argument("--cap", type=int, default=partitions.DEFAULT_PROFILE_CAP)
-    count_p.add_argument("--json", action="store_true")
-    count_p.set_defaults(fn=_cmd_count)
-
-
-def _add_tune(sub) -> None:
-    tune_p = sub.add_parser("tune", help="coarsest tuned refinement of seed sets")
-    tune_p.add_argument("path")
-    tune_p.add_argument("--sets", required=True, help="JSON list of point lists")
-    tune_p.add_argument("--json", action="store_true")
-    tune_p.set_defaults(fn=_cmd_tune)
-
-
-def _add_audit(sub) -> None:
-    audit_p = sub.add_parser("audit", help="run a property suite")
-    audit_p.add_argument("suite")
-    audit_p.add_argument("--trials", type=int)
-    audit_p.add_argument("--seed", type=int)
-    audit_p.add_argument("--out")
-    audit_p.add_argument("--json", action="store_true")
-    audit_p.set_defaults(fn=_cmd_audit)
-
-
-def _add_export(sub) -> None:
-    export_p = sub.add_parser("export", help="export a frame")
-    export_sub = export_p.add_subparsers(dest="export_command", required=True)
-    dot_p = export_sub.add_parser("dot", help="Graphviz DOT rendering")
-    dot_p.add_argument("path")
-    dot_p.add_argument("--json", action="store_true")
-    dot_p.set_defaults(fn=_cmd_export_dot)
-
-
-# top-level commands in help order
-_COMMANDS = {
-    "frame": _add_frame,
-    "check": _add_check,
-    "count": _add_count,
-    "tune": _add_tune,
-    "audit": _add_audit,
-    "export": _add_export,
-}
+# every leaf command: its words, help, handler and arguments but --json;
+# the top-level commands come in help order
+_LEAVES = [
+    ("frame info", "relational invariants of a frame", _cmd_frame_info, [("path", {})]),
+    ("frame md", "modal depth of a frame", _cmd_frame_md, [
+        ("path", {}),
+        ("--sample", {"type": int, "metavar": "N"}),
+        ("--seed", {"type": int, "default": 0}),
+    ]),
+    ("check", "brute-force validity of a formula", _cmd_check, [
+        ("path", {}),
+        ("formula", {}),
+        ("--cap", {"type": int, "default": semantics.DEFAULT_VALUATION_CAP}),
+    ]),
+    ("count", "count nonequivalent k-formulas", _cmd_count, [
+        ("path", {}),
+        ("-k", {"type": int, "required": True}),
+        ("--cap", {"type": int, "default": partitions.DEFAULT_PROFILE_CAP}),
+    ]),
+    ("tune", "coarsest tuned refinement of seed sets", _cmd_tune, [
+        ("path", {}),
+        ("--sets", {"required": True, "help": "JSON list of point lists"}),
+    ]),
+    ("audit", "run a property suite", _cmd_audit, [
+        ("suite", {}),
+        ("--trials", {"type": int}),
+        ("--seed", {"type": int}),
+        ("--out", {}),
+    ]),
+    ("export dot", "Graphviz DOT rendering", _cmd_export_dot, [("path", {})]),
+]
+# the help of each command that groups leaves
+_GROUP_HELP = {"frame": "frame inspection", "export": "export a frame"}
+_COMMANDS = tuple(dict.fromkeys(words.partition(" ")[0] for words, *_ in _LEAVES))
 
 
 def _build_parser(only=None) -> argparse.ArgumentParser:
@@ -232,17 +198,26 @@ def _build_parser(only=None) -> argparse.ArgumentParser:
         prog="modalwb",
         description="Workbench for finite polymodal Kripke frames.",
     )
-    if only in _COMMANDS:
-        # the metavar keeps the full command list in usage lines; the full
-        # tree must not take it, as it would rename "argument command:"
-        sub = parser.add_subparsers(
-            dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}"
-        )
-        _COMMANDS[only](sub)
-    else:
-        sub = parser.add_subparsers(dest="command", required=True)
-        for add in _COMMANDS.values():
-            add(sub)
+    # the metavar keeps the full command list in usage lines; the full tree
+    # must not take it, as it would rename "argument command:"
+    metavar = "{" + ",".join(_COMMANDS) + "}" if only in _COMMANDS else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    groups = {}
+    for words, help, fn, arguments in _LEAVES:
+        command, _, leaf = words.partition(" ")
+        if only in _COMMANDS and command != only:
+            continue
+        parent = sub
+        if leaf:
+            if command not in groups:
+                group = sub.add_parser(command, help=_GROUP_HELP[command])
+                groups[command] = group.add_subparsers(dest=f"{command}_command", required=True)
+            parent = groups[command]
+        leaf_p = parent.add_parser(leaf or command, help=help)
+        for name, options in arguments:
+            leaf_p.add_argument(name, **options)
+        leaf_p.add_argument("--json", action="store_true")
+        leaf_p.set_defaults(fn=fn)
     return parser
 
 

@@ -255,9 +255,13 @@ def test_frame_path_that_is_a_directory(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: cannot read frame file {tmp_path}: ")
 
 
-@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+@pytest.mark.parametrize("where", ["directory", "missing-directory", "empty"])
 def test_audit_out_path_that_cannot_be_written(tmp_path, capsys, where):
-    out = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+    out = {
+        "directory": tmp_path,
+        "missing-directory": tmp_path / "missing" / "report.json",
+        "empty": "",
+    }[where]
     assert cli.main(["audit", "md-sum", "--trials", "1", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write report {out}: ")
 
@@ -488,3 +492,29 @@ def test_entry_point_reads_sys_argv(chain3, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith(
         "usage: modalwb [-h] {frame,check,count,tune,audit,export} ...\n"
     )
+
+
+# the usage line of each leaf, whitespace-normalised
+LEAF_USAGES = {
+    "frame info": "usage: modalwb frame info [-h] [--json] path",
+    "frame md": "usage: modalwb frame md [-h] [--sample N] [--seed SEED] [--json] path",
+    "check": "usage: modalwb check [-h] [--cap CAP] [--json] path formula",
+    "count": "usage: modalwb count [-h] -k K [--cap CAP] [--json] path",
+    "tune": "usage: modalwb tune [-h] --sets SETS [--json] path",
+    "audit": "usage: modalwb audit [-h] [--trials TRIALS] [--seed SEED] [--out OUT] [--json] suite",
+    "export dot": "usage: modalwb export dot [-h] [--json] path",
+}
+
+
+@pytest.mark.parametrize("command", LEAF_USAGES)
+def test_every_leaf_prints_its_usage(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.main([*command.split(), "-h"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert " ".join(usage.split()) == LEAF_USAGES[command]
+
+
+@pytest.mark.parametrize("argv", [["frame", "bogus"], ["export", "png"]])
+def test_invalid_group_command_names_the_group_argument(capsys, argv):
+    assert cli.main(argv) == 2
+    assert f"error: argument {argv[0]}_command: invalid choice" in capsys.readouterr().err

@@ -51,12 +51,8 @@ def _cmd_frame_info(args, frame):
         "path_reducible_at_index": reducible,
     }
     return data, 0, [
-        f"points: {data['points']}",
-        f"alphabet: {', '.join(data['alphabet'])}",
-        f"transitivity index: {data['transitivity_index']}",
-        f"height: {data['height']}",
-        f"clusters: {data['clusters']}",
-        f"path reducible at index: {data['path_reducible_at_index']}",
+        f"{key.replace('_', ' ')}: {', '.join(value) if key == 'alphabet' else value}"
+        for key, value in data.items()
     ]
 
 

@@ -205,20 +205,15 @@ def refine_sequence(
     preimage of each of those blocks. Returns the trace of partitions up to
     and including the first fixpoint, and the stabilization index (the
     least d with stage d equal to stage d+1). Each partition in the trace
-    carries per-block birth stages.
+    carries per-block birth stages, and the trace's partitions share the
+    point set of every block that survives a stage.
     """
     n = frame.n
-    births: dict[int, int] = {}
+    record: dict[int, tuple[int, frozenset[int]]] = {}  # block mask -> (birth, points)
     trace = []
     for stage, blocks in enumerate(_stages(frame, [_checked_mask(n, s) for s in initial])):
-        births = {b: births.get(b, stage) for b in blocks}
-        trace.append(
-            Partition(
-                n,
-                tuple(points_of(b) for b in blocks),
-                tuple(births[b] for b in blocks),
-            )
-        )
+        recs = [record.get(b) or record.setdefault(b, (stage, points_of(b))) for b in blocks]
+        trace.append(Partition(n, tuple(r[1] for r in recs), tuple(r[0] for r in recs)))
     return trace, len(trace) - 1
 
 

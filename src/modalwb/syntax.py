@@ -563,15 +563,16 @@ def difference_axioms(diff: int, others: Iterable[int] = ()) -> tuple[Formula, .
     return tuple(out)
 
 
+# each kind's parameters are its builder's, except that the schema calls f formula
 _SCHEMAS = {
     "diamond_union": lambda subset, formula: diamond_union(subset, formula),
     "diamond_upto": lambda m, subset, formula: diamond_upto(m, subset, formula),
-    "atr": lambda subset, m: pretransitivity_axiom(subset, m),
-    "B": lambda h: finite_height_axiom(h),
-    "B_star": lambda h, m, subset: finite_height_axiom_star(h, m, subset),
-    "Rm": lambda m, subset: reducible_path_axiom(m, subset),
-    "phi_lex": lambda vertical, horizontal: lex_sum_axioms(vertical, horizontal),
-    "diff_axioms": lambda diff, others=(): difference_axioms(diff, others),
+    "atr": pretransitivity_axiom,
+    "B": finite_height_axiom,
+    "B_star": finite_height_axiom_star,
+    "Rm": reducible_path_axiom,
+    "phi_lex": lex_sum_axioms,
+    "diff_axioms": difference_axioms,
 }
 
 

@@ -248,6 +248,32 @@ def test_errored_trials_are_reported_not_fatal(tmp_path):
     assert [e["trial"] for e in data["errors"]] == [e.trial for e in report.errors]
 
 
+def test_a_class_the_sampler_cannot_hit_errors_every_trial():
+    # density 1 draws only the complete 3-point relation, whose index is 1, not 0
+    spec = GenSpec(n_min=3, n_max=3, density=1.0, structure="pretransitive", param=0)
+    report = run_suite("atr-correspondence", spec, 2)
+    assert report.passes == 0 and not report.ok()
+    assert [e.trial for e in report.errors] == [0, 1]
+    assert all(e.detail.startswith("GenerationError: could not generate") for e in report.errors)
+
+
+def test_correspondence_frame_budget_runs_out(monkeypatch):
+    # every draw is too tall, so the picker gives up after its budget
+    monkeypatch.setattr(audit, "REJECTION_BUDGET", 3)
+    monkeypatch.setattr(frames, "height", lambda frame: 4)
+    report = run_suite("height-correspondence", GenSpec(n_max=4, density=0.3), 2)
+    assert report.passes == 0 and not report.ok()
+    assert [e.detail for e in report.errors] == [
+        "GenerationError: rejection budget exhausted for correspondence frame"
+    ] * 2
+
+
+def test_byrd_law_passes_proper_restrictions_vacuously():
+    frame, law = audit.SUITES["byrd-frame"].draw(GenSpec(), random.Random(0), 0)
+    assert frame.n == 5
+    assert law([0, 1]) == (True, "proper restriction, vacuous")
+
+
 OUTCOMES = {
     "gen": audit.GenerationError("no frame"),
     "cap": partitions.CapExceeded("too many valuations"),

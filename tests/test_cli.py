@@ -67,6 +67,22 @@ def test_frame_info_clusters_match_skeleton(tmp_path, capsys):
         assert out["clusters"] == len(skeleton(frame).clusters)
 
 
+def test_frame_info_text_follows_the_json_keys(tmp_path, capsys):
+    # each line is a key with spaces for underscores; no modalities leave
+    # "alphabet: " with its trailing space
+    path = tmp_path / "point.json"
+    path.write_text('{"alphabet": [], "points": 1, "rel": {}}')
+    assert cli.main(["frame", "info", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "points: 1",
+        "alphabet: ",
+        "transitivity index: 0",
+        "height: 1",
+        "clusters: 1",
+        "path reducible at index: True",
+    ]
+
+
 def test_frame_info_past_the_path_budget(chain3, capsys, monkeypatch):
     def over_budget(*args, **kwargs):
         raise frames.PathBudgetExceeded("budget")

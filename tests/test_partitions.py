@@ -196,6 +196,24 @@ def test_birth_stages_monotone():
         assert max(trace[-1].birth, default=0) == stab
 
 
+def test_surviving_blocks_share_one_point_set():
+    # a block present at stages s and s + 1 is one frozenset, not a copy
+    rng = random.Random(4)
+    for _ in range(100):
+        f = random_frame(rng, rng.randint(1, 6), mods=rng.randint(1, 2))
+        family = [{p for p in range(f.n) if rng.random() < 0.5}]
+        trace, _ = refine_sequence(f, family)
+        for prev, part in zip(trace, trace[1:]):
+            earlier = {blk: blk for blk in prev.blocks}
+            for blk in part.blocks:
+                if blk in earlier:
+                    assert blk is earlier[blk]
+    # the seed {63} of a 64-chain survives all 62 stages as one object
+    trace, stab = refine_sequence(uni(64, [(p, p + 1) for p in range(63)]), [{63}])
+    assert stab == 62
+    assert all(part.blocks[-1] is trace[0].blocks[-1] == {63} for part in trace)
+
+
 def test_splitter_pair_law():
     # blocks born later are constant on preimages of any earlier block
     rng = random.Random(3)

@@ -606,6 +606,13 @@ def test_modality_subsets_reject_bools():
         build_schema("atr", subset=(False,), m=1)
 
 
+def test_build_schema_names_the_builder_a_bad_parameter_reached():
+    with pytest.raises(ValueError, match=r"'atr': pretransitivity_axiom\(\) missing"):
+        build_schema("atr", m=1)
+    with pytest.raises(ValueError, match=r"'diff_axioms': difference_axioms\(\) got an unexpected"):
+        build_schema("diff_axioms", diff=0, extra=1)
+
+
 def test_build_schema_rejects_non_integer_parameters():
     with pytest.raises(ValueError, match="invalid parameters for schema 'atr'"):
         build_schema("atr", subset=(0,), m=2.9)

@@ -3,7 +3,7 @@ sequences, coarsest tuned refinements, frame modal depth, and subalgebra
 counting.
 
 Refinement from a family of point sets runs through one staged loop,
-``_stages`` (exact modal depth has its own, below): stage 0 is the
+``_stages`` (exact depth and counts have their own, below): stage 0 is the
 partition induced by the family, and each later stage splits the previous
 one by the modal preimages of its blocks. Only the blocks the previous
 stage created need to split it: a block that survived from the stage
@@ -60,18 +60,23 @@ copies with bit k set coming in runs of 2^k every 2^(k + 1), by two
 shifts of the period marks and a subtraction, the marks doubling from
 plane to plane down to the copies themselves. The last point's groups go
 straight into the merged planes.
+
+Formula counts refine one type per (valuation, point) pair: the staged
+loop on the disjoint sum of one frame copy per valuation, without the
+sum, as refinement never crosses copies. A stage interns each pair's
+signature (Blom & Orzan 2003): its own type and, per modality, the
+types of its successors under the same valuation.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import partial, reduce
 from operator import or_, xor
 from typing import Iterable, Sequence
 
-from .frames import Frame, _checked_mask, disjoint_sum, iter_bits, mask_of, points_of
+from .frames import Frame, _checked_mask, iter_bits, mask_of, points_of
 from .syntax import _index, _nat
 
 
@@ -179,8 +184,11 @@ def _stages(frame: Frame, initial_masks: Iterable[int]):
         nxt = _split_masks(cur, [pre[b] for pre in pres for b in fresh])
         if len(nxt) == len(cur):
             return
-        old = set(cur)
-        fresh = [b for b in nxt if b not in old]
+        # _split_masks keeps every block it does not cut as the same int
+        # object; were that lost, every block would count as fresh, the
+        # all-blocks rule, which gives the same stages
+        old = set(map(id, cur))
+        fresh = [b for b in nxt if id(b) not in old]
         cur = nxt
 
 
@@ -422,19 +430,22 @@ def subalgebra_size(frame: Frame, generators: Iterable[Iterable[int]]) -> int:
 
 # count_k_formulas on n-point random frames of density 0.35 drawn from
 # random.Random(n) (one modality, a 2-core x86-64 Xeon host, CPython 3.11.7):
-# 8 points with k = 1 (256 profiles) took 0.05-0.28 s over five frames,
-# 9 points with k = 1 (512) 1.9-2.6 s over two, 10 points with k = 1 (1024)
-# 27-31 s over two, and 6 points with k = 2 (4096) 21 s. At this cap n * k <= 8,
-# so for k >= 1 the disjoint sum has at most 256 * 8 = 2048 points, frames.POINT_LIMIT.
+# 8 points with k = 1 (256 profiles) took 5-10 ms over five frames, 9 points
+# with k = 1 (512) 27-40 ms over two, 10 points with k = 1 (1024) 0.11-0.14 s
+# over two, 6 points with k = 2 (4096) 0.25 s, and 12 points with k = 1 (4096)
+# 2.4-2.5 s at a peak of 578 MB, as the keys grow with the type count.
 DEFAULT_PROFILE_CAP = 256
 
 
 def count_k_formulas(frame: Frame, k: int, cap: int = DEFAULT_PROFILE_CAP) -> int:
     """Number of pairwise nonequivalent k-formulas over the frame's logic.
 
-    Builds the disjoint sum of one copy of the frame per k-valuation, seeds
-    one generator per variable (the union of its extents across copies), and
-    counts the generated subalgebra.
+    Each (valuation, point) pair has a type, at first the point's literal
+    profile under the valuation; each stage splits the types by the types
+    of the successors under the same valuation, up to the first stage that
+    splits none. A formula's extents across all valuations are a union of
+    final types, and every union is one, so the count is 2 to the number
+    of types.
     """
     k, cap = _nat(k, "k"), _nat(cap, "cap")
     n = frame.n
@@ -443,13 +454,18 @@ def count_k_formulas(frame: Frame, k: int, cap: int = DEFAULT_PROFILE_CAP) -> in
         raise CapExceeded(f"2^{bits} valuation profiles exceed cap {cap}")
     if not n:  # one empty profile, whatever k: the subalgebra {0}
         return 1
-    profiles = 1 << bits
-    big = disjoint_sum([frame] * profiles, frame.alphabet)
-    gen_masks = [0] * k
-    off = 0
-    for combo in itertools.product(range(1 << n), repeat=k):
-        for l, m in enumerate(combo):
-            gen_masks[l] |= m << off
-        off += n
-    *_, fixed = _stages(big, gen_masks)
-    return 2 ** len(fixed)
+    rows = [frame.rows(m) for m in range(len(frame.alphabet))]
+    edges = [(p, m, q) for m, r in enumerate(rows, 1) for p in range(n) for q in iter_bits(r[p])]
+    # keys[p][v]: valuation v gives point p the literal profile in bits p*k..p*k+k-1
+    keys = [[v >> p * k & (1 << k) - 1 for v in range(1 << bits)] for p in range(n)]
+    classes, ids = 0, {}
+    while True:
+        types = [[ids.setdefault(key, len(ids)) for key in row] for row in keys]
+        if len(ids) == classes:  # types only split: a stage that splits none is the fixpoint
+            return 2**classes
+        classes, ids = len(ids), {}  # frees the old keys before the new are built
+        # field 0 the own type, field m the OR of 1 << t over the types t of the
+        # (m - 1)-successors in the same valuation; a field is classes bits wide
+        keys = list(types)
+        for p, m, q in edges:
+            keys[p] = [key | 1 << t + m * classes for key, t in zip(keys[p], types[q])]

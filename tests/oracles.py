@@ -3,14 +3,17 @@
 Everything here works on plain Python sets of frozensets and naive loops
 over relation pairs, deliberately avoiding the bitmask machinery, the
 compiled evaluator, and the split-based refinement of the package under
-test.
+test. The one exception is ``disjoint_sum_count``, the formula count as the
+package computed it through a disjoint sum, kept as the reference for the
+count that replaced it.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from modalwb.frames import Frame
+from modalwb.frames import Frame, disjoint_sum
+from modalwb.partitions import _stages
 from modalwb.syntax import Alphabet, And, Dia, Falsum, Imp, Neg, Or, Var, conj
 
 
@@ -288,6 +291,26 @@ def formula_count_oracle(frame, k):
         if not extra:
             return len(out)
         out |= extra
+
+
+def disjoint_sum_count(frame, k):
+    """Number of nonequivalent k-formulas through the disjoint sum of one
+    copy of the frame per k-valuation: one generator per variable (the
+    union of its extents across copies), and 2 to the block count of the
+    generated subalgebra's coarsest tuned refinement."""
+    n = frame.n
+    if not n:  # one empty profile, whatever k: the subalgebra {0}
+        return 1
+    profiles = 1 << n * k
+    big = disjoint_sum([frame] * profiles, frame.alphabet)
+    gen_masks = [0] * k
+    off = 0
+    for combo in itertools.product(range(1 << n), repeat=k):
+        for l, m in enumerate(combo):
+            gen_masks[l] |= m << off
+        off += n
+    *_, fixed = _stages(big, gen_masks)
+    return 2 ** len(fixed)
 
 
 def warshall_closure_rows(rows, reflexive):

@@ -367,6 +367,19 @@ def test_byrd_family_values():
         assert frames.height(non_adjacent_frame(size)) == 1
 
 
+def test_byrd_family_separates_finite_height_from_local_tabularity():
+    # height 1 and transitivity index 2 throughout, while the number of
+    # nonequivalent one-variable formulas grows with the frame (N = 4 is
+    # left out: its count, 2^24, is above N = 5's 2^20)
+    counts = []
+    for size in range(5, 11):
+        frame = non_adjacent_frame(size)
+        assert frames.height(frame) == 1
+        assert frames.transitivity_index(frame) == 2
+        counts.append(partitions.count_k_formulas(frame, 1, cap=1 << size))
+    assert all(a < b for a, b in zip(counts, counts[1:]))
+
+
 def test_byrd_family_is_reflexive_and_symmetric():
     from modalwb import semantics
     from modalwb.syntax import default_alphabet, parse

@@ -459,6 +459,40 @@ def test_count_k_formulas_matches_vector_oracle():
     assert checked >= 10
 
 
+@st.composite
+def count_cases(draw):
+    # n * k <= 8, the default cap; 0 points and 0 modalities included, and
+    # density 0 or 1 half the time
+    n = draw(st.integers(0, 8))
+    k = draw(st.integers(0, 8 // n if n else 4))
+    mods = draw(st.integers(0, 3))
+    density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
+    return random_frame(random.Random(draw(st.integers(0, 2**16))), n, mods, density), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(count_cases())
+def test_count_k_formulas_matches_the_disjoint_sum_count(case):
+    frame, k = case
+    assert count_k_formulas(frame, k) == oracles.disjoint_sum_count(frame, k)
+
+
+@pytest.mark.parametrize(
+    "n, k, mods, density",
+    [
+        # 1 and 2 points at k = 3 and 4: the profiles present are sparse
+        (1, 3, 1, 1.0), (1, 4, 2, 0.0), (2, 3, 1, 0.5),
+        (2, 4, 0, 0.0), (2, 4, 3, 1.0), (2, 4, 2, 0.5),
+        # n * k = 9, past the default cap
+        (1, 9, 1, 1.0), (3, 3, 2, 0.5), (9, 1, 1, 0.35),
+    ],
+)
+def test_count_k_formulas_matches_the_disjoint_sum_count_on_fixed_shapes(n, k, mods, density):
+    frame = random_frame(random.Random(n * 10 + k), n, mods, density)
+    count = count_k_formulas(frame, k, cap=1 << n * k)
+    assert count == oracles.disjoint_sum_count(frame, k)
+
+
 @pytest.mark.parametrize("family", [[{-1}], [{0}, {3}]])
 def test_family_range_errors(family):
     for call in (

@@ -546,13 +546,13 @@ def run_suite(suite: str, spec: GenSpec, trials: int) -> AuditReport:
         try:
             frame, law = record.draw(spec, random.Random(_trial_seed(spec.seed, t)), t)
             ok, detail = law(list(range(frame.n)))
+            if ok:
+                passes += 1
+            else:
+                # the minimiser runs the law on restrictions, which may raise too
+                failures.append(Failure(t, frames.to_dict(_minimize(frame, law)), detail))
         except (GenerationError, partitions.CapExceeded, frames.PathBudgetExceeded) as exc:
             errors.append(TrialError(t, f"{type(exc).__name__}: {exc}"))
-            continue
-        if ok:
-            passes += 1
-        else:
-            failures.append(Failure(t, frames.to_dict(_minimize(frame, law)), detail))
     config = asdict(spec)
     del config["seed"]
     return AuditReport(suite, spec.seed, trials, passes, failures, config, errors)

@@ -2,10 +2,11 @@
 
 Subcommands: ``frame info``, ``frame md``, ``check``, ``count``, ``tune``,
 ``audit``, ``export dot``, each declared once as a row of ``_LEAVES``;
-``_build_parser``'s one loop makes their parsers and adds ``--json`` to
-every leaf. Each call builds the parser of only the subcommand it runs, or
-the full tree when the first argument names no subcommand, so help and
-error output are the same either way. ``main`` loads the frame file, maps
+``_add_leaf`` adds a row's arguments and ``--json`` to its parser. When argv
+starts with a leaf's words and that leaf's parser leaves no token over, a
+call builds that one parser; otherwise it parses argv with the full tree
+(``_build_parser``), which prints every top-level usage and error, so help
+and error output are the same either way. ``main`` loads the frame file, maps
 errors to exit 2 and prints the result: each ``_cmd_*(args, frame)``
 returns ``(data, exit code, text lines)``, and ``--json`` prints ``data``
 as one JSON line in place of the lines. Exit codes: 0 success, 1 property
@@ -184,45 +185,58 @@ _LEAVES = [
 ]
 # the help of each command that groups leaves
 _GROUP_HELP = {"frame": "frame inspection", "export": "export a frame"}
-_COMMANDS = tuple(dict.fromkeys(words.partition(" ")[0] for words, *_ in _LEAVES))
 
 
-def _build_parser(only=None) -> argparse.ArgumentParser:
-    """The parser of command ``only``, or of every command when ``only`` is
-    not a command name."""
+def _add_leaf(parser, fn, arguments) -> argparse.ArgumentParser:
+    """``parser`` with a leaf's arguments, ``--json`` and handler ``fn``."""
+    for name, options in arguments:
+        parser.add_argument(name, **options)
+    parser.add_argument("--json", action="store_true")
+    parser.set_defaults(fn=fn)
+    return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full tree: every command's parser. ``main`` parses with it only
+    when argv names no leaf or the leaf's parser leaves tokens over."""
     parser = argparse.ArgumentParser(
         prog="modalwb",
         description="Workbench for finite polymodal Kripke frames.",
     )
-    # the metavar keeps the full command list in usage lines; the full tree
-    # must not take it, as it would rename "argument command:"
-    metavar = "{" + ",".join(_COMMANDS) + "}" if only in _COMMANDS else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     groups = {}
     for words, help, fn, arguments in _LEAVES:
         command, _, leaf = words.partition(" ")
-        if only in _COMMANDS and command != only:
-            continue
         parent = sub
         if leaf:
             if command not in groups:
                 group = sub.add_parser(command, help=_GROUP_HELP[command])
                 groups[command] = group.add_subparsers(dest=f"{command}_command", required=True)
             parent = groups[command]
-        leaf_p = parent.add_parser(leaf or command, help=help)
-        for name, options in arguments:
-            leaf_p.add_argument(name, **options)
-        leaf_p.add_argument("--json", action="store_true")
-        leaf_p.set_defaults(fn=fn)
+        _add_leaf(parent.add_parser(leaf or command, help=help), fn, arguments)
     return parser
+
+
+def _parse_leaf(argv):
+    """argv parsed by the parser of the leaf whose words start it, as the
+    full tree would parse it; None when argv names no leaf or tokens are
+    left over, which only the full tree reports."""
+    for words, _, fn, arguments in _LEAVES:
+        split = words.split()
+        if argv[: len(split)] == split:
+            parser = _add_leaf(argparse.ArgumentParser(prog="modalwb " + words), fn, arguments)
+            args, rest = parser.parse_known_args(argv[len(split):])
+            return None if rest else args
+    return None
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_leaf(argv)
+        if args is None:
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

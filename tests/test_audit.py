@@ -248,6 +248,32 @@ def test_errored_trials_are_reported_not_fatal(tmp_path):
     assert [e["trial"] for e in data["errors"]] == [e.trial for e in report.errors]
 
 
+@pytest.mark.parametrize(
+    "error",
+    [
+        audit.GenerationError("no restriction"),
+        partitions.CapExceeded("past the cap"),
+        frames.PathBudgetExceeded("past the budget"),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_a_law_that_raises_while_minimizing_is_an_errored_trial(monkeypatch, error):
+    # the law fails on every 3-point frame and raises on each of its restrictions
+    def law(points):
+        if len(points) < 3:
+            raise error
+        return False, "fails"
+
+    def draw(spec, rng, trial):
+        return non_adjacent_frame(3 if trial != 1 else 2), law
+
+    monkeypatch.setitem(audit.SUITES, "raising", audit.Suite(draw, GenSpec(), 3, 0))
+    report = run_suite("raising", GenSpec(), 3)
+    assert report.passes == 0 and report.failures == [] and not report.ok()
+    detail = f"{type(error).__name__}: {error}"
+    assert [(e.trial, e.detail) for e in report.errors] == [(0, detail), (1, detail), (2, detail)]
+
+
 def test_a_class_the_sampler_cannot_hit_errors_every_trial():
     # density 1 draws only the complete 3-point relation, whose index is 1, not 0
     spec = GenSpec(n_min=3, n_max=3, density=1.0, structure="pretransitive", param=0)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import sys
@@ -431,8 +432,8 @@ def test_frame_file_too_large(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
-# argv cases that must print the same whether the parser holds only the
-# command named by argv[0] or every command; FRAME stands for a frame file
+# argv cases that must print the same whether main parses them with a leaf's
+# parser alone or with the full tree; FRAME stands for a frame file
 FULL_TREE_CASES = [
     [],
     ["-h"],
@@ -462,6 +463,10 @@ FULL_TREE_CASES = [
     ["check", "FRAME", "p0", "extra"],
     ["check", "FRAME", "p0", "--cap", "z"],
     ["check", "FRAME", "p0", "--bogus"],
+    ["check", "FRAME", "p0", "--js"],
+    ["check", "FRAME", "p0", "--"],
+    ["check", "FRAME", "--", "p0"],
+    ["check", "FRAME", "-", "p0"],
     ["count", "-h"],
     ["count", "FRAME"],
     ["count", "FRAME", "-k", "1", "--json"],
@@ -478,6 +483,7 @@ FULL_TREE_CASES = [
     ["export", "dot"],
     ["export", "dot", "-h"],
     ["export", "dot", "FRAME", "--json"],
+    ["export", "dot", "FRAME", "--"],
     ["export", "png", "FRAME"],
 ]
 
@@ -486,13 +492,66 @@ FULL_TREE_CASES = [
 def test_output_matches_the_full_tree(chain3, capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     argv = [chain3 if token == "FRAME" else token for token in argv]
-    full = cli._build_parser
-    runs = []
-    for build in (full, lambda only=None: full()):
-        monkeypatch.setattr(cli, "_build_parser", build)
-        code = cli.main(argv)
-        runs.append((code, *capsys.readouterr()))
-    assert runs[0] == runs[1]
+    got = (cli.main(argv), *capsys.readouterr())
+    # the reference run: no leaf parser answers, so the full tree parses
+    monkeypatch.setattr(cli, "_parse_leaf", lambda argv: None)
+    assert (cli.main(argv), *capsys.readouterr()) == got
+
+
+# a valid argv of each leaf; FRAME stands for a frame file
+LEAF_ARGVS = {
+    "frame info": ["frame", "info", "FRAME"],
+    "frame md": ["frame", "md", "FRAME", "--sample", "2", "--json"],
+    "check": ["check", "FRAME", "p0", "--cap", "64"],
+    "count": ["count", "FRAME", "-k", "1"],
+    "tune": ["tune", "FRAME", "--sets", "[[0]]"],
+    "audit": ["audit", "byrd-frame", "--trials", "0"],
+    "export dot": ["export", "dot", "FRAME", "--json"],
+}
+
+
+def _parsers_built(monkeypatch, argv):
+    """The prog of every ArgumentParser that ``cli.main(argv)`` builds."""
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.main(argv)
+    return progs
+
+
+@pytest.mark.parametrize("words", LEAF_ARGVS)
+def test_a_leaf_argv_builds_one_parser(chain3, capsys, monkeypatch, words):
+    argv = [chain3 if token == "FRAME" else token for token in LEAF_ARGVS[words]]
+    assert _parsers_built(monkeypatch, argv) == [f"modalwb {words}"]
+    assert capsys.readouterr().err == ""
+
+
+# the progs of the full tree's parsers, in the order _build_parser makes them
+FULL_TREE_PROGS = [
+    "modalwb", "modalwb frame", "modalwb frame info", "modalwb frame md", "modalwb check",
+    "modalwb count", "modalwb tune", "modalwb audit", "modalwb export", "modalwb export dot",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, leaf",
+    [
+        (["check", "FRAME", "p0", "extra"], ["modalwb check"]),
+        (["frame", "info", "FRAME", "extra"], ["modalwb frame info"]),
+        (["frame"], []),
+        (["chec", "FRAME", "p0"], []),
+    ],
+)
+def test_left_over_tokens_or_no_leaf_build_the_full_tree(chain3, capsys, monkeypatch, argv, leaf):
+    argv = [chain3 if token == "FRAME" else token for token in argv]
+    assert _parsers_built(monkeypatch, argv) == leaf + FULL_TREE_PROGS
+    assert capsys.readouterr().err.startswith("usage: modalwb")
 
 
 @pytest.mark.parametrize("command", ["chec", "CHECK"])

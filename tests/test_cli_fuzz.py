@@ -1,7 +1,7 @@
 """Fuzz the command line: whatever the formula text, frame file, ``tune --sets``
 value or ``audit`` suite, trial count and seed, ``cli.main`` returns an exit
 code in {0, 1, 2} and raises nothing. A command followed by junk prints as
-it does with the parser of every command."""
+it does when the full tree parses it, with no leaf parser answering."""
 
 import contextlib
 import io
@@ -100,7 +100,7 @@ def test_audit_any_suite_trials_and_seed(suite, trials, seed):
 
 
 JUNK = ["info", "md", "dot", "FRAME", "p0", "-k", "1", "--json", "--sets", "[[0]]", "--cap",
-        "--bogus", "-h"]
+        "--bogus", "-h", "--", "-", "--js", "--sa", "-k1"]
 
 
 def _run(argv):
@@ -112,17 +112,19 @@ def _run(argv):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    command=st.sampled_from(["frame", "check", "count", "tune", "audit", "export"]),
+    command=st.sampled_from(
+        ["frame", "check", "count", "tune", "audit", "export", "frame info", "frame md",
+         "export dot"]
+    ),
     rest=st.lists(st.sampled_from(JUNK) | st.text(max_size=3), max_size=5),
 )
 def test_command_then_junk_prints_as_the_full_tree(workdir, command, rest):
     frame = str(workdir / "frame.json")
     # no trials keeps a drawn suite name cheap
-    argv = [command] + (["--trials", "0"] if command == "audit" else [])
+    argv = command.split() + (["--trials", "0"] if command == "audit" else [])
     argv += [frame if token == "FRAME" else token for token in rest]
-    full = cli._build_parser
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         got = _run(argv)
-        with mock.patch.object(cli, "_build_parser", lambda only=None: full()):
+        with mock.patch.object(cli, "_parse_leaf", lambda argv: None):
             assert _run(argv) == got
     assert got[0] in (0, 1, 2)

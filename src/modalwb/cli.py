@@ -13,6 +13,8 @@ as one JSON line in place of the lines. Exit codes: 0 success, 1 property
 failure (invalid formula, audit failures or errored trials), 2 usage or
 input errors: every ``ValueError``, ``CapExceeded`` or
 ``PathBudgetExceeded`` that reaches ``main`` prints ``error: <message>``.
+Only the ``audit`` command imports ``audit`` (and with it
+``definability``), so the other commands never load them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import dataclasses
 import json
 import sys
 
-from . import audit, frames, partitions, semantics, syntax
+from . import frames, partitions, semantics, syntax
 
 
 def _load(path) -> frames.Frame:
@@ -119,6 +121,8 @@ def _cmd_tune(args, frame):
 
 
 def _cmd_audit(args, frame):
+    from . import audit  # only this command loads audit and definability
+
     try:
         record = audit.SUITES[args.suite]
     except KeyError:

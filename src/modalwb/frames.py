@@ -518,7 +518,11 @@ def _is_int(x) -> bool:
 
 
 def from_dict(data: dict) -> Frame:
-    """Frame from its JSON object; raises ValueError on any malformed field."""
+    """Frame from its JSON object; raises ValueError on any malformed field.
+
+    One pass checks each pair's type and ORs it into its row. The first pair
+    outside the points is raised only after every relation's type check and
+    the alphabet and point count checks, the order ``Frame`` checks in."""
     try:
         names, n, rel = data["alphabet"], data["points"], data["rel"]
     except (KeyError, TypeError) as exc:
@@ -531,13 +535,28 @@ def from_dict(data: dict) -> Frame:
         raise ValueError(f"points must be at most {POINT_LIMIT}, got {n}")
     if not isinstance(rel, dict) or set(rel) != set(names):
         raise ValueError(f"rel must map exactly the modalities {names} to pair lists")
+    rows = []
+    outside = None  # the message for the first pair outside the points
     for nm in names:
         pairs = rel[nm]
-        if not isinstance(pairs, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in pairs
-        ):
+        if not isinstance(pairs, list):
             raise ValueError(f"relation {nm!r} must be a list of [int, int] pairs")
-    return Frame(Alphabet(tuple(names)), n, [rel[nm] for nm in names])
+        row = [0] * n
+        for p in pairs:
+            if not (isinstance(p, list) and len(p) == 2 and _is_int(p[0]) and _is_int(p[1])):
+                raise ValueError(f"relation {nm!r} must be a list of [int, int] pairs")
+            a, b = p
+            if 0 <= a < n and 0 <= b < n:
+                row[a] |= 1 << b
+            elif outside is None:
+                a, b = _index(a, "point"), _index(b, "point")
+                outside = f"pair ({a},{b}) outside points 0..{n - 1}"
+        rows.append(row)
+    alphabet = Alphabet(tuple(names))
+    _nat(n, "point count")
+    if outside is not None:
+        raise ValueError(outside)
+    return Frame.from_rows(alphabet, n, rows)
 
 
 def load_frame(path) -> Frame:

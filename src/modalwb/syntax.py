@@ -432,11 +432,7 @@ def star_translate(f: Formula, m: int, subset: Iterable[int]) -> Formula:
     0..m), and every box by its dual."""
     m = _nat(m, "m")
     subset = _norm_subset(subset)
-    mods = modalities(f)
-    if len(mods) > 1:
-        raise ValueError(
-            f"star translation needs a unimodal formula, found modalities {sorted(mods)}"
-        )
+    mods = set()
     out: dict[int, Formula] = {}
     for g in iter_nodes(f):
         if isinstance(g, (Var, Falsum)):
@@ -444,10 +440,15 @@ def star_translate(f: Formula, m: int, subset: Iterable[int]) -> Formula:
         elif isinstance(g, Neg):
             r = Neg(out[id(g.child)])
         elif isinstance(g, Dia):
-            r = (_box_upto if g.boxed else diamond_upto)(m, subset, out[id(g.child)])
+            mods.add(g.mod)
+            r = (_box_upto if g.boxed else _upto)(m, subset, out[id(g.child)])
         else:
             r = type(g)(out[id(g.left)], out[id(g.right)])
         out[id(g)] = r
+    if len(mods) > 1:
+        raise ValueError(
+            f"star translation needs a unimodal formula, found modalities {sorted(mods)}"
+        )
     return out[id(f)]
 
 
@@ -469,26 +470,30 @@ def diamond_power(i: int, subset: Iterable[int], f: Formula) -> Formula:
     return f
 
 
-def diamond_upto(m: int, subset: Iterable[int], f: Formula) -> Formula:
-    """Disjunction of union-diamond chains of length 0..m; length 0 is f itself."""
-    m = _nat(m, "m")
-    subset = _norm_subset(subset)
+def _upto(m: int, subset: tuple[int, ...], f: Formula) -> Formula:
+    """``diamond_upto`` over an m and a subset already checked and normalised."""
     parts = [f]
     for _ in range(m):
         parts.append(_union(subset, parts[-1]))
     return disj(parts)
 
 
-def _box_upto(m: int, subset: Iterable[int], f: Formula) -> Formula:
-    """Bounded box, the dual of ``diamond_upto``: f after every chain of 0..m."""
-    return Neg(diamond_upto(m, subset, Neg(f)))
+def diamond_upto(m: int, subset: Iterable[int], f: Formula) -> Formula:
+    """Disjunction of union-diamond chains of length 0..m; length 0 is f itself."""
+    return _upto(_nat(m, "m"), _norm_subset(subset), f)
+
+
+def _box_upto(m: int, subset: tuple[int, ...], f: Formula) -> Formula:
+    """Bounded box, the dual of ``diamond_upto``: f after every chain of 0..m;
+    m and the subset already checked and normalised, as ``_upto`` takes them."""
+    return Neg(_upto(m, subset, Neg(f)))
 
 
 def pretransitivity_axiom(subset: Iterable[int], m: int) -> Formula:
     """Axiom whose frame condition is: m+1 steps collapse into at most m."""
     m = _nat(m, "m")
     subset = _norm_subset(subset)
-    return Imp(diamond_power(m + 1, subset, Var(0)), diamond_upto(m, subset, Var(0)))
+    return Imp(diamond_power(m + 1, subset, Var(0)), _upto(m, subset, Var(0)))
 
 
 def finite_height_axiom(h: int) -> Formula:

@@ -1,10 +1,13 @@
 import argparse
 import json
+import os
 import random
+import subprocess
 import sys
 
 import pytest
 
+import modalwb
 from modalwb import audit, cli, frames, partitions, semantics
 from modalwb.audit import non_adjacent_frame
 from modalwb.frames import Frame, dump_frame, skeleton
@@ -593,3 +596,48 @@ def test_every_leaf_prints_its_usage(capsys, monkeypatch, command):
 def test_invalid_group_command_names_the_group_argument(capsys, argv):
     assert cli.main(argv) == 2
     assert f"error: argument {argv[0]}_command: invalid choice" in capsys.readouterr().err
+
+
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this modalwb."""
+    root = os.path.dirname(os.path.dirname(modalwb.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), check=True)
+
+
+NOT_LOADED = "assert not {'modalwb.audit', 'modalwb.definability'} & set(sys.modules)\n"
+
+
+def test_frame_info_loads_neither_audit_nor_definability(chain3):
+    run_fresh(
+        "import sys, modalwb.cli\n"
+        + NOT_LOADED
+        + f"assert modalwb.cli.main(['frame', 'info', {chain3!r}, '--json']) == 0\n"
+        + NOT_LOADED
+    )
+
+
+def test_importing_frames_loads_neither_audit_nor_definability():
+    run_fresh("import sys, modalwb.frames\n" + NOT_LOADED)
+
+
+def test_the_audit_command_loads_audit_and_definability():
+    run_fresh(
+        "import sys, modalwb.cli\n"
+        + NOT_LOADED
+        + "assert modalwb.cli.main(['audit', 'byrd-frame', '--trials', '1']) == 0\n"
+        "assert {'modalwb.audit', 'modalwb.definability'} <= set(sys.modules)\n"
+    )
+
+
+def test_first_use_imports_one_submodule_and_binds_its_names():
+    run_fresh(
+        "import sys, modalwb\n"
+        "assert not [m for m in sys.modules if m.startswith('modalwb.')]\n"
+        "modalwb.lex_sum\n"
+        "assert {'frames', 'lex_sum', 'Frame', 'union_relation'} <= set(vars(modalwb))\n"
+        # frames imports syntax, so its names are bound too
+        "assert {'syntax', 'parse', 'Var'} <= set(vars(modalwb))\n"
+        "assert 'run_suite' not in vars(modalwb)\n"
+        + NOT_LOADED
+    )

@@ -43,6 +43,7 @@ ValueError. No defect was found here, so these rows pin the behaviour the
 library has.
 """
 
+import importlib
 from typing import NamedTuple
 
 import pytest
@@ -386,3 +387,63 @@ EMPTY_RAISES = {
 def test_an_empty_collection_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+# the names ``import modalwb`` exposed when it imported every submodule at
+# once: each submodule and the names the package exports from it
+NAMESPACE = {
+    "syntax": (
+        "Alphabet", "And", "Dia", "Falsum", "Formula", "Imp", "Neg", "Or",
+        "ParseError", "Var", "box", "build_schema", "conj", "default_alphabet",
+        "depth", "diamond_union", "diamond_upto", "difference_axioms", "disj",
+        "finite_height_axiom", "finite_height_axiom_star", "lex_sum_axioms",
+        "parse", "pretransitivity_axiom", "print_formula",
+        "reducible_path_axiom", "star_translate", "top", "variables",
+    ),
+    "frames": (
+        "Frame", "PathBudgetExceeded", "SkeletonPoset", "cluster_frames",
+        "disjoint_sum", "expand", "generated_upset", "height",
+        "is_path_reducible", "is_pmorphism", "is_upset", "lex_sum",
+        "load_frame", "min_part", "quotient_filtration", "restriction",
+        "rt_closure", "skeleton", "transitivity_index", "union_relation",
+    ),
+    "semantics": (
+        "Model", "extent", "extents_and_depths", "model_depth",
+        "restrict_model", "validity_bruteforce",
+    ),
+    "partitions": (
+        "CapExceeded", "Partition", "coarsest_tuned_refinement",
+        "count_k_formulas", "frame_modal_depth", "induced_partition",
+        "is_tuned", "refine_sequence", "subalgebra_size",
+    ),
+    "definability": (
+        "DefinableFamily", "build_jankov", "distinguishing_formulas",
+        "stable_top", "verify_definability",
+    ),
+    "audit": (
+        "AuditReport", "GenSpec", "cluster_depth_bound", "emit_report",
+        "non_adjacent_frame", "random_frame", "run_suite",
+    ),
+}
+NAMESPACE_NAMES = {*NAMESPACE, *(name for names in NAMESPACE.values() for name in names)}
+
+
+@pytest.mark.parametrize("sub, name", [(sub, name) for sub, names in NAMESPACE.items() for name in names])
+def test_an_exported_name_is_its_submodules_object(sub, name):
+    module = importlib.import_module(f"modalwb.{sub}")
+    assert getattr(modalwb, sub) is module
+    assert getattr(modalwb, name) is getattr(module, name)
+    assert name in dir(modalwb) and name in modalwb.__all__
+    assert sub in dir(modalwb) and sub in modalwb.__all__
+
+
+def test_star_import_binds_the_namespace():
+    scope = {}
+    exec("from modalwb import *", scope)
+    assert set(scope) - {"__builtins__"} == NAMESPACE_NAMES
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'modalwb' has no attribute 'nope'$"):
+        modalwb.nope
+    assert not hasattr(modalwb, "nope")

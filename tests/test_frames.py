@@ -524,6 +524,73 @@ def test_from_dict_caps_points():
         from_dict(dict(data, points=POINT_LIMIT + 1))
 
 
+def two_pass_from_dict(data):
+    """``from_dict`` in two passes, the reference for the one-pass version:
+    every pair's type is checked here, and ``Frame`` checks the names, the
+    point count and the range of every pair again."""
+    try:
+        names, n, rel = data["alphabet"], data["points"], data["rel"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed frame object: {exc}") from None
+    if not isinstance(names, list) or not all(isinstance(nm, str) for nm in names):
+        raise ValueError("alphabet must be a list of modality names")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"points must be an integer, got {n!r}")
+    if n > POINT_LIMIT:
+        raise ValueError(f"points must be at most {POINT_LIMIT}, got {n}")
+    if not isinstance(rel, dict) or set(rel) != set(names):
+        raise ValueError(f"rel must map exactly the modalities {names} to pair lists")
+    for nm in names:
+        pairs = rel[nm]
+        if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in p)
+            for p in pairs
+        ):
+            raise ValueError(f"relation {nm!r} must be a list of [int, int] pairs")
+    return Frame(Alphabet(tuple(names)), n, [rel[nm] for nm in names])
+
+
+@st.composite
+def frame_objects(draw):
+    """Frame objects that reach every check of ``from_dict``, often several
+    at once: bad names, point counts and keys, pairs of the wrong shape or
+    type, and pairs outside the points."""
+    def rarely(strategy, otherwise):
+        return draw(strategy) if draw(st.integers(0, 9)) == 0 else otherwise
+
+    names = draw(st.lists(st.sampled_from(["d0", "d1", "d2"]), max_size=3, unique=True))
+    names += rarely(st.sampled_from([[""], ["0d"], [0], names[:1]]), [])
+    n = rarely(st.sampled_from([True, 2.0, POINT_LIMIT + 1]), draw(st.integers(-1, 4)))
+    top = n if isinstance(n, int) and 0 < n <= 4 else 3
+
+    def point():
+        return rarely(st.sampled_from([-1, top, 5]), draw(st.integers(0, top - 1)))
+
+    def pair():
+        bad = st.sampled_from([[0], [0, 1, 1], [0, True], [0, "1"], [0.0, 1], (0, 1), 0])
+        return rarely(bad, [point(), point()])
+
+    def relation():
+        return rarely(st.sampled_from([{"0": 1}, (), None]), [pair() for _ in range(draw(st.integers(0, 5)))])
+
+    rel = {nm: relation() for nm in names}
+    rel.update(rarely(st.just({"d9": []}), {}))
+    return {"alphabet": names, "points": n, "rel": rel}
+
+
+@settings(max_examples=400, deadline=None)
+@given(frame_objects())
+def test_from_dict_matches_two_pass_reading(data):
+    def outcome(read):
+        try:
+            return read(data)
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(from_dict) == outcome(two_pass_from_dict)
+
+
 @st.composite
 def small_frames(draw, alphabet=AL1, max_n=4):
     n = draw(st.integers(0, max_n))

@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modalwb import semantics
@@ -474,6 +474,61 @@ def test_star_translate_rejects_bimodal():
 def test_star_translate_box_becomes_dual():
     got = star_translate(box(0, Var(0)), 1, [0])
     assert got == Neg(Or(Neg(Var(0)), Dia(0, Neg(Var(0)))))
+
+
+def two_walk_star_translate(f, m, subset):
+    """``star_translate`` in two walks, the reference for the one-walk
+    version: the modalities first, then a translation that builds every
+    bounded diamond and box through the public ``diamond_upto``."""
+    mods = frozenset(g.mod for g in iter_nodes(f) if isinstance(g, Dia))
+    if len(mods) > 1:
+        raise ValueError(
+            f"star translation needs a unimodal formula, found modalities {sorted(mods)}"
+        )
+    out = {}
+    for g in iter_nodes(f):
+        if isinstance(g, (Var, Falsum)):
+            r = g
+        elif isinstance(g, Neg):
+            r = Neg(out[id(g.child)])
+        elif isinstance(g, Dia):
+            child = out[id(g.child)]
+            r = Neg(diamond_upto(m, subset, Neg(child))) if g.boxed else diamond_upto(m, subset, child)
+        else:
+            r = type(g)(out[id(g.left)], out[id(g.right)])
+        out[id(g)] = r
+    return out[id(f)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    formulas(max_size=10, mods=1),
+    st.integers(0, 2),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+def test_star_translate_prints_as_the_two_walk_translation(f, m, subset):
+    # the printed text repeats shared links, so it grows as up to 7 to the
+    # power of the modal depth here
+    assume(depth(f) <= 4)
+    # f itself, and f shared by both sides of a conjunction
+    for g in (f, And(f, box(0, f))):
+        assert print_formula(star_translate(g, m, subset)) == print_formula(
+            two_walk_star_translate(g, m, subset)
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(formulas(max_size=10, mods=2), st.integers(0, 2))
+def test_star_translate_refuses_as_the_two_walk_translation(f, m):
+    assume(depth(f) <= 4)
+
+    def outcome(translate):
+        try:
+            return print_formula(translate(f, m, [0, 1]))
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(star_translate) == outcome(two_walk_star_translate)
 
 
 def test_star_translate_extent_matches_bounded_reachability_oracle(rng=None):

@@ -33,7 +33,7 @@ Suite ids:
   lex-phi               lexicographic-sum axioms valid in constructed sums
   diff-axioms           difference axioms valid in difference expansions
   definability          defining formulas exact, stable top checks pass
-  byrd-frame            fixed family: |a-b| != 1 truncations, indices (2, 1)
+  byrd-frame            |a-b| != 1: index 2, height 1, seed {0} index N-2
 """
 
 from __future__ import annotations
@@ -471,7 +471,12 @@ def _suite_byrd_frame(spec: GenSpec, rng: random.Random, trial: int):
             return True, "proper restriction, vacuous"
         idx = frames.transitivity_index(frame)
         h = frames.height(frame)
-        return idx == 2 and h == 1, f"n={n} index={idx} height={h}"
+        # height 1 and index 2 on every member, yet modal depth grows: the
+        # seed {0} against the rest stabilizes at N - 2 on N points, the
+        # most a two-block seed reaches
+        seed = partitions._stabilization_masks(frame, [1])
+        ok = idx == 2 and h == 1 and seed == frame.n - 2
+        return ok, f"n={n} index={idx} height={h} seed_index={seed}"
 
     return frame, law
 

@@ -10,8 +10,8 @@ style formula: it encodes the minimal filtration table of an upset under a
 bounded box (``syntax._box_upto`` over chains of union diamonds up to the
 frame's transitivity index), so that each point's equivalence class becomes
 definable in the whole model, not just inside the upset. Gamma is the
-conjunction of that box over each selected body of one ``{family: body}``
-table, read in ``ALL_GAMMA_FAMILIES`` order. ``verify_definability`` and
+conjunction of that box over every body of one ``{family: body}`` table,
+read in ``ALL_GAMMA_FAMILIES`` order. ``verify_definability`` and
 ``stable_top`` model-check the resulting guarantees exhaustively. One
 construction builds each literal ``Var(l)`` and ``Neg(Var(l))`` once and
 each signed diamond ``Dia(mod, f)`` once (for the gamma, one preimage,
@@ -37,7 +37,6 @@ from .syntax import (
     Neg,
     Var,
     _box_upto,
-    _index,
     conj,
     disj,
 )
@@ -56,7 +55,8 @@ class DefinableFamily:
     set of the ambient model) to a formula that defines it inside the
     restricted model; every formula carries the full literal profile of its
     class and has modal depth at most ``depth_bound``. ``m`` is the
-    transitivity index in force.
+    frame's transitivity index, the reach of gamma's bounded box, so a beta
+    has modal depth at most D = m + ``depth_bound`` + 1.
     """
 
     target: frozenset[int]
@@ -151,21 +151,14 @@ def distinguishing_formulas(model: Model) -> dict[frozenset[int], Formula]:
     return {points_of(b): f for b, f in forms.items()}
 
 
-def build_jankov(
-    model: Model,
-    upset,
-    m: int | None = None,
-    families=ALL_GAMMA_FAMILIES,
-):
+def build_jankov(model: Model, upset):
     """Defining formulas for an upset's classes, valid across the whole model.
 
     Returns ``(family, gamma, beta)``: the per-class formulas, the boxed
     filtration-table formula gamma, and per point of the upset the formula
-    beta = alpha(point's class) & gamma. ``m`` defaults to the frame's
-    transitivity index; a larger ``m`` lets tests check the lemma above the
-    index. ``families`` selects which gamma conjunct families are emitted
-    (exposed so the mutation tests in ``tests/test_definability.py`` and
-    ``tests/test_acceptance.py`` can drop one).
+    beta = alpha(point's class) & gamma. Gamma boxes each body up to m, the
+    frame's transitivity index, so a beta has modal depth at most
+    D = m + depth + 1, depth being the restricted model's.
     """
     frame = model.frame
     y = points_of(frames._checked_mask(frame.n, upset))
@@ -173,18 +166,7 @@ def build_jankov(
         raise ValueError("upset must be non-empty")
     if not frames.is_upset(frame, y):
         raise ValueError("target set is not an upset")
-    index = frames.transitivity_index(frame)
-    m = index if m is None else _index(m, "m")
-    if m < index:
-        raise ValueError(f"m={m} is below the transitivity index {index}")
-    # Alphabet's rule for its names: a str or a non-collection is a
-    # TypeError, and any member outside the names a ValueError
-    if isinstance(families, str) or not hasattr(families, "__iter__"):
-        raise TypeError(f"families must be a collection of names, got {families!r}")
-    families = tuple(families)
-    unknown = [f for f in families if f not in ALL_GAMMA_FAMILIES]
-    if unknown:
-        raise ValueError(f"unknown gamma families {unknown}")
+    m = frames.transitivity_index(frame)
 
     old = sorted(y)
     sub = semantics.restrict_model(model, y)
@@ -217,7 +199,7 @@ def build_jankov(
         GAMMA_FORBIDS: conj(forbids),
         GAMMA_COVERS: disj([alphas[b] for b in blocks]),
     }
-    gamma = conj([_box_upto(m, all_mods, bodies[f]) for f in ALL_GAMMA_FAMILIES if f in families])
+    gamma = conj([_box_upto(m, all_mods, bodies[f]) for f in ALL_GAMMA_FAMILIES])
 
     beta = {p: And(alphas[_class_of(blocks, p)], gamma) for p in old}
     family = DefinableFamily(
@@ -242,17 +224,12 @@ class DefinabilityReport:
         return not self.violations and self.max_beta_depth <= self.depth_limit
 
 
-def verify_definability(
-    model: Model,
-    upset,
-    m: int | None = None,
-    families=ALL_GAMMA_FAMILIES,
-) -> DefinabilityReport:
+def verify_definability(model: Model, upset) -> DefinabilityReport:
     """Check, for every point a of the upset and every point b of the model,
     that beta(a) holds at b exactly when a and b lie in the same block of
     the model's stabilized partition. Violating pairs are report content,
     not errors."""
-    family, _, beta = build_jankov(model, upset, m=m, families=families)
+    family, _, beta = build_jankov(model, upset)
     final = _stage_masks(model)[-1]
     targets = sorted(family.target)
     # the betas share gamma: one program gives every extent and depth
@@ -286,17 +263,18 @@ class StableTopReport:
         return self.upset_ok and self.definable_ok and self.depth_ok and self.stability_ok
 
 
-def stable_top(model: Model, upset, m: int | None = None):
+def stable_top(model: Model, upset):
     """Saturate an upset to the union Z of equivalence classes meeting it.
 
-    Returns ``(Z, D, report)`` with D = m + depth(restricted model) + 1.
+    Returns ``(Z, D, report)`` with D = m + depth(restricted model) + 1,
+    m being the frame's transitivity index.
     The report checks that Z is an upset, that the disjunction of beta
     formulas over class representatives defines Z within depth D, that the
     restricted model's depth stays within D, and that stage-D equivalence
     already pins both membership in Z and the final class of every point
     of Z.
     """
-    family, _, beta = build_jankov(model, upset, m=m)
+    family, _, beta = build_jankov(model, upset)
     cap = family.m + family.depth_bound + 1
     stages = _stage_masks(model)
     final = stages[-1]

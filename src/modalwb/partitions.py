@@ -40,9 +40,9 @@ splits. Only the live lanes, those that split at the stage before, can
 split again: each stage ANDs a pair's ``eq`` with them before it cuts,
 and a pair drops out once no live lane holds it together.
 
-The lanes come in chunks of at most ``_CHUNK_LANES``, enough for every
-set partition up to 10 points, so memory is n^2 ints of that many bits at
-most. A chunk fixes the block numbers of the first points, blocks
+The lanes come in chunks of at most ``_CHUNK_LANES``, read at each call,
+enough for every set partition up to 10 points: n^2 ints of that many
+bits at most. A chunk fixes the block numbers of the first points, blocks
 numbered by least point (restricted growth, Knuth TAOCP 7.2.1.5), and
 holds every partition that extends that prefix; a prefix with more
 extensions than a chunk holds is split by the next point's block. The
@@ -367,12 +367,10 @@ _PLACEMENTS = _placements(EXACT_DEPTH_LIMIT)
 _CHUNK_LANES = 1 << 17
 
 
-def _exact_depth(frame: Frame, chunk_lanes: int = _CHUNK_LANES) -> int:
+def _exact_depth(frame: Frame) -> int:
     """Largest stabilization index over every set partition of the points,
-    one lane per partition, refined in chunks of at most ``chunk_lanes``
-    lanes (see the module docstring). Tests pass a small ``chunk_lanes`` to
-    run the chunked path on frames small enough for the references.
-    """
+    one lane per partition, refined in chunks of at most ``_CHUNK_LANES``
+    lanes, read at call time (see the module docstring)."""
     n = frame.n
     rows = [frame.rows(m) for m in range(len(frame.alphabet))]
     depth = 0
@@ -382,7 +380,7 @@ def _exact_depth(frame: Frame, chunk_lanes: int = _CHUNK_LANES) -> int:
         c = max(prefix, default=-1) + 1
         if n - c <= depth:  # a seed of c blocks has index at most n - c
             continue
-        if _PLACEMENTS[n - len(prefix)][c] > chunk_lanes:
+        if _PLACEMENTS[n - len(prefix)][c] > _CHUNK_LANES:
             # the next point joins each block or opens one, block 0 first
             prefixes += [prefix + (l,) for l in reversed(range(c + 1))]
         else:

@@ -162,13 +162,15 @@ def test_criterion_9_byrd_family():
     details = []
     for n in range(4, 9):
         frame = non_adjacent_frame(n + 1)
-        details.append((n, transitivity_index(frame), height(frame)))
-    ok = report.ok() and all(idx == 2 and h == 1 for (_, idx, h) in details)
+        seed = partitions._stabilization_masks(frame, [1])  # {0} against the rest
+        details.append((n, transitivity_index(frame), height(frame), seed))
+    # index 2 and height 1, while the seed index N - 2 grows with N = n + 1
+    ok = report.ok() and all(idx == 2 and h == 1 and seed == n - 1 for n, idx, h, seed in details)
     criterion(
         9,
         "non-adjacency family indices",
         ok,
-        "; ".join(f"n={n}: ({idx},{h})" for n, idx, h in details),
+        "; ".join(f"n={n}: ({idx},{h}) seed index {seed}" for n, idx, h, seed in details),
     )
 
 
@@ -191,17 +193,11 @@ def test_criterion_10_formula_counts():
 
 def test_criterion_11_mutation_sensitivity(monkeypatch):
     # dropping the 'forbids' family from gamma must break definability
-    real_build = definability.build_jankov
-    mutated_families = tuple(
-        f for f in definability.ALL_GAMMA_FAMILIES if f != definability.GAMMA_FORBIDS
-    )
-
-    def broken_build(model, upset, m=None, families=definability.ALL_GAMMA_FAMILIES):
-        return real_build(model, upset, m=m, families=mutated_families)
-
-    monkeypatch.setattr(definability, "build_jankov", broken_build)
+    real_families = definability.ALL_GAMMA_FAMILIES
+    mutated_families = tuple(f for f in real_families if f != definability.GAMMA_FORBIDS)
+    monkeypatch.setattr(definability, "ALL_GAMMA_FAMILIES", mutated_families)
     rep_def = run_suite("definability", GenSpec(n_max=8, density=0.3, seed=112), 100)
-    monkeypatch.setattr(definability, "build_jankov", real_build)
+    monkeypatch.setattr(definability, "ALL_GAMMA_FAMILIES", real_families)
 
     # coarsening is_tuned to ignore one modality must break the equivalences
     real_tuned = partitions.is_tuned

@@ -393,6 +393,27 @@ def test_byrd_family_values():
         assert frames.height(non_adjacent_frame(size)) == 1
 
 
+@pytest.mark.parametrize("size", range(4, 13))
+def test_byrd_family_depth_is_two_below_the_point_count(size):
+    assert partitions.frame_modal_depth(non_adjacent_frame(size)) == size - 2
+
+
+@pytest.mark.parametrize("size", [13, 50, 200])
+def test_byrd_seed_index_is_two_below_the_point_count_past_exact_depth(size):
+    # the seed {0} against the rest, the one the byrd-frame law checks
+    assert partitions._stabilization_masks(non_adjacent_frame(size), [1]) == size - 2
+
+
+def test_byrd_law_fails_when_the_seed_index_falls_short(monkeypatch):
+    real = partitions._stabilization_masks
+    monkeypatch.setattr(partitions, "_stabilization_masks", lambda f, masks: real(f, masks) - 1)
+    report = run_suite("byrd-frame", GenSpec(), 5)
+    assert len(report.failures) == 5
+    assert [f.detail.split()[-1] for f in report.failures] == [
+        f"seed_index={size - 3}" for size in range(5, 10)
+    ]
+
+
 def test_byrd_family_separates_finite_height_from_local_tabularity():
     # height 1 and transitivity index 2 throughout, while the number of
     # nonequivalent one-variable formulas grows with the frame (N = 4 is

@@ -117,17 +117,6 @@ def test_definability_names_an_upset_point_out_of_range(build, bad):
         build(Model(CHAIN3, 0, ()), [2, bad])
 
 
-def test_build_jankov_rejects_small_m():
-    model = Model(CHAIN3, 0, ())
-    with pytest.raises(ValueError, match="transitivity index"):
-        build_jankov(model, frozenset({0, 1, 2}), m=1)
-
-
-def test_build_jankov_rejects_an_unknown_gamma_family():
-    with pytest.raises(ValueError, match=r"unknown gamma families \['bogus'\]"):
-        build_jankov(Model(CHAIN3, 0, ()), [2], families=("bogus",))
-
-
 def test_alpha_formulas_carry_literal_profiles():
     rng = random.Random(1)
     for _ in range(100):
@@ -187,26 +176,17 @@ def test_verify_definability_k0():
         assert report.ok(), report
 
 
-def test_verify_definability_with_m_override():
-    rng = random.Random(5)
-    for _ in range(30):
-        model = random_model(rng, n_max=4)
-        upset = random_upset(rng, model.frame)
-        m0 = transitivity_index(model.frame)
-        report = verify_definability(model, upset, m=m0 + 1)
-        assert report.ok(), report
-
-
 def test_dropping_a_gamma_family_breaks_definability():
     rng = random.Random(6)
     families = tuple(f for f in ALL_GAMMA_FAMILIES if f != GAMMA_FORBIDS)
     broken = 0
-    for _ in range(100):
-        model = random_model(rng)
-        upset = random_upset(rng, model.frame)
-        report = verify_definability(model, upset, families=families)
-        if not report.ok():
-            broken += 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(definability, "ALL_GAMMA_FAMILIES", families)
+        for _ in range(100):
+            model = random_model(rng)
+            upset = random_upset(rng, model.frame)
+            if not verify_definability(model, upset).ok():
+                broken += 1
     assert broken > 0
 
 
@@ -346,15 +326,24 @@ def test_new_block_splitter_pool_on_deep_models():
         assert_stage_formulas_match_all_blocks_pool(random_model(rng, n_max=9, k=rng.randint(0, 3)))
 
 
+# a subset of the gamma families in table order, for the patched constant
+GAMMA_SUBSETS = st.sets(st.sampled_from(ALL_GAMMA_FAMILIES)).map(
+    lambda chosen: tuple(f for f in ALL_GAMMA_FAMILIES if f in chosen)
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_models(), st.data())
 def test_verify_definability_matches_per_beta_reference(model, data):
     frame = model.frame
     upset = generated_upset(frame, data.draw(st.sets(st.integers(0, frame.n - 1), min_size=1)))
-    m = transitivity_index(frame) + data.draw(st.integers(0, 1))
     # dropping gamma families makes violations possible
-    families = data.draw(st.sets(st.sampled_from(ALL_GAMMA_FAMILIES)))
-    family, _, beta = build_jankov(model, upset, m=m, families=families)
+    families = data.draw(GAMMA_SUBSETS)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(definability, "ALL_GAMMA_FAMILIES", families)
+        family, _, beta = build_jankov(model, upset)
+        report = verify_definability(model, upset)
+    assert family.m == transitivity_index(frame)
     stages, _ = oracles.staged_refinement(frame, model.valuation)
     violations = []
     for a in sorted(upset):
@@ -363,7 +352,7 @@ def test_verify_definability_matches_per_beta_reference(model, data):
         for b in range(frame.n):
             if (b in ext) != (b in same_class):
                 violations.append((a, b, b in ext, b in same_class))
-    assert verify_definability(model, upset, m=m, families=families) == DefinabilityReport(
+    assert report == DefinabilityReport(
         pairs_checked=len(upset) * frame.n,
         violations=tuple(violations),
         max_beta_depth=max(depth(beta[a]) for a in upset),
@@ -377,15 +366,11 @@ def test_stable_top_definability_matches_reference(model, data):
     frame = model.frame
     upset = generated_upset(frame, data.draw(st.sets(st.integers(0, frame.n - 1), min_size=1)))
     # dropping gamma families can leave Z undefined by the beta disjunction
-    families = data.draw(st.sets(st.sampled_from(ALL_GAMMA_FAMILIES)))
-
-    def jankov(model, upset, m=None):
-        return build_jankov(model, upset, m=m, families=families)
-
+    families = data.draw(GAMMA_SUBSETS)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(definability, "build_jankov", jankov)
+        mp.setattr(definability, "ALL_GAMMA_FAMILIES", families)
         z, cap, report = stable_top(model, upset)
-    family, _, beta = jankov(model, upset)
+        family, _, beta = build_jankov(model, upset)
     defining = disj([beta[min(c)] for c in sorted(family.formulas, key=min)])
     assert report.defining_depth == depth(defining)
     assert report.definable_ok == (

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modalwb import partitions
 from modalwb.frames import (
     Frame,
     disjoint_sum,
@@ -934,8 +935,10 @@ def test_chunked_depth_matches_one_table_and_memoised_seeds(data):
         for _ in range(data.draw(st.integers(1, 3)))
     ]
     frame = Frame(default_alphabet(len(rels)), n, rels)
-    chunk = data.draw(st.integers(1, 64))
-    assert _exact_depth(frame, chunk) == _exact_depth(frame) == memoised_exact_depth(frame)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partitions, "_CHUNK_LANES", data.draw(st.integers(1, 64)))
+        chunked = _exact_depth(frame)
+    assert chunked == _exact_depth(frame) == memoised_exact_depth(frame)
 
 
 @pytest.mark.parametrize("mods", [1, 3])
@@ -964,8 +967,21 @@ def test_chunked_depth_matches_one_table_at_eleven_points():
         uni(11, [(a, (a + 1) % 11) for a in range(11)]),
         random_frame(rng, 11, mods=2, density=0.25),
     ]
+    real_table = partitions._lane_table
     for f in frames:
-        assert _exact_depth(f) == _exact_depth(f, _PLACEMENTS[11][0])
+        chunked = _exact_depth(f)
+        prefixes = []  # one per table built
+
+        def table(n, prefix):
+            prefixes.append(prefix)
+            return real_table(n, prefix)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partitions, "_CHUNK_LANES", _PLACEMENTS[11][0])
+            mp.setattr(partitions, "_lane_table", table)
+            one_table = _exact_depth(f)
+        assert chunked == one_table
+        assert prefixes == [()]  # the budget is read at the call: one table
 
 
 def test_frame_modal_depth_at_twelve_points():

@@ -12,7 +12,8 @@ returns ``(data, exit code, text lines)``, and ``--json`` prints ``data``
 as one JSON line in place of the lines. Exit codes: 0 success, 1 property
 failure (invalid formula, audit failures or errored trials), 2 usage or
 input errors: every ``ValueError``, ``CapExceeded`` or
-``PathBudgetExceeded`` that reaches ``main`` prints ``error: <message>``.
+``PathBudgetExceeded`` that reaches ``main`` prints ``error: <message>``,
+and a ``MemoryError`` prints ``error: modalwb <command> ran out of memory``.
 Only the ``audit`` command imports ``audit`` (and with it
 ``definability``), so the other commands never load them.
 """
@@ -250,6 +251,10 @@ def main(argv=None) -> int:
         print(json.dumps(data, sort_keys=True) if args.json else "\n".join(lines))
     except (ValueError, partitions.CapExceeded, frames.PathBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        words = next(w for w, _, fn, _ in _LEAVES if fn is args.fn)
+        print(f"error: modalwb {words} ran out of memory", file=sys.stderr)
         return 2
     return code
 

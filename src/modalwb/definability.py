@@ -2,24 +2,25 @@
 construction for upsets of pretransitive models.
 
 ``distinguishing_formulas`` reads the refinement stages of a model (the
-block masks of ``partitions._stages`` seeded by its valuation) and builds,
-for every block of the stabilized partition, a formula whose extent
-is exactly that block; a block born at stage s gets a formula of modal
-depth at most s. On top of these, ``build_jankov`` assembles a Jankov-Fine
-style formula: it encodes the minimal filtration table of an upset under a
-bounded box (``syntax._box_upto`` over chains of union diamonds up to the
-frame's transitivity index), so that each point's equivalence class becomes
-definable in the whole model, not just inside the upset. Gamma is the
-conjunction of that box over every body of one ``{family: body}`` table,
-read in ``ALL_GAMMA_FAMILIES`` order. ``verify_definability`` and
-``stable_top`` model-check the resulting guarantees exhaustively. One
+block masks of ``partitions._stages`` seeded by its valuation, and their
+births) and builds, for every block of the stabilized partition, a formula
+whose extent is exactly that block; a block born at stage s gets a formula
+of modal depth at most s. On top of these, ``build_jankov`` assembles a
+Jankov-Fine style formula: it encodes the minimal filtration table of an
+upset under a bounded box (``syntax._box_upto`` over chains of union
+diamonds up to the frame's transitivity index), so that each point's
+equivalence class becomes definable in the whole model, not just inside the
+upset. Gamma is the conjunction of that box over every body of one
+``{family: body}`` table, read in ``ALL_GAMMA_FAMILIES`` order.
+``verify_definability`` and ``stable_top`` model-check the resulting
+guarantees exhaustively, stability by the births of the final blocks. One
 construction builds each literal ``Var(l)`` and ``Neg(Var(l))`` once and
 each signed diamond ``Dia(mod, f)`` once (for the gamma, one preimage,
 diamond and negation per modality and block, before the loop over blocks
-that reuses them), and every alpha, splitter and gamma conjunct reuses
-those nodes; the betas of one upset share their gamma, so
-``verify_definability`` compiles, measures and evaluates the shared DAG in
-one ``semantics.extents_and_depths`` pass per model.
+that reuses them), and every alpha, splitter and gamma conjunct reuses those
+nodes; the betas of one upset share their gamma, so ``verify_definability``
+compiles, measures and evaluates the shared DAG in one
+``semantics.extents_and_depths`` pass per model.
 """
 
 from __future__ import annotations
@@ -90,9 +91,11 @@ def _signed_diamond(memo: dict, mod: int, f: Formula) -> tuple[Formula, Formula]
     return memo[key]
 
 
-def _stage_masks(model: Model) -> list[list[int]]:
-    """Block masks of every refinement stage seeded by the valuation."""
-    return list(partitions._stages(model.frame, [mask_of(v) for v in model.valuation]))
+def _stage_masks(model: Model) -> tuple[list[list[int]], dict[int, int]]:
+    """Block masks of every refinement stage seeded by the valuation, and
+    the birth record that all stages share."""
+    stages, births = zip(*partitions._stages(model.frame, [mask_of(v) for v in model.valuation]))
+    return list(stages), births[0]
 
 
 def _class_of(blocks: list[int], point: int) -> int:
@@ -106,19 +109,18 @@ def _stage_formulas(model: Model, memo: dict) -> tuple[list[list[int]], dict[int
     splits off at stage d is defined by its parent's formula together with
     signed splitters: diamonds of previous-stage block formulas, chosen
     greedily until every sibling inside the parent is excluded. Only blocks
-    new at the previous stage are candidates: the preimage of an older one
+    born at the previous stage are candidates: the preimage of an older one
     already split that stage, so it separates no siblings.
     """
     frame = model.frame
-    stages = _stage_masks(model)
+    stages, birth = _stage_masks(model)
     forms = {b: conj(_literal_profile(model, b, memo)) for b in stages[0]}
-    for before, prev, cur in zip([[]] + stages, stages, stages[1:]):
-        old = set(before)
+    for d, (prev, cur) in enumerate(zip(stages, stages[1:])):
         pool = [
             (mod, pb, frame.preimage_mask(mod, pb))
             for mod in range(len(frame.alphabet))
             for pb in prev
-            if pb not in old
+            if birth[pb] == d
         ]
         nxt: dict[int, Formula] = {}
         for block in cur:
@@ -230,7 +232,7 @@ def verify_definability(model: Model, upset) -> DefinabilityReport:
     the model's stabilized partition. Violating pairs are report content,
     not errors."""
     family, _, beta = build_jankov(model, upset)
-    final = _stage_masks(model)[-1]
+    final = _stage_masks(model)[0][-1]
     targets = sorted(family.target)
     # the betas share gamma: one program gives every extent and depth
     results = semantics.extents_and_depths(model, [beta[a] for a in targets])
@@ -276,7 +278,7 @@ def stable_top(model: Model, upset):
     """
     family, _, beta = build_jankov(model, upset)
     cap = family.m + family.depth_bound + 1
-    stages = _stage_masks(model)
+    stages, birth = _stage_masks(model)
     final = stages[-1]
     target = mask_of(family.target)
     z_mask = sum(b for b in final if b & target)  # disjoint blocks
@@ -289,14 +291,12 @@ def stable_top(model: Model, upset):
     [(defined, defining_depth)] = semantics.extents_and_depths(model, [defining])
     definable_ok = defined == z_mask and defining_depth <= cap
 
-    depth_ok = len(_stage_masks(semantics.restrict_model(model, z))) - 1 <= cap
+    depth_ok = len(_stage_masks(semantics.restrict_model(model, z))[0]) - 1 <= cap
 
-    # the final stage refines stage D, so a stage-D block meeting Z pins
-    # membership in Z and its final class exactly when it is a final block
-    finals = set(final)
-    stability_ok = all(
-        b in finals for b in stages[min(cap, len(stages) - 1)] if b & z_mask
-    )
+    # stage-D equivalence pins membership in Z and the final class of its
+    # points exactly when each final block in Z is a stage-D block, as the
+    # final stage refines stage D: exactly when it was born by stage D
+    stability_ok = all(birth[b] <= cap for b in final if b & z_mask)
     report = StableTopReport(
         upset_ok=upset_ok,
         definable_ok=definable_ok,

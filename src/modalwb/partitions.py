@@ -5,18 +5,19 @@ counting.
 Refinement from a family of point sets runs through one staged loop,
 ``_stages`` (exact depth and counts have their own, below): stage 0 is the
 partition induced by the family, and each later stage splits the previous
-one by the modal preimages of its blocks. Only the blocks the previous
-stage created need to split it: a block that survived from the stage
-before has already split it once, so every block lies inside or outside
-its preimage. Blocks only ever split, so a stage is the fixpoint exactly
-when its successor has as many blocks, and on an n-point frame the loop
-stops within n stages. The fixpoint is tuned, and it is the coarsest tuned
-refinement of the seed: every tuned refinement of the seed also refines it.
-The stabilization index (the number of the fixpoint stage) is the modal
-depth of the seeding data, and the maximum over all seed partitions is the
-modal depth of the frame. ``is_tuned`` has no stage before, so it splits a
-partition once by the preimages of all its blocks and checks that nothing
-splits.
+one by the modal preimages of its blocks. Blocks only ever split, so a
+stage is the fixpoint exactly when its successor has as many blocks, and on
+an n-point frame the loop stops within n stages. Nor does a block mask come
+back, so one record, ``birth``, maps each mask to the first stage that
+holds it, and a block born at stage s is definable at modal depth s. Only
+the blocks born at the previous stage need to split it: an older block has
+already split it once, so every block lies inside or outside its preimage.
+The fixpoint is tuned, and it is the coarsest tuned refinement of the seed:
+every tuned refinement of the seed also refines it. The stabilization index
+(the number of the fixpoint stage) is the modal depth of the seeding data,
+and the maximum over all seed partitions is the modal depth of the frame.
+``is_tuned`` has no stage before, so it splits a partition once by the
+preimages of all its blocks and checks that nothing splits.
 
 One stage is one call of ``_split_masks``, the only split loop: the
 blocks, split by the preimage of every new block under every modality. A
@@ -73,6 +74,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial, reduce
+from itertools import count
 from operator import or_, xor
 from typing import Iterable, Sequence
 
@@ -170,25 +172,20 @@ def _check_partition(frame: Frame, partition: Partition) -> None:
 
 
 def _stages(frame: Frame, initial_masks: Iterable[int]):
-    """Block masks of every refinement stage from the partition induced by
-    the masks, up to and including the first fixpoint.
-
-    A stage splits the previous one only by the preimages of the blocks
-    the previous stage created (at stage 0, every block): a block that
-    survived from the stage before already split it, so every block lies
-    inside or outside its preimage."""
+    """Every refinement stage from the partition induced by the masks, up
+    to and including the first fixpoint: its block masks, and ``birth``,
+    one dict shared by every stage from each mask seen so far to its birth
+    stage. Only the blocks born at a stage split it (module docstring)."""
     pres = [frame.preimages(mod) for mod in range(len(frame.alphabet))]
     cur = fresh = _induced_masks(frame.n, initial_masks)
-    while True:
-        yield cur
+    birth = {}
+    for stage in count():
+        birth.update(dict.fromkeys(fresh, stage))
+        yield cur, birth
         nxt = _split_masks(cur, [pre[b] for pre in pres for b in fresh])
         if len(nxt) == len(cur):
             return
-        # _split_masks keeps every block it does not cut as the same int
-        # object; were that lost, every block would count as fresh, the
-        # all-blocks rule, which gives the same stages
-        old = set(map(id, cur))
-        fresh = [b for b in nxt if id(b) not in old]
+        fresh = [b for b in nxt if b not in birth]
         cur = nxt
 
 
@@ -217,20 +214,22 @@ def refine_sequence(
     point set of every block that survives a stage.
     """
     n = frame.n
-    record: dict[int, tuple[int, frozenset[int]]] = {}  # block mask -> (birth, points)
+    points: dict[int, frozenset[int]] = {}  # block mask -> its points
     trace = []
-    for stage, blocks in enumerate(_stages(frame, [_checked_mask(n, s) for s in initial])):
-        recs = [record.get(b) or record.setdefault(b, (stage, points_of(b))) for b in blocks]
-        trace.append(Partition(n, tuple(r[1] for r in recs), tuple(r[0] for r in recs)))
+    for stage, (blocks, birth) in enumerate(_stages(frame, [_checked_mask(n, s) for s in initial])):
+        points.update((b, points_of(b)) for b in blocks if birth[b] == stage)
+        trace.append(Partition(n, tuple(map(points.get, blocks)), tuple(map(birth.get, blocks))))
     return trace, len(trace) - 1
 
 
 def coarsest_tuned_refinement(frame: Frame, partition: Partition) -> Partition:
     """Stabilized refinement of the partition; tuned, refines the input, and
-    is refined by every tuned refinement of the input."""
+    is refined by every tuned refinement of the input, with birth stages;
+    only the last stage of ``_stages`` becomes a ``Partition``."""
     _check_partition(frame, partition)
-    trace, _ = refine_sequence(frame, partition.blocks)
-    return trace[-1]
+    for blocks, birth in _stages(frame, [mask_of(b) for b in partition.blocks]):
+        pass  # blocks only split, so the last stage is the fixpoint
+    return Partition(frame.n, tuple(map(points_of, blocks)), tuple(map(birth.get, blocks)))
 
 
 def _stabilization_masks(frame: Frame, initial_masks: list[int]) -> int:
@@ -422,8 +421,9 @@ def subalgebra_size(frame: Frame, generators: Iterable[Iterable[int]]) -> int:
     """Size of the subalgebra of the frame's powerset modal algebra generated
     by the given point sets: 2 to the number of blocks of the coarsest tuned
     refinement of the induced partition (acceptance criterion 3)."""
-    *_, fixed = _stages(frame, [_checked_mask(frame.n, s) for s in generators])
-    return 2 ** len(fixed)
+    for blocks, _ in _stages(frame, [_checked_mask(frame.n, s) for s in generators]):
+        pass  # a loop holds one stage at a time, star unpacking every stage
+    return 2 ** len(blocks)
 
 
 # count_k_formulas on n-point random frames of density 0.35 drawn from

@@ -309,7 +309,7 @@ def disjoint_sum_count(frame, k):
         for l, m in enumerate(combo):
             gen_masks[l] |= m << off
         off += n
-    *_, fixed = _stages(big, gen_masks)
+    *_, (fixed, _) = _stages(big, gen_masks)
     return 2 ** len(fixed)
 
 

@@ -641,3 +641,46 @@ def test_first_use_imports_one_submodule_and_binds_its_names():
         "assert 'run_suite' not in vars(modalwb)\n"
         + NOT_LOADED
     )
+
+
+def run_limited(argv, megabytes):
+    """``modalwb argv`` in a fresh interpreter that imports this modalwb,
+    its address space capped by ``RLIMIT_AS``, set in that child only."""
+    resource = pytest.importorskip("resource")
+    root = os.path.dirname(os.path.dirname(modalwb.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    limit = megabytes << 20
+    return subprocess.run(
+        [sys.executable, "-m", "modalwb.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
+def test_running_out_of_memory_exits_2_and_names_the_command(tmp_path):
+    # 2^12 profiles on 12 random points: count's keys outgrow 200 MB
+    rng = random.Random(12)
+    rel = {(a, b) for a in range(12) for b in range(12) if rng.random() < 0.35}
+    path = tmp_path / "random12.json"
+    dump_frame(Frame(default_alphabet(1), 12, [rel]), path)
+    done = run_limited(["count", str(path), "-k", "1", "--cap", "4096"], 200)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr == "error: modalwb count ran out of memory\n"
+
+
+def test_tune_on_the_2048_chain_keeps_no_trace(tmp_path):
+    # 2047 stages, one new block each: only the last becomes a Partition,
+    # so 120 MB is enough
+    n = 2048
+    path = tmp_path / "chain2048.json"
+    dump_frame(Frame(default_alphabet(1), n, [{(a, a + 1) for a in range(n - 1)}]), path)
+    done = run_limited(["tune", str(path), "--sets", f"[[{n - 1}]]", "--json"], 120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "birth_stages": [n - 2] + list(range(n - 2, -1, -1)),
+        "blocks": [[a] for a in range(n)],
+        "tuned": True,
+    }

@@ -16,7 +16,14 @@ from modalwb.definability import (
     stable_top,
     verify_definability,
 )
-from modalwb.frames import Frame, generated_upset, min_part, restriction, transitivity_index
+from modalwb.frames import (
+    Frame,
+    generated_upset,
+    mask_of,
+    min_part,
+    restriction,
+    transitivity_index,
+)
 from modalwb.partitions import frame_modal_depth, refine_sequence
 from modalwb.semantics import Model, extent, model_depth
 from modalwb.syntax import (
@@ -270,7 +277,7 @@ def all_blocks_stage_formulas(model):
     splitters: the splitter pool holds every block of the previous stage.
     Kept as the reference for the printed formulas."""
     frame, memo = model.frame, {}
-    stages = definability._stage_masks(model)
+    stages, _ = definability._stage_masks(model)
     forms = {b: conj(definability._literal_profile(model, b, memo)) for b in stages[0]}
     for prev, cur in zip(stages, stages[1:]):
         pool = [
@@ -324,6 +331,45 @@ def test_new_block_splitter_pool_on_deep_models():
     rng = random.Random(27)
     for _ in range(150):
         assert_stage_formulas_match_all_blocks_pool(random_model(rng, n_max=9, k=rng.randint(0, 3)))
+
+
+def stage_d_stable(stages, z_mask, cap):
+    """``stable_top``'s stability as first written: every block of stage
+    D = min(cap, index) that meets Z is a final block. Kept as the
+    reference for the birth form."""
+    finals = set(stages[-1])
+    return all(b in finals for b in stages[min(cap, len(stages) - 1)] if b & z_mask)
+
+
+def assert_stability_from_births_matches_stage_d(model, rng):
+    stages, birth = definability._stage_masks(model)
+    final = stages[-1]
+    # every D up to past the index, Z a random union of final blocks
+    for cap in range(len(stages) + 2):
+        for _ in range(4):
+            z_mask = sum(b for b in final if rng.random() < 0.5)
+            by_births = all(birth[b] <= cap for b in final if b & z_mask)
+            assert by_births == stage_d_stable(stages, z_mask, cap)
+    z, cap, report = stable_top(model, random_upset(rng, model.frame))
+    assert report.stability_ok == stage_d_stable(stages, mask_of(z), cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_models(), st.randoms(use_true_random=False))
+def test_stability_from_births_matches_the_stage_d_blocks(model, rng):
+    assert_stability_from_births_matches_stage_d(model, rng)
+
+
+def test_stability_from_births_on_deep_models():
+    # chains and cycles seeded at one point are born one block a stage
+    rng = random.Random(41)
+    for n in (3, 7, 12):
+        for pairs in ([(a, a + 1) for a in range(n - 1)], [(a, (a + 1) % n) for a in range(n)]):
+            for p in (0, n // 2, n - 1):
+                model = Model(uni(n, pairs), 1, (frozenset({p}),))
+                assert_stability_from_births_matches_stage_d(model, rng)
+    for _ in range(150):
+        assert_stability_from_births_matches_stage_d(random_model(rng, n_max=9), rng)
 
 
 # a subset of the gamma families in table order, for the patched constant

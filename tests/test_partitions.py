@@ -558,7 +558,7 @@ def all_blocks_stages(frame, masks):
 
 def assert_stages_match_references(frame, family):
     masks = [mask_of(s) for s in family]
-    stages = list(_stages(frame, masks))
+    stages = [blocks for blocks, _ in _stages(frame, masks)]
     assert stages == all_blocks_stages(frame, masks)
     expected, index = oracles.staged_refinement(frame, family)
     assert [{points_of(b) for b in stage} for stage in stages] == [set(e) for e in expected]
@@ -570,6 +570,10 @@ def assert_stages_match_references(frame, family):
         births.update((b, d) for b in stage if b not in births)
     for part, stage in zip(trace, stages):
         assert part.birth == tuple(births[b] for b in stage)
+    # the fixpoint alone, built without the trace
+    fixed = coarsest_tuned_refinement(frame, induced_partition(frame.n, family))
+    assert fixed.blocks == tuple(sorted(expected[-1], key=min))
+    assert fixed.birth == tuple(expected[-1][b] for b in fixed.blocks)
 
 
 @st.composite
